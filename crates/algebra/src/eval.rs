@@ -292,9 +292,8 @@ pub struct Evaluator<'db> {
     /// Per-node runtime attribution (EXPLAIN ANALYZE). `None` — the
     /// common case — keeps the hot path free of snapshots and timers.
     pub(crate) profiler: Option<Rc<PlanProfiler>>,
-    /// Morsel-driven execution configuration; `threads == 1` (the
-    /// default for a bare `Evaluator`) is the bit-identical legacy
-    /// streaming path.
+    /// Morsel-driven execution configuration; a bare `Evaluator`
+    /// defaults to `threads == 1`, which never leaves the calling thread.
     pub(crate) exec: ExecConfig,
     /// Resource governor: cancellation, deadline and tuple/memory budgets,
     /// polled cooperatively at drain-loop and morsel boundaries. `None`
@@ -369,16 +368,16 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// Configure morsel-driven parallel execution (see [`ExecConfig`]).
+    /// Configure morsel-driven execution (see [`ExecConfig`]).
     ///
-    /// With `threads > 1`, [`Evaluator::eval`] runs the plan through the
-    /// batch executor: operators exchange morsels, and the join family
-    /// builds hash-partitioned tables and probes them on a scoped worker
-    /// pool. `threads == 1` keeps the legacy tuple-at-a-time streaming
-    /// path, bit-for-bit. The short-circuiting entry points
+    /// [`Evaluator::eval`] runs the push pipelines at every thread
+    /// count: the join family builds hash-partitioned tables and probes
+    /// them morsel by morsel, on the calling thread alone when an input
+    /// fits in one morsel (or `threads == 1`) and beside `threads − 1`
+    /// scoped helpers otherwise. The short-circuiting entry points
     /// ([`Evaluator::is_nonempty`], [`Evaluator::eval_limit`]) always
-    /// stream — their whole point is to *not* materialize the probe side,
-    /// which a batch executor would.
+    /// pull tuple-at-a-time — their whole point is to *not* materialize
+    /// the probe side, which a batch executor would.
     pub fn with_exec_config(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
         self
@@ -541,16 +540,16 @@ impl<'db> Evaluator<'db> {
     ///
     /// Dispatch: with streaming enabled (the [`ExecConfig`] default) and
     /// no profiler attached, every thread count runs through the
-    /// push-based pipeline executor (`crate::push`) — at `threads == 1`
-    /// its inline path reproduces the sequential drain bit for bit, and
-    /// routing it through the same coordinator keeps the scoped
-    /// build-side watermark releases thread-count-invariant. With
+    /// push-based pipeline executor (`crate::push`) — at `threads == 1`,
+    /// and for any input of at most one morsel, it stays on the calling
+    /// thread and reproduces the sequential drain bit for bit. With
     /// streaming disabled the plan runs through the legacy materializing
     /// batch executor (`crate::parallel`) at any thread count — the
     /// node-per-`Vec` baseline the peak watermarks are measured against.
     /// A profiled run uses the legacy executor when parallel (its kernels
     /// are what the per-node attribution understands) and the sequential
-    /// pull drain at `threads == 1`.
+    /// pull drain at `threads == 1`; all three charge the governor's
+    /// intermediate budgets per materialized tuple.
     pub fn eval(&self, e: &AlgebraExpr) -> Result<Relation, AlgebraError> {
         let arity = arity_of(e, self.db)?;
         self.check_governor()?;

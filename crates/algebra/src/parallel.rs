@@ -29,23 +29,31 @@
 //!    batch executor cannot help them, so they always take the streaming
 //!    path regardless of configuration (§3.2 of the paper).
 //!
-//! Hash builds are partitioned: phase 1 extracts keys morsel-parallel and
-//! routes each to `hash(key) % nparts`; phase 2 builds every partition's
-//! table on its own thread — no locks, no concurrent map.
+//! Dispatch follows one rule, written once here ([`workers_for`],
+//! [`Dispatch`], [`on_workers`]) and shared with the push executor: work whose input
+//! fits in one morsel never leaves the calling thread, and above that the
+//! caller is worker 0 beside `workers − 1` scoped helpers.
+//!
+//! Hash builds are partitioned, one partition per worker: phase 1
+//! extracts keys morsel-parallel and routes each to `hash(key) % nparts`;
+//! after a barrier, phase 2 builds every partition's table on its own
+//! worker — no concurrent map. A sub-morsel build is a single partition
+//! built inline, so its probes skip the routing hash altogether.
 
 use crate::eval::{
     arity_of, contains_literal, eval_predicate, fill_key, key_of, Evaluator, JoinAlgorithm,
 };
-use crate::{AlgebraError, AlgebraExpr, WorkerStats};
+use crate::{AlgebraError, AlgebraExpr, ExecStats, WorkerStats};
 use gq_governor::{Governor, GovernorError};
 use gq_storage::{HashIndex, Tuple, Value};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -55,15 +63,15 @@ pub const DEFAULT_MORSEL_SIZE: usize = 1024;
 /// Execution configuration: worker count, morsel size, and execution
 /// strategy.
 ///
-/// With `streaming` (the default), `threads == 1` selects the
-/// tuple-at-a-time pull path, bit-for-bit, and `threads > 1` routes
-/// [`Evaluator::eval`] through the push-based pipeline executor
-/// (`crate::push`), which materializes only at pipeline breakers. With
-/// `streaming` off, every thread count runs the legacy materializing
-/// batch executor of this module — the node-per-`Vec` baseline that the
-/// peak-watermark comparisons are measured against. The default asks the
-/// OS for the available parallelism, so a single-core host transparently
-/// gets the sequential path.
+/// With `streaming` (the default), [`Evaluator::eval`] runs the
+/// push-based pipeline executor (`crate::push`) at every thread count; it
+/// materializes only at pipeline breakers. With `streaming` off, every
+/// thread count runs the legacy materializing batch executor of this
+/// module — the node-per-`Vec` baseline that the peak-watermark
+/// comparisons are measured against. `threads` is an upper bound, not a
+/// demand: a kernel whose input fits in one `morsel_size` stays on the
+/// calling thread whatever the count (DESIGN.md §9). The default
+/// asks the OS for the available parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads for parallel kernels (≥ 1).
@@ -195,6 +203,96 @@ pub(crate) fn worker_panic(governor: Option<&Governor>, message: String) -> Alge
     AlgebraError::Governor(err)
 }
 
+/// The dispatch rule (DESIGN.md §9): how many workers — the calling
+/// thread included — a kernel puts on `len` input tuples. Input that fits
+/// in one morsel gets one worker, so it never leaves the calling thread;
+/// above that there is one worker per morsel up to `threads`. The
+/// threshold is a property of the input, not a knob.
+pub(crate) fn workers_for(threads: usize, morsel_size: usize, len: usize) -> usize {
+    threads.min(len.div_ceil(morsel_size)).max(1)
+}
+
+/// The shared state of one dispatch: the input cut into morsels, the
+/// cursor workers claim them from (work stealing at morsel granularity),
+/// and the flag that stops every worker at its next claim.
+pub(crate) struct Dispatch<'g> {
+    /// Workers, the calling thread included ([`workers_for`]).
+    pub(crate) workers: usize,
+    /// Morsels in the input.
+    pub(crate) nmorsels: usize,
+    len: usize,
+    morsel_size: usize,
+    next: AtomicUsize,
+    abort: AtomicBool,
+    governor: Option<&'g Governor>,
+}
+
+impl<'g> Dispatch<'g> {
+    pub(crate) fn new(
+        threads: usize,
+        morsel_size: usize,
+        len: usize,
+        governor: Option<&'g Governor>,
+    ) -> Self {
+        Dispatch {
+            workers: workers_for(threads, morsel_size, len),
+            nmorsels: len.div_ceil(morsel_size),
+            len,
+            morsel_size,
+            next: AtomicUsize::new(0),
+            abort: AtomicBool::new(false),
+            governor,
+        }
+    }
+
+    /// Claim the next morsel — its index and tuple range — or `None` once
+    /// the input is exhausted, the dispatch aborted, or the query
+    /// cancelled / past its deadline. Polling here is what bounds a
+    /// deadline overrun to one morsel's work.
+    pub(crate) fn claim(&self) -> Option<(usize, std::ops::Range<usize>)> {
+        if self.aborted() || self.governor.is_some_and(|g| g.is_cancelled()) {
+            return None;
+        }
+        let mi = self.next.fetch_add(1, Ordering::Relaxed);
+        let start = mi * self.morsel_size;
+        (mi < self.nmorsels).then(|| (mi, start..(start + self.morsel_size).min(self.len)))
+    }
+
+    /// Stop every worker at its next claim (a panic, or a sink error).
+    pub(crate) fn abort(&self) {
+        self.abort.store(true, Ordering::Relaxed);
+    }
+
+    pub(crate) fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Relaxed)
+    }
+}
+
+/// The one place a kernel leaves the calling thread: run `body(w)` once
+/// per worker — worker 0 on the caller, workers `1..workers` on scoped OS
+/// threads, each counted in [`ExecStats::workers_spawned`] — and return
+/// the outcomes in worker order. One worker spawns nothing. A `body` that
+/// waits on a barrier must contain its own panics up to that barrier; a
+/// panic that escapes `body` anyway comes back as that worker's `Err`.
+pub(crate) fn on_workers<R: Send>(
+    workers: usize,
+    stats: &RefCell<ExecStats>,
+    body: impl Fn(usize) -> R + Sync,
+) -> Vec<thread::Result<R>> {
+    let body = &body;
+    let caller = || catch_unwind(AssertUnwindSafe(|| body(0)));
+    if workers <= 1 {
+        return vec![caller()];
+    }
+    stats.borrow_mut().workers_spawned += workers - 1;
+    thread::scope(|s| {
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || body(w))).collect();
+        let mut out = vec![caller()];
+        out.extend(handles.into_iter().map(|h| h.join()));
+        out
+    })
+}
+
 /// The batch executor: a thin coordinator around an [`Evaluator`], owning
 /// the worker-pool kernels. Recursion happens on the coordinating thread;
 /// only the per-morsel closures run on workers, and those never touch the
@@ -248,8 +346,12 @@ impl ParProbe {
 /// Route a key to a partition. `DefaultHasher::new()` is deterministic
 /// within a build, and correctness does not depend on the routing anyway:
 /// probes apply the same function, and partition contents are
-/// assignment-invariant.
+/// assignment-invariant. A single partition (every sub-morsel build)
+/// needs no routing, which saves builds and probes a hash of every key.
 fn partition_of(key: &[Value], nparts: usize) -> usize {
+    if nparts == 1 {
+        return 0;
+    }
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) % nparts
@@ -331,6 +433,7 @@ impl<'db> ParallelExec<'_, 'db> {
             return Ok(Some(Arc::clone(hit)));
         }
         let tuples = Arc::new(self.node_profiled(e)?);
+        self.charge_governor(&tuples)?;
         {
             let mut s = self.ev.stats.borrow_mut();
             s.cse_materialized += 1;
@@ -498,8 +601,8 @@ impl<'db> ParallelExec<'_, 'db> {
                     return Ok(flatten(out));
                 }
                 let right_tuples = self.materialize(right)?;
-                let index =
-                    self.build_part_index(&right_tuples, on.iter().map(|&(_, r)| r).collect())?;
+                let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+                let index = self.build_part_index(&right_tuples, &right_cols)?;
                 let left = self.node(left)?;
                 let mut scope = LiveScope::new(self.ev);
                 scope.charge(&right_tuples);
@@ -608,8 +711,8 @@ impl<'db> ParallelExec<'_, 'db> {
                     Some(a) => a,
                     None => arity_of(right, self.ev.db)?,
                 };
-                let index =
-                    self.build_part_index(&right_tuples, on.iter().map(|&(_, r)| r).collect())?;
+                let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+                let index = self.build_part_index(&right_tuples, &right_cols)?;
                 let left = self.node(left)?;
                 let mut scope = LiveScope::new(self.ev);
                 scope.charge(&right_tuples);
@@ -696,11 +799,29 @@ impl<'db> ParallelExec<'_, 'db> {
             _ => None,
         };
         let tuples = Arc::new(self.node(e)?);
+        self.charge_governor(&tuples)?;
         self.ev.stats.borrow_mut().record_intermediate(tuples.len());
         if let (Some(memo), Some(key)) = (&self.ev.memo, key) {
             memo.borrow_mut().insert(key, Arc::clone(&tuples));
         }
         Ok(tuples)
+    }
+
+    /// Charge a freshly materialized buffer against the governor's
+    /// intermediate-tuple and memory budgets, tuple by tuple with the same
+    /// byte estimate as the pull path's `collect_governed` — so a budget
+    /// trips with the same `used` on every executor, and the slow log's
+    /// tuple watermark is not blind to profiled parallel runs. The bytes
+    /// stay charged until the query's governor drops, which is also when
+    /// the pull path's parked guards release theirs.
+    fn charge_governor(&self, tuples: &[Tuple]) -> Result<(), AlgebraError> {
+        if let Some(g) = &self.ev.governor {
+            for t in tuples {
+                let bytes = gq_governor::estimate_tuple_bytes(t.arity());
+                g.charge_intermediate("evaluate", 1, bytes)?;
+            }
+        }
+        Ok(())
     }
 
     /// Build the probe side of a semi/complement/marker join: the cached
@@ -733,121 +854,124 @@ impl<'db> ParallelExec<'_, 'db> {
         Ok(ParProbe::Parts(self.build_part_keys(&tuples, &right_cols)?))
     }
 
-    /// Two-phase partitioned build of a row-id index: morsel-parallel key
-    /// extraction routed to partitions, then one thread per partition
-    /// building its hash table. Fragments are concatenated in morsel
-    /// order, so every bucket's row ids are ascending — matching a
-    /// sequential scan-order build.
+    /// Partitioned build of a row-id index. Every bucket's row ids are
+    /// ascending — matching a sequential scan-order build.
     pub(crate) fn build_part_index(
         &self,
         tuples: &[Tuple],
-        cols: Vec<usize>,
+        cols: &[usize],
     ) -> Result<PartIndex, AlgebraError> {
-        let nparts = self.threads;
-        let morsel = self.morsel_size;
-        let frags = self.par_chunks(tuples, |_ws, mi, chunk| {
-            let mut parts: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); nparts];
-            let base = mi * morsel;
-            for (i, t) in chunk.iter().enumerate() {
-                let key = key_of(t, &cols);
-                let p = partition_of(&key, nparts);
-                parts[p].push((key, base + i));
-            }
-            parts
-        })?;
-        let mut by_part: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); nparts];
-        for frag in frags {
-            for (p, mut entries) in frag.into_iter().enumerate() {
-                by_part[p].append(&mut entries);
-            }
-        }
-        let mut parts: Vec<HashMap<Vec<Value>, Vec<usize>>> = Vec::with_capacity(nparts);
-        let mut panicked: Option<String> = None;
-        thread::scope(|s| {
-            let handles: Vec<_> = by_part
-                .into_iter()
-                .map(|entries| {
-                    s.spawn(move || {
-                        let mut m: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                        for (key, rid) in entries {
-                            m.entry(key).or_default().push(rid);
-                        }
-                        m
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(m) => parts.push(m),
-                    Err(p) => {
-                        if panicked.is_none() {
-                            panicked = Some(panic_message(p));
-                        }
-                    }
-                }
-            }
-        });
-        match panicked {
-            Some(message) => Err(worker_panic(self.ev.governor.as_ref(), message)),
-            None => Ok(PartIndex { parts }),
-        }
+        let parts = self.build_parts(
+            tuples,
+            cols,
+            |m: &mut HashMap<Vec<Value>, Vec<usize>>, key, rid| m.entry(key).or_default().push(rid),
+        )?;
+        Ok(PartIndex { parts })
     }
 
-    /// Two-phase partitioned build of key *sets* (the probe side of semi,
+    /// Partitioned build of key *sets* (the probe side of semi,
     /// complement and marker joins).
     pub(crate) fn build_part_keys(
         &self,
         tuples: &[Tuple],
         cols: &[usize],
     ) -> Result<Vec<HashSet<Vec<Value>>>, AlgebraError> {
-        let nparts = self.threads;
-        let frags = self.par_chunks(tuples, |_ws, _mi, chunk| {
-            let mut parts: Vec<Vec<Vec<Value>>> = vec![Vec::new(); nparts];
-            for t in chunk {
-                let key = key_of(t, cols);
-                let p = partition_of(&key, nparts);
-                parts[p].push(key);
-            }
-            parts
-        })?;
-        let mut by_part: Vec<Vec<Vec<Value>>> = vec![Vec::new(); nparts];
-        for frag in frags {
-            for (p, mut keys) in frag.into_iter().enumerate() {
-                by_part[p].append(&mut keys);
-            }
-        }
-        let mut parts: Vec<HashSet<Vec<Value>>> = Vec::with_capacity(nparts);
-        let mut panicked: Option<String> = None;
-        thread::scope(|s| {
-            let handles: Vec<_> = by_part
-                .into_iter()
-                .map(|keys| s.spawn(move || keys.into_iter().collect::<HashSet<_>>()))
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(set) => parts.push(set),
-                    Err(p) => {
-                        if panicked.is_none() {
-                            panicked = Some(panic_message(p));
-                        }
+        self.build_parts(tuples, cols, |set: &mut HashSet<Vec<Value>>, key, _rid| {
+            set.insert(key);
+        })
+    }
+
+    /// The two-phase partitioned build behind both probe structures, as
+    /// one dispatch with one partition per worker. Phase 1: workers claim
+    /// morsels, extract each tuple's key and route `(key, row id)` to its
+    /// partition. Barrier. Phase 2: worker `w` folds partition `w`'s
+    /// fragments, in morsel order, into its table with `insert`. A build
+    /// side of at most one morsel is one worker — the caller — and one
+    /// partition.
+    ///
+    /// A panic or cancellation in phase 1 raises `abort`, and the
+    /// offending worker still reaches the barrier, so nobody waits
+    /// forever; phase 2 is then skipped and the panic surfaces as
+    /// [`GovernorError::WorkerPanic`].
+    fn build_parts<T, I>(
+        &self,
+        tuples: &[Tuple],
+        cols: &[usize],
+        insert: I,
+    ) -> Result<Vec<T>, AlgebraError>
+    where
+        T: Default + Send,
+        I: Fn(&mut T, Vec<Value>, usize) + Sync,
+    {
+        type Fragment = (usize, Vec<(Vec<Value>, usize)>);
+        let governor = self.ev.governor.as_ref();
+        let dispatch = Dispatch::new(self.threads, self.morsel_size, tuples.len(), governor);
+        let nparts = dispatch.workers;
+        let barrier = Barrier::new(nparts);
+        let routed: Vec<Mutex<Vec<Fragment>>> = (0..nparts).map(|_| Mutex::default()).collect();
+        // Nothing but a `push` and a `take` ever runs under these locks, so
+        // a poisoned one still guards a valid vector.
+        let fragments_of = |p: usize| routed[p].lock().unwrap_or_else(PoisonError::into_inner);
+        let built = on_workers(nparts, &self.ev.stats, |w| {
+            let route = catch_unwind(AssertUnwindSafe(|| {
+                while let Some((mi, range)) = dispatch.claim() {
+                    chaos_morsel_hooks(mi);
+                    let mut parts: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); nparts];
+                    for rid in range {
+                        let key = key_of(&tuples[rid], cols);
+                        let p = partition_of(&key, nparts);
+                        parts[p].push((key, rid));
+                    }
+                    for (p, entries) in parts.into_iter().enumerate() {
+                        fragments_of(p).push((mi, entries));
                     }
                 }
+            }));
+            if route.is_err() {
+                dispatch.abort();
             }
+            // The barrier's own lock orders the abort above before every
+            // worker's check below.
+            barrier.wait();
+            route?;
+            if dispatch.aborted() {
+                return Ok(None);
+            }
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut fragments = std::mem::take(&mut *fragments_of(w));
+                fragments.sort_unstable_by_key(|&(mi, _)| mi);
+                let mut table = T::default();
+                for (_, entries) in fragments {
+                    for (key, rid) in entries {
+                        insert(&mut table, key, rid);
+                    }
+                }
+                Some(table)
+            }))
         });
-        match panicked {
-            Some(message) => Err(worker_panic(self.ev.governor.as_ref(), message)),
-            None => Ok(parts),
+        let mut parts = Vec::with_capacity(nparts);
+        for outcome in built {
+            // Both layers of `Err` are a contained panic: the inner one
+            // was caught by the worker itself, the outer one escaped it.
+            match outcome.and_then(|contained| contained) {
+                Ok(table) => parts.extend(table),
+                Err(p) => return Err(worker_panic(governor, panic_message(p))),
+            }
         }
+        if let Some(g) = governor {
+            g.check("evaluate")?;
+        }
+        self.ev.stats.borrow_mut().morsels += dispatch.nmorsels;
+        Ok(parts)
     }
 
     /// The morsel dispatcher. Splits `input` into morsels, deals them to
-    /// a scoped worker pool via an atomic cursor (work stealing at morsel
-    /// granularity), and returns the per-morsel results *in morsel
-    /// order*. Each worker charges into a private [`WorkerStats`]; all of
-    /// them are folded into the shared accumulator at the barrier, so the
-    /// merged totals are distribution-independent. Falls back to an
-    /// inline loop when one worker (or one morsel) makes a pool
-    /// pointless.
+    /// the workers [`on_workers`] provides via an atomic cursor (work
+    /// stealing at morsel granularity), and returns the per-morsel
+    /// results *in morsel order*. Each worker charges into a private
+    /// [`WorkerStats`]; all of them are folded into the shared
+    /// accumulator at the barrier, so the merged totals are
+    /// distribution-independent.
     ///
     /// Robustness: every morsel runs under `catch_unwind`, so a panic in
     /// one worker raises an abort flag (stopping the other workers at
@@ -861,100 +985,49 @@ impl<'db> ParallelExec<'_, 'db> {
         R: Send,
         F: Fn(&mut WorkerStats, usize, &[Tuple]) -> R + Sync,
     {
-        let morsel = self.morsel_size;
-        let nmorsels = input.len().div_ceil(morsel);
-        let workers = self.threads.min(nmorsels);
         let governor = self.ev.governor.as_ref();
-        if workers <= 1 {
-            let mut ws = WorkerStats::new(0);
-            let mut out = Vec::with_capacity(nmorsels);
-            for (mi, chunk) in input.chunks(morsel).enumerate() {
-                if let Some(g) = governor {
-                    g.check("evaluate")?;
-                }
+        let dispatch = Dispatch::new(self.threads, self.morsel_size, input.len(), governor);
+        let joined = on_workers(dispatch.workers, &self.ev.stats, |w| {
+            let mut ws = WorkerStats::new(w);
+            let mut out: Vec<(usize, R)> = Vec::new();
+            let mut panicked: Option<String> = None;
+            while let Some((mi, range)) = dispatch.claim() {
                 ws.morsels += 1;
                 match catch_unwind(AssertUnwindSafe(|| {
                     chaos_morsel_hooks(mi);
-                    f(&mut ws, mi, chunk)
+                    f(&mut ws, mi, &input[range])
                 })) {
-                    Ok(r) => out.push(r),
-                    Err(p) => return Err(worker_panic(governor, panic_message(p))),
-                }
-            }
-            ws.merge_into(&mut self.ev.stats.borrow_mut());
-            return Ok(out);
-        }
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let mut results: Vec<(usize, R)> = Vec::with_capacity(nmorsels);
-        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
-        let mut first_panic: Option<String> = None;
-        thread::scope(|s| {
-            let next = &next;
-            let abort = &abort;
-            let f = &f;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut ws = WorkerStats::new(w);
-                        let mut out: Vec<(usize, R)> = Vec::new();
-                        let mut panicked: Option<String> = None;
-                        loop {
-                            if abort.load(Ordering::Relaxed)
-                                || governor.is_some_and(|g| g.is_cancelled())
-                            {
-                                break;
-                            }
-                            let mi = next.fetch_add(1, Ordering::Relaxed);
-                            if mi >= nmorsels {
-                                break;
-                            }
-                            let start = mi * morsel;
-                            let end = (start + morsel).min(input.len());
-                            ws.morsels += 1;
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                chaos_morsel_hooks(mi);
-                                f(&mut ws, mi, &input[start..end])
-                            })) {
-                                Ok(r) => out.push((mi, r)),
-                                Err(p) => {
-                                    panicked = Some(panic_message(p));
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        (out, ws, panicked)
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok((out, ws, panicked)) => {
-                        results.extend(out);
-                        worker_stats.push(ws);
-                        if first_panic.is_none() {
-                            first_panic = panicked;
-                        }
-                    }
-                    // Unreachable in practice (worker bodies catch), but a
-                    // panic between catch sites must not poison the scope.
+                    Ok(r) => out.push((mi, r)),
                     Err(p) => {
-                        abort.store(true, Ordering::Relaxed);
-                        if first_panic.is_none() {
-                            first_panic = Some(panic_message(p));
-                        }
+                        panicked = Some(panic_message(p));
+                        dispatch.abort();
+                        break;
                     }
                 }
             }
+            (out, ws, panicked)
         });
         // Barrier: fold worker counters into the shared accumulator and
         // reassemble outputs in morsel order. Counters merge even on the
         // error paths so partially-done work stays observable.
+        let mut results: Vec<(usize, R)> = Vec::with_capacity(dispatch.nmorsels);
+        let mut first_panic: Option<String> = None;
         {
             let mut shared = self.ev.stats.borrow_mut();
-            for ws in &worker_stats {
-                ws.merge_into(&mut shared);
+            for outcome in joined {
+                let panicked = match outcome {
+                    Ok((out, ws, panicked)) => {
+                        results.extend(out);
+                        ws.merge_into(&mut shared);
+                        panicked
+                    }
+                    // Unreachable in practice (worker bodies catch), but a
+                    // panic between catch sites must not go unreported.
+                    Err(p) => Some(panic_message(p)),
+                };
+                if first_panic.is_none() {
+                    first_panic = panicked;
+                }
             }
         }
         if let Some(message) = first_panic {
@@ -1037,6 +1110,7 @@ mod tests {
                         "stats differ at {threads} threads (streaming={streaming})"
                     );
                     assert!(par.stats().morsels > 0, "parallel path not taken");
+                    assert!(par.stats().workers_spawned > 0, "no helper spawned");
                 }
             }
         }
@@ -1100,6 +1174,16 @@ mod tests {
                 par.stats().without_dispatch_counters(),
                 seq.stats().without_dispatch_counters()
             );
+            assert_eq!(par.stats().workers_spawned, 0, "left the calling thread");
         }
+    }
+
+    #[test]
+    fn dispatch_rule_keeps_sub_morsel_work_on_the_caller() {
+        assert_eq!(workers_for(8, 1024, 0), 1);
+        assert_eq!(workers_for(8, 1024, 1024), 1);
+        assert_eq!(workers_for(8, 1024, 1025), 2);
+        assert_eq!(workers_for(2, 1024, 100_000), 2);
+        assert_eq!(workers_for(1, 1024, 100_000), 1);
     }
 }

@@ -194,6 +194,7 @@ fn clamp(child: &ExecStats, parent: &ExecStats) -> ExecStats {
         cse_materialized: child.cse_materialized.min(parent.cse_materialized),
         cse_reused: child.cse_reused.min(parent.cse_reused),
         morsels: child.morsels.min(parent.morsels),
+        workers_spawned: child.workers_spawned.min(parent.workers_spawned),
     }
 }
 

@@ -22,10 +22,11 @@
 //!
 //! Within a pipeline, tuples flow leaf-to-root in morsel-sized batches
 //! through a fused operator stack: the stateless suffix (filters,
-//! projections, probes) runs on worker threads, while everything at or
-//! above the last order-sensitive operator (dedup) runs on the
-//! coordinator, over batches released in morsel order by a reorder
-//! buffer. Only breakers materialize — through the *sequential*
+//! projections, probes) runs on whichever worker claims the morsel — the
+//! coordinator is worker 0 and, for a source of at most one morsel, the
+//! only one (`parallel::Dispatch`) — while everything at or above the
+//! last order-sensitive operator (dedup) runs on the coordinator, over
+//! batches released in morsel order by a reorder buffer. Only breakers materialize — through the *sequential*
 //! `Evaluator::materialize`, so memo/CSE gates, governor charges, live
 //! watermark accounting and pipeline events are charged once, at the
 //! coordinator, in structural plan order. That is what makes answers,
@@ -39,14 +40,14 @@
 
 use crate::eval::{arity_of, eval_predicate, fill_key, Evaluator, JoinAlgorithm, LiveGuard};
 use crate::parallel::{
-    chaos_morsel_hooks, panic_message, worker_panic, ParProbe, ParallelExec, PartIndex,
+    chaos_morsel_hooks, panic_message, worker_panic, Dispatch, ParProbe, ParallelExec, PartIndex,
 };
 use crate::{AlgebraError, AlgebraExpr, Constraint, Predicate, WorkerStats};
 use gq_storage::{HashIndex, Relation, Tuple, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
@@ -82,7 +83,7 @@ pub(crate) fn eval_push(
 
 /// The push executor: a coordinator that decomposes the plan into fused
 /// operator chains and drives each pipeline's morsel dispatch. Breaker
-/// builds reuse the partitioned two-phase kernels of [`ParallelExec`].
+/// builds reuse the partitioned build kernel of [`ParallelExec`].
 struct PushExec<'a, 'db> {
     ev: &'a Evaluator<'db>,
     threads: usize,
@@ -179,8 +180,8 @@ impl Sink {
 }
 
 impl<'db> PushExec<'_, 'db> {
-    /// The build-kernel view of this executor (partitioned two-phase
-    /// index/key-set builds, shared with the legacy batch executor).
+    /// The build-kernel view of this executor (partitioned index/key-set
+    /// builds, shared with the legacy batch executor).
     fn kernels(&self) -> ParallelExec<'_, 'db> {
         ParallelExec {
             ev: self.ev,
@@ -321,9 +322,10 @@ impl<'db> PushExec<'_, 'db> {
                 }
                 let (right_tuples, guard) = self.ev.materialize_scoped(right, "join-build")?;
                 self.hold_guard(chain.len(), guard);
+                let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
                 let index = self
                     .kernels()
-                    .build_part_index(&right_tuples, on.iter().map(|&(_, r)| r).collect())?;
+                    .build_part_index(&right_tuples, &right_cols)?;
                 chain.push(ChainOp::Work(WorkOp::HashProbe {
                     index,
                     right: right_tuples,
@@ -392,9 +394,10 @@ impl<'db> PushExec<'_, 'db> {
                     Some(a) => a,
                     None => arity_of(right, self.ev.db)?,
                 };
+                let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
                 let index = self
                     .kernels()
-                    .build_part_index(&right_tuples, on.iter().map(|&(_, r)| r).collect())?;
+                    .build_part_index(&right_tuples, &right_cols)?;
                 chain.push(ChainOp::Work(WorkOp::OuterProbe {
                     index,
                     right: right_tuples,
@@ -453,8 +456,9 @@ impl<'db> PushExec<'_, 'db> {
     }
 
     /// Run one completed pipeline: morselize `input`, apply the chain's
-    /// stateless suffix on workers, release batches in morsel order and
-    /// finish them (stateful ops + sink) on the coordinator.
+    /// stateless suffix on the workers the dispatch rule grants, release
+    /// batches in morsel order and finish them (stateful ops + sink) on
+    /// the coordinator.
     ///
     /// `charge_reads` is true for base-relation sources, whose tuples are
     /// charged to `base_tuples_read` as workers consume them — this is
@@ -487,92 +491,52 @@ impl<'db> PushExec<'_, 'db> {
                 ChainOp::Dedup(_) => None,
             })
             .collect();
-        let morsel = self.morsel_size;
-        let nmorsels = input.len().div_ceil(morsel);
-        let workers = self.threads.min(nmorsels);
         let governor = self.ev.governor.as_ref();
-        let mut coord_ws = WorkerStats::new(0);
+        let dispatch = Dispatch::new(self.threads, self.morsel_size, input.len(), governor);
 
-        if workers <= 1 {
-            // Inline path: one worker (or one morsel) makes a pool
-            // pointless; same per-morsel governor cadence as the pool.
-            for (mi, chunk) in input.chunks(morsel).enumerate() {
-                if let Some(g) = governor {
-                    g.check("evaluate")?;
-                }
-                coord_ws.morsels += 1;
-                let batch = match catch_unwind(AssertUnwindSafe(|| {
-                    chaos_morsel_hooks(mi);
-                    let mut ws = WorkerStats::new(0);
-                    let batch = apply_work(&work_ops, &mut ws, charge_reads, chunk);
-                    (batch, ws)
-                })) {
-                    Ok((batch, ws)) => {
-                        ws.merge_into(&mut coord_ws.stats);
-                        batch
-                    }
-                    Err(p) => {
-                        coord_ws.merge_into(&mut self.ev.stats.borrow_mut());
-                        return Err(worker_panic(governor, panic_message(p)));
-                    }
-                };
-                if let Err(e) = self.finish_batch(coord_part, &mut coord_ws, sink, batch) {
-                    coord_ws.merge_into(&mut self.ev.stats.borrow_mut());
-                    return Err(e);
-                }
-            }
-            coord_ws.merge_into(&mut self.ev.stats.borrow_mut());
-            return Ok(());
-        }
-
-        // Pool path: workers claim morsels off an atomic cursor, push
-        // finished batches through a channel, and the coordinator's
-        // reorder buffer releases them in morsel order — incremental
-        // (pipelined) where the legacy dispatcher is a full barrier.
+        // The coordinator is worker 0: it claims morsels too, and between
+        // them drains the batches its helpers sent through the channel
+        // into the reorder buffer, which releases them in morsel order —
+        // incremental (pipelined) where the legacy dispatcher is a full
+        // barrier. A source of at most one morsel has no helpers, so the
+        // whole pipeline runs on the calling thread.
         enum Msg {
             Batch(usize, Vec<Tuple>),
             Panic(usize, String),
             Done(WorkerStats),
         }
+        let run_morsel = |ws: &mut WorkerStats, mi: usize, range: Range<usize>| {
+            ws.morsels += 1;
+            match catch_unwind(AssertUnwindSafe(|| {
+                chaos_morsel_hooks(mi);
+                apply_work(&work_ops, ws, charge_reads, &input[range])
+            })) {
+                Ok(batch) => Msg::Batch(mi, batch),
+                Err(p) => {
+                    dispatch.abort();
+                    Msg::Panic(mi, panic_message(p))
+                }
+            }
+        };
+        let helpers = dispatch.workers - 1;
+        self.ev.stats.borrow_mut().workers_spawned += helpers;
         let (tx, rx) = mpsc::channel::<Msg>();
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
+        let mut coord_ws = WorkerStats::new(0);
+        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(helpers);
         let mut first_panic: Option<(usize, String)> = None;
         let mut sink_result: Result<(), AlgebraError> = Ok(());
         thread::scope(|s| {
-            let next = &next;
-            let abort = &abort;
-            let work_ops = &work_ops;
-            for w in 0..workers {
+            let (dispatch, run_morsel) = (&dispatch, &run_morsel);
+            for w in 1..=helpers {
                 let tx = tx.clone();
                 s.spawn(move || {
                     let mut ws = WorkerStats::new(w);
-                    loop {
-                        if abort.load(Ordering::Relaxed)
-                            || governor.is_some_and(|g| g.is_cancelled())
-                        {
+                    while let Some((mi, range)) = dispatch.claim() {
+                        let msg = run_morsel(&mut ws, mi, range);
+                        let panicked = matches!(msg, Msg::Panic(..));
+                        let _ = tx.send(msg);
+                        if panicked {
                             break;
-                        }
-                        let mi = next.fetch_add(1, Ordering::Relaxed);
-                        if mi >= nmorsels {
-                            break;
-                        }
-                        let start = mi * morsel;
-                        let end = (start + morsel).min(input.len());
-                        ws.morsels += 1;
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            chaos_morsel_hooks(mi);
-                            apply_work(work_ops, &mut ws, charge_reads, &input[start..end])
-                        })) {
-                            Ok(batch) => {
-                                let _ = tx.send(Msg::Batch(mi, batch));
-                            }
-                            Err(p) => {
-                                abort.store(true, Ordering::Relaxed);
-                                let _ = tx.send(Msg::Panic(mi, panic_message(p)));
-                                break;
-                            }
                         }
                     }
                     let _ = tx.send(Msg::Done(ws));
@@ -581,40 +545,41 @@ impl<'db> PushExec<'_, 'db> {
             drop(tx);
             let mut pending: BTreeMap<usize, Vec<Tuple>> = BTreeMap::new();
             let mut next_emit = 0usize;
-            let mut done = 0usize;
-            while done < workers {
-                let Ok(msg) = rx.recv() else {
-                    break;
-                };
-                match msg {
-                    Msg::Done(ws) => {
-                        done += 1;
-                        worker_stats.push(ws);
+            let mut handle = |coord_ws: &mut WorkerStats, msg: Msg| match msg {
+                Msg::Done(ws) => worker_stats.push(ws),
+                Msg::Panic(mi, message) => {
+                    // Smallest morsel id wins, so the surfaced panic is
+                    // deterministic under chaos seeds.
+                    if first_panic.as_ref().is_none_or(|&(pmi, _)| mi < pmi) {
+                        first_panic = Some((mi, message));
                     }
-                    Msg::Panic(mi, message) => {
-                        // Smallest morsel id wins, so the surfaced panic
-                        // is deterministic under chaos seeds.
-                        if first_panic.as_ref().is_none_or(|&(pmi, _)| mi < pmi) {
-                            first_panic = Some((mi, message));
-                        }
+                }
+                Msg::Batch(mi, batch) => {
+                    if sink_result.is_err() || first_panic.is_some() {
+                        return;
                     }
-                    Msg::Batch(mi, batch) => {
-                        if sink_result.is_err() || first_panic.is_some() {
-                            continue;
-                        }
-                        pending.insert(mi, batch);
-                        while let Some(batch) = pending.remove(&next_emit) {
-                            next_emit += 1;
-                            if let Err(e) =
-                                self.finish_batch(coord_part, &mut coord_ws, sink, batch)
-                            {
-                                sink_result = Err(e);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
+                    pending.insert(mi, batch);
+                    while let Some(batch) = pending.remove(&next_emit) {
+                        next_emit += 1;
+                        if let Err(e) = self.finish_batch(coord_part, coord_ws, sink, batch) {
+                            sink_result = Err(e);
+                            dispatch.abort();
+                            break;
                         }
                     }
                 }
+            };
+            while let Some((mi, range)) = dispatch.claim() {
+                let msg = run_morsel(&mut coord_ws, mi, range);
+                handle(&mut coord_ws, msg);
+                while let Ok(msg) = rx.try_recv() {
+                    handle(&mut coord_ws, msg);
+                }
+            }
+            // Every helper ends with `Done` and then drops its sender, so
+            // this drains exactly what is still in flight.
+            while let Ok(msg) = rx.recv() {
+                handle(&mut coord_ws, msg);
             }
         });
         // Fold all counters before error propagation so partially-done

@@ -61,6 +61,12 @@ pub struct ExecStats {
     /// execution *configuration* (morsel size), not on the plan, so
     /// determinism checks across thread counts compare it separately.
     pub morsels: usize,
+    /// OS threads spawned by the dispatcher, one count per spawn. A
+    /// dispatch counter like `morsels`: it depends on the thread count
+    /// and morsel size, never on the plan alone, and is how start-up
+    /// cost is shown without timing anything — a query whose every
+    /// input fits in one morsel reports zero at any thread count.
+    pub workers_spawned: usize,
 }
 
 impl ExecStats {
@@ -114,6 +120,7 @@ impl ExecStats {
             cse_materialized: self.cse_materialized - earlier.cse_materialized,
             cse_reused: self.cse_reused - earlier.cse_reused,
             morsels: self.morsels - earlier.morsels,
+            workers_spawned: self.workers_spawned - earlier.workers_spawned,
         }
     }
 
@@ -137,18 +144,20 @@ impl ExecStats {
         self.cse_materialized += other.cse_materialized;
         self.cse_reused += other.cse_reused;
         self.morsels += other.morsels;
+        self.workers_spawned += other.workers_spawned;
     }
 
     /// This record with the configuration-dependent counters zeroed —
     /// what determinism tests compare across thread counts and execution
-    /// strategies (the morsel counter legitimately differs between the
-    /// sequential path and the morsel-driven one, and the peak watermarks
+    /// strategies (the morsel and spawn counters legitimately differ with
+    /// the thread count and morsel size, and the peak watermarks
     /// legitimately differ between the streaming and materializing
     /// strategies — the peak *reduction* is the point). Cross-thread
     /// identity of the peaks within one strategy is asserted separately.
     pub fn without_dispatch_counters(&self) -> ExecStats {
         ExecStats {
             morsels: 0,
+            workers_spawned: 0,
             peak_intermediate_tuples: 0,
             peak_intermediate_bytes: 0,
             ..self.clone()
@@ -197,7 +206,7 @@ impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scans={} base_reads={} probes={} comparisons={} emitted={} intermediates={} max_intermediate={} peak_tuples={} peak_bytes={} operators={} memo_hits={} cse_materialized={} cse_reused={} morsels={}",
+            "scans={} base_reads={} probes={} comparisons={} emitted={} intermediates={} max_intermediate={} peak_tuples={} peak_bytes={} operators={} memo_hits={} cse_materialized={} cse_reused={} morsels={} workers_spawned={}",
             self.base_scans,
             self.base_tuples_read,
             self.probes,
@@ -211,7 +220,8 @@ impl fmt::Display for ExecStats {
             self.memo_hits,
             self.cse_materialized,
             self.cse_reused,
-            self.morsels
+            self.morsels,
+            self.workers_spawned
         )
     }
 }
@@ -262,6 +272,7 @@ mod tests {
             "operators",
             "cse_materialized",
             "cse_reused",
+            "workers_spawned",
         ] {
             assert!(s.contains(key));
         }
@@ -284,6 +295,7 @@ mod tests {
             cse_materialized: 0,
             cse_reused: 0,
             morsels: 0,
+            workers_spawned: 0,
         };
         let mut later = earlier.clone();
         later.base_tuples_read += 7;
@@ -335,12 +347,14 @@ mod tests {
             peak_intermediate_bytes: 560,
             probes: 3,
             morsels: 9,
+            workers_spawned: 4,
             ..ExecStats::new()
         };
         let stripped = s.without_dispatch_counters();
         assert_eq!(stripped.peak_intermediate_tuples, 0);
         assert_eq!(stripped.peak_intermediate_bytes, 0);
         assert_eq!(stripped.morsels, 0);
+        assert_eq!(stripped.workers_spawned, 0);
         assert_eq!(stripped.probes, 3);
     }
 

@@ -6,10 +6,28 @@
 //! 1, 2 and 8 threads. This is the executable form of the PR's exactness
 //! guarantee: parallelism is an execution detail, invisible to every
 //! observable the paper's claims are stated over.
+//!
+//! The second half pins the dispatch rule (DESIGN.md §9) through the
+//! `workers_spawned` counter, with no timing involved: input that fits in
+//! one morsel never leaves the calling thread, above that the caller is
+//! worker 0, and the answers do not depend on which side of the threshold
+//! a build side falls.
 
+use gq_algebra::{AlgebraExpr, Constraint, Evaluator};
 use gq_bench::E2E_SUITE;
 use gq_core::{EngineOptions, ExecConfig, QueryEngine, Strategy};
+use gq_storage::{tuple, Database, Schema};
 use gq_workload::{university, UniversityScale};
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// The chaos registry is process-global, so under `--features chaos` the
+/// one test that installs faults takes this lock exclusively and every
+/// other test shares it.
+static CHAOS: RwLock<()> = RwLock::new(());
+
+fn no_chaos() -> RwLockReadGuard<'static, ()> {
+    CHAOS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -24,6 +42,7 @@ fn engine(threads: usize) -> QueryEngine {
 
 #[test]
 fn e2e_suite_is_thread_count_invariant() {
+    let _shared = no_chaos();
     let mut parallel_ran = false;
     for (label, text) in E2E_SUITE {
         let baseline = engine(1).query(text).unwrap();
@@ -59,6 +78,7 @@ fn e2e_suite_is_thread_count_invariant() {
 /// (whose build charges land once, on the coordinating thread).
 #[test]
 fn engine_options_are_thread_count_invariant() {
+    let _shared = no_chaos();
     let options = EngineOptions {
         optimize: true,
         share_subplans: true,
@@ -97,6 +117,7 @@ fn engine_options_are_thread_count_invariant() {
 /// same invariance check.
 #[test]
 fn classical_strategy_is_thread_count_invariant() {
+    let _shared = no_chaos();
     for (label, text) in E2E_SUITE {
         let mut baseline = None;
         for threads in THREAD_COUNTS {
@@ -123,4 +144,187 @@ fn classical_strategy_is_thread_count_invariant() {
             }
         }
     }
+}
+
+/// The benchmark's `tiny_adhoc` regime: at n = 60 no relation reaches the
+/// default 1 024-tuple morsel, so no query may pay for a thread.
+#[test]
+fn sub_morsel_queries_spawn_no_threads() {
+    let _shared = no_chaos();
+    let e = QueryEngine::new(university(&UniversityScale::of_size(60)))
+        .with_exec_config(ExecConfig::with_threads(2));
+    for (label, text) in E2E_SUITE {
+        let r = e.query(text).unwrap();
+        assert_eq!(
+            r.stats.workers_spawned, 0,
+            "{label}: a sub-morsel query left the calling thread"
+        );
+    }
+}
+
+/// Above one morsel the caller is worker 0, so a dispatch spawns at most
+/// `threads − 1` helpers — and, having at least as many morsels as
+/// workers, at most `morsels − 1`.
+#[test]
+fn no_dispatch_spawns_more_than_threads_minus_one() {
+    let _shared = no_chaos();
+    let db = university(&UniversityScale::of_size(2000));
+    let attends = db.relation("attends").unwrap().len();
+    assert!(attends > 8 * gq_algebra::DEFAULT_MORSEL_SIZE);
+    for threads in THREAD_COUNTS {
+        // One dispatch: a bare scan is a single pipeline over `attends`.
+        let scan = Evaluator::new(&db).with_exec_config(ExecConfig::with_threads(threads));
+        scan.eval(&AlgebraExpr::relation("attends")).unwrap();
+        assert_eq!(scan.stats().workers_spawned, threads - 1, "scan pipeline");
+        // Two dispatches: the build over `attends`, then the probing
+        // pipeline over `student`.
+        let students = db.relation("student").unwrap().len();
+        let probe_workers = threads.min(students.div_ceil(gq_algebra::DEFAULT_MORSEL_SIZE));
+        let join = Evaluator::new(&db).with_exec_config(ExecConfig::with_threads(threads));
+        join.eval(
+            &AlgebraExpr::relation("student").join(AlgebraExpr::relation("attends"), vec![(0, 0)]),
+        )
+        .unwrap();
+        assert_eq!(
+            join.stats().workers_spawned,
+            (threads - 1) + (probe_workers - 1),
+            "build + probe at {threads} threads"
+        );
+    }
+    // Whole queries: every spawning dispatch has more morsels than it has
+    // helpers, so over a query spawns stay strictly below morsels.
+    for threads in [2usize, 8] {
+        let e = QueryEngine::new(university(&UniversityScale::of_size(2000)))
+            .with_exec_config(ExecConfig::with_threads(threads));
+        let mut spawned = false;
+        for (label, text) in E2E_SUITE {
+            let r = e.query(text).unwrap();
+            spawned |= r.stats.workers_spawned > 0;
+            assert!(
+                r.stats.workers_spawned == 0 || r.stats.workers_spawned < r.stats.morsels,
+                "{label}: {} spawns for {} morsels at {threads} threads",
+                r.stats.workers_spawned,
+                r.stats.morsels
+            );
+        }
+        assert!(spawned, "n = 2000 never left the calling thread");
+    }
+}
+
+/// `left(k, v)` for 40 keys and `right(k, w)` with `build` tuples whose
+/// keys repeat (so buckets hold several row ids) and overshoot the left
+/// side's key range (so some probes miss).
+fn straddle_db(build: usize) -> Database {
+    let mut db = Database::new();
+    db.create_relation("left", Schema::anonymous(2)).unwrap();
+    db.create_relation("right", Schema::anonymous(2)).unwrap();
+    for k in 0..40i64 {
+        db.insert("left", tuple![k, k % 3]).unwrap();
+    }
+    for i in 0..build as i64 {
+        db.insert("right", tuple![(i * 5) % 23, i]).unwrap();
+    }
+    db
+}
+
+/// A build side just below, at, just above and well above one morsel
+/// takes the inline single-partition path or the partitioned one — and
+/// nothing observable may tell which: answers, row order and every
+/// non-dispatch counter are identical at 1/2/8 threads, for every
+/// operator that builds.
+#[test]
+fn build_sides_straddling_one_morsel_are_thread_count_invariant() {
+    let _shared = no_chaos();
+    const M: usize = 8;
+    let left = || AlgebraExpr::relation("left");
+    let right = || AlgebraExpr::relation("right");
+    let plans = [
+        ("join", left().join(right(), vec![(0, 0)])),
+        ("semi-join", left().semi_join(right(), vec![(0, 0)])),
+        (
+            "complement-join",
+            left().complement_join(right(), vec![(0, 0)]),
+        ),
+        (
+            "left-outer-join",
+            left().left_outer_join(right(), vec![(0, 0)]),
+        ),
+        (
+            "constrained-outer-join",
+            left()
+                .constrained_outer_join(right(), vec![(0, 0)], Constraint::none())
+                .constrained_outer_join(right(), vec![(1, 0)], Constraint::single(2, true)),
+        ),
+    ];
+    for build in [M - 1, M, M + 1, 2 * M + 1] {
+        let db = straddle_db(build);
+        for (label, plan) in &plans {
+            let mut baseline = None;
+            for threads in THREAD_COUNTS {
+                let ev = Evaluator::new(&db)
+                    .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(M));
+                let out = ev.eval(plan).unwrap();
+                let stats = ev.stats();
+                if build <= M {
+                    // The build stays inline; only the probing pipeline
+                    // over `left` (five morsels) may spawn.
+                    assert_eq!(
+                        stats.workers_spawned,
+                        threads.min(5) - 1,
+                        "{label}: a {build}-tuple build left the calling thread"
+                    );
+                }
+                match &baseline {
+                    None => baseline = Some((out, stats)),
+                    Some((b_out, b_stats)) => {
+                        assert_eq!(
+                            out.tuples(),
+                            b_out.tuples(),
+                            "{label}: rows differ at {threads} threads, build of {build}"
+                        );
+                        assert_eq!(
+                            stats.without_dispatch_counters(),
+                            b_stats.without_dispatch_counters(),
+                            "{label}: stats differ at {threads} threads, build of {build}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An inline build runs under the same containment as a pooled one: a
+/// panic forced at its first morsel surfaces as `WorkerPanic`, and the
+/// same engine answers the next query.
+#[cfg(feature = "chaos")]
+#[test]
+fn panic_in_an_inline_build_is_contained() {
+    use gq_chaos::ChaosConfig;
+    use gq_core::EngineError;
+    let _exclusive = CHAOS.write().unwrap_or_else(|e| e.into_inner());
+    let seed = std::env::var("GQ_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    // Both inputs are far below the default morsel, so at four threads
+    // the build and the pipeline both run on the calling thread; the
+    // build comes first, and with probability 1 its hook fires first.
+    let e = QueryEngine::new(straddle_db(7)).with_exec_config(ExecConfig::with_threads(4));
+    let guard = gq_chaos::install(ChaosConfig::with_seed(seed).worker_panic(1.0));
+    let err = e.query("left(x,y) & right(x,z)");
+    drop(guard);
+    std::panic::set_hook(prev);
+    match err {
+        Err(EngineError::WorkerPanic { phase, message }) => {
+            assert_eq!(phase, "evaluate");
+            assert!(message.contains("chaos"), "unexpected payload: {message}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    let r = e.query("left(x,y) & right(x,z)").unwrap();
+    assert_eq!(r.stats.workers_spawned, 0, "the retry stayed inline");
+    assert!(!r.is_empty());
 }

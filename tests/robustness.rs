@@ -155,6 +155,69 @@ fn intermediate_and_memory_budgets() {
     assert_eq!(e.query("p(x) & !q(x)").unwrap().len(), 1000);
 }
 
+/// The intermediate-tuple budget holds on every execution path: the
+/// plain query runs the push pipelines, and arming the slow log attaches
+/// the engine's own profiler, which at two or more threads routes the
+/// query through the legacy batch executor. A build side over the budget
+/// must trip with the same `used` on all of them, and a query that fits
+/// must leave the same tuple watermark in the slow log.
+#[test]
+fn intermediate_budget_trips_identically_on_every_executor() {
+    // Exact trip points: keep injected faults out while this runs.
+    #[cfg(feature = "chaos")]
+    let _l = chaos::lock();
+    let queries = [
+        ("hash-join build", "p(x) & r(x,y)"),
+        ("complement-join build", "p(x) & !q(x)"),
+        ("outer-join build", "p(x) & (q(x) | (exists y. r(y,x)))"),
+    ];
+    for (label, text) in queries {
+        let mut trips = Vec::new();
+        let mut watermarks = Vec::new();
+        for threads in [1usize, 2, 8] {
+            for armed in [false, true] {
+                let mut e = engine(600);
+                e.set_exec_config(ExecConfig::with_threads(threads).with_morsel_size(64));
+                if armed {
+                    e.slow_log().set_tuple_threshold(Some(1));
+                }
+                e.set_limits(QueryLimits::UNLIMITED.with_max_intermediate_tuples(10));
+                match e.query(text).unwrap_err() {
+                    EngineError::ResourceExhausted {
+                        phase,
+                        resource,
+                        limit,
+                        used,
+                    } => {
+                        assert_eq!(resource, Resource::IntermediateTuples, "{label}");
+                        assert_eq!(phase, "evaluate", "{label}");
+                        trips.push((limit, used));
+                    }
+                    other => panic!(
+                        "{label}, threads={threads}, armed={armed}: \
+                         expected ResourceExhausted, got {other:?}"
+                    ),
+                }
+                if armed {
+                    e.set_limits(QueryLimits::UNLIMITED);
+                    e.slow_log().clear();
+                    e.query(text).unwrap();
+                    let entries = e.slow_log().entries();
+                    assert_eq!(entries.len(), 1, "{label}: threads={threads} breached");
+                    watermarks.push(entries[0].peak_intermediate_tuples);
+                }
+            }
+        }
+        assert_eq!(trips, vec![(10, 11); 6], "{label}: trip point moved");
+        assert!(watermarks[0] > 10, "{label}: build side not charged");
+        assert_eq!(
+            watermarks,
+            vec![watermarks[0]; 3],
+            "{label}: slow-log watermark depends on threads"
+        );
+    }
+}
+
 #[test]
 fn rewrite_step_budget() {
     let mut e = engine(10);
@@ -268,7 +331,7 @@ mod chaos {
     }
 
     /// The chaos registry is process-global: serialize every chaos test.
-    fn lock() -> MutexGuard<'static, ()> {
+    pub(super) fn lock() -> MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         LOCK.get_or_init(|| Mutex::new(()))
             .lock()
