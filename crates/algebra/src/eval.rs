@@ -1,25 +1,30 @@
-//! The pipelined (pull-based) evaluator.
+//! The evaluator and its lazy pull stream.
 //!
-//! Evaluation is iterator-based: every operator exposes a tuple stream, so
-//! a consumer that stops early (the non-emptiness test of §3.2, a LIMIT)
-//! does not force full materialization of the probe side. Build sides of
-//! join-family operators and both inputs of division are materialized, as
-//! any hash-based implementation must.
+//! Two mechanisms cooperate behind one [`Evaluator`], and nothing selects
+//! between them — each does the part only it can do:
+//!
+//! * [`Evaluator::eval`] runs a plan to completion through the push
+//!   pipelines of `crate::push`, at every thread count;
+//! * [`Evaluator::stream`] exposes any operator as a tuple iterator, so a
+//!   consumer that stops early (the non-emptiness test of §3.2, a LIMIT)
+//!   reads no more input than it needs — a morsel-granular sink would read
+//!   up to a morsel where the paper reads one tuple. The push pipelines
+//!   materialize their breakers (build sides of join-family operators,
+//!   both inputs of division) by draining this same stream.
 //!
 //! The evaluator accumulates [`ExecStats`] so the paper's operation-count
 //! claims (relations searched once, no unnecessary tuple accesses, no
 //! cartesian blow-up) can be checked by tests and reported by benches.
 
-use crate::parallel::{eval_parallel, ExecConfig};
+use crate::parallel::ExecConfig;
 use crate::profile::PlanProfiler;
 use crate::{AlgebraError, AlgebraExpr, ExecStats, IndexCache, Operand, Predicate};
 use gq_governor::Governor;
-use gq_storage::{Database, Relation, Tuple, Value};
+use gq_storage::{Database, HashIndex, Relation, Tuple, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A pipeline lifecycle signal, delivered synchronously on the
 /// coordinating thread to the hook installed with
@@ -83,9 +88,9 @@ pub(crate) struct LiveCell {
 
 /// RAII release of a live-intermediate charge: dropping the guard
 /// subtracts the buffer from the live counters and returns its bytes to
-/// the governor's live memory budget. On the sequential paths guards are
-/// parked in the evaluator's stash and dropped at the next public entry
-/// point (or when the evaluator is dropped at query end). The push
+/// the governor's live memory budget. Buffers materialized inside the pull
+/// stream park their guards in the evaluator's stash, dropped at the next
+/// public entry point (or when the evaluator is dropped at query end). The push
 /// coordinator instead holds guards itself, keyed by the chain depth of
 /// the probe op each build side feeds, and drops them the moment that op
 /// unwinds — so a union of semi-join chains peaks at its largest branch
@@ -357,12 +362,13 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// Attach a resource governor. Sequential drains check cancellation
-    /// and the deadline every [`ExecConfig::morsel_size`] tuples and the
-    /// output/intermediate budgets per emitted/materialized tuple;
-    /// parallel workers poll cancellation between morsels, and budget
-    /// limits are enforced only at coordinator points so trip behaviour
-    /// is identical across thread counts.
+    /// Attach a resource governor. The result sink and every breaker
+    /// build check cancellation and the deadline every
+    /// [`ExecConfig::morsel_size`] tuples and the output/intermediate
+    /// budgets per emitted/materialized tuple; workers poll cancellation
+    /// between morsels, and budget limits are enforced only at
+    /// coordinator points so trip behaviour is identical across thread
+    /// counts.
     pub fn with_governor(mut self, governor: Governor) -> Self {
         self.governor = Some(governor);
         self
@@ -370,14 +376,14 @@ impl<'db> Evaluator<'db> {
 
     /// Configure morsel-driven execution (see [`ExecConfig`]).
     ///
-    /// [`Evaluator::eval`] runs the push pipelines at every thread
-    /// count: the join family builds hash-partitioned tables and probes
-    /// them morsel by morsel, on the calling thread alone when an input
-    /// fits in one morsel (or `threads == 1`) and beside `threads − 1`
-    /// scoped helpers otherwise. The short-circuiting entry points
-    /// ([`Evaluator::is_nonempty`], [`Evaluator::eval_limit`]) always
-    /// pull tuple-at-a-time — their whole point is to *not* materialize
-    /// the probe side, which a batch executor would.
+    /// [`Evaluator::eval`] runs the push pipelines whatever the values:
+    /// the join family builds hash-partitioned tables and probes them
+    /// morsel by morsel, on the calling thread alone when an input fits
+    /// in one morsel (or `threads == 1`) and beside `threads − 1` scoped
+    /// helpers otherwise. The short-circuiting entry points
+    /// ([`Evaluator::is_nonempty`], [`Evaluator::eval_limit`]) pull
+    /// tuple-at-a-time — their whole point is to stop at the first
+    /// witness, which a morsel-granular sink cannot.
     pub fn with_exec_config(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
         self
@@ -388,10 +394,12 @@ impl<'db> Evaluator<'db> {
         self.exec
     }
 
-    /// Attach a per-node profiler (see [`PlanProfiler`]): every stream
-    /// whose expression belongs to the profiled plan is wrapped so stats
-    /// deltas and wall time are attributed to that node. Without a
-    /// profiler the evaluator performs no timing syscalls.
+    /// Attach a per-node profiler (see [`PlanProfiler`]): stats deltas
+    /// and busy time are attributed to the plan node that did the work —
+    /// per fused operator and per breaker in the push pipelines, per
+    /// stream in the pull path — on the same code that runs unprofiled.
+    /// Without a profiler the evaluator takes no stats snapshot and
+    /// performs no timing syscalls.
     pub fn with_profiler(mut self, profiler: Rc<PlanProfiler>) -> Self {
         self.profiler = Some(profiler);
         self
@@ -458,9 +466,8 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// The pipeline breaks recorded so far (structural order). Populated
-    /// by every evaluation path that materializes breaker build sides —
-    /// including the profiled sequential path `:analyze` uses.
+    /// The pipeline breaks recorded so far (structural order): one per
+    /// materialized breaker build side, plus the root output pipeline.
     pub fn pipeline_breaks(&self) -> Vec<PipelineBreak> {
         self.breaks.borrow().clone()
     }
@@ -473,18 +480,6 @@ impl<'db> Evaluator<'db> {
         let mut s = self.stats.borrow_mut();
         s.peak_intermediate_tuples = s.peak_intermediate_tuples.max(self.live.tuples.get());
         s.peak_intermediate_bytes = s.peak_intermediate_bytes.max(self.live.bytes.get());
-    }
-
-    /// Release a live charge made with [`Evaluator::charge_live`] (used
-    /// by scoped accounting in the legacy parallel executor; guard-based
-    /// releases go through [`LiveGuard`]).
-    pub(crate) fn release_live(&self, tuples: usize, bytes: usize) {
-        self.live
-            .tuples
-            .set(self.live.tuples.get().saturating_sub(tuples));
-        self.live
-            .bytes
-            .set(self.live.bytes.get().saturating_sub(bytes));
     }
 
     /// Allocate the next pipeline id and emit its start event.
@@ -536,57 +531,15 @@ impl<'db> Evaluator<'db> {
         *self.stats.borrow_mut() = ExecStats::new();
     }
 
-    /// Evaluate to a materialized relation.
-    ///
-    /// Dispatch: with streaming enabled (the [`ExecConfig`] default) and
-    /// no profiler attached, every thread count runs through the
-    /// push-based pipeline executor (`crate::push`) — at `threads == 1`,
-    /// and for any input of at most one morsel, it stays on the calling
-    /// thread and reproduces the sequential drain bit for bit. With
-    /// streaming disabled the plan runs through the legacy materializing
-    /// batch executor (`crate::parallel`) at any thread count — the
-    /// node-per-`Vec` baseline the peak watermarks are measured against.
-    /// A profiled run uses the legacy executor when parallel (its kernels
-    /// are what the per-node attribution understands) and the sequential
-    /// pull drain at `threads == 1`; all three charge the governor's
-    /// intermediate budgets per materialized tuple.
+    /// Evaluate to a materialized relation, through the push pipelines
+    /// of `crate::push` — the one executor, at every thread count, with
+    /// or without a profiler. At `threads == 1`, and for any input of at
+    /// most one morsel, it stays on the calling thread.
     pub fn eval(&self, e: &AlgebraExpr) -> Result<Relation, AlgebraError> {
         let arity = arity_of(e, self.db)?;
         self.check_governor()?;
         self.clear_live_stash();
-        if self.exec.streaming && self.profiler.is_none() {
-            return crate::push::eval_push(self, e, arity);
-        }
-        if self.exec.is_parallel() || !self.exec.streaming {
-            return eval_parallel(self, e, arity);
-        }
-        let root = self.begin_pipeline();
-        let result = self.drain_stream(e, arity);
-        match &result {
-            Ok(out) => self.end_pipeline(root, "output", out.len()),
-            Err(_) => self.end_pipeline(root, "aborted", 0),
-        }
-        result
-    }
-
-    /// The sequential pull drain behind [`Evaluator::eval`].
-    fn drain_stream(&self, e: &AlgebraExpr, arity: usize) -> Result<Relation, AlgebraError> {
-        let mut out = Relation::intermediate(arity);
-        for t in self.stream(e)? {
-            // Budget limits trip per emitted tuple; cancellation/deadline
-            // every morsel-size tuples — the same cadence as the parallel
-            // executor's morsel boundaries, so "one check interval" means
-            // the same thing on both paths.
-            if let Some(g) = &self.governor {
-                g.check_output("evaluate", out.len() as u64 + 1)?;
-                if (out.len() + 1).is_multiple_of(self.exec.morsel_size) {
-                    g.check("evaluate")?;
-                }
-            }
-            out.insert(t)?;
-        }
-        self.stats.borrow_mut().tuples_emitted += out.len();
-        Ok(out)
+        crate::push::eval_push(self, e, arity)
     }
 
     /// Evaluate, stopping after at most `limit` result tuples.
@@ -629,8 +582,8 @@ impl<'db> Evaluator<'db> {
     /// Materialize a sub-expression (build sides, division inputs),
     /// recording the intermediate size. With sharing enabled, repeated
     /// subplans are answered from the cache. The result is an `Arc` so a
-    /// memo hit (and a hand-off to parallel worker threads) costs a
-    /// refcount bump, not a deep copy.
+    /// memo hit (and a hand-off to worker threads) costs a refcount bump,
+    /// not a deep copy.
     ///
     /// `kind` names the pipeline breaker this buffer feeds (`join-build`,
     /// `probe-build`, …). A *fresh* collection is a pipeline of its own:
@@ -723,7 +676,7 @@ impl<'db> Evaluator<'db> {
     }
 
     /// Charge a freshly materialized buffer and park its guard until the
-    /// next public entry point (the sequential paths' release policy).
+    /// next public entry point.
     fn stash_live(&self, tuples: &Arc<Vec<Tuple>>) {
         let guard = self.live_guard(tuples);
         self.live_stash.borrow_mut().push(guard);
@@ -799,12 +752,12 @@ impl<'db> Evaluator<'db> {
     /// points).
     ///
     /// With a [`PlanProfiler`] attached (and `e` one of its nodes), the
-    /// stream construction and every subsequent pull are bracketed by
-    /// [`ExecStats`] snapshots and a monotonic timer, and the deltas are
-    /// attributed to `e` — inclusively, since child pulls happen inside
-    /// the parent's window; the profiler subtracts children out at
-    /// extraction. Without a profiler this is a single `match None` branch
-    /// on top of the raw stream: no clones, no `Instant::now()`.
+    /// stream construction and every subsequent pull run inside a
+    /// profiler window attributed to `e`; child pulls open their own
+    /// windows inside the parent's, and the profiler credits each node
+    /// with its window minus those. Without a profiler this is a single
+    /// `match None` branch on top of the raw stream: no clones, no
+    /// `Instant::now()`.
     pub fn stream<'e>(&'e self, e: &'e AlgebraExpr) -> Result<TupleIter<'e>, AlgebraError> {
         // CSE gate: a shared subplan streams from its Arc-shared
         // materialized operand instead of re-running the subtree.
@@ -829,12 +782,9 @@ impl<'db> Evaluator<'db> {
             Some(p) if p.tracks(e) => Rc::clone(p),
             _ => return self.stream_inner(e),
         };
-        let before = self.stats.borrow().clone();
-        let start = Instant::now();
+        let window = profiler.enter(&self.stats.borrow());
         let built = self.stream_inner(e);
-        let setup_ns = start.elapsed().as_nanos() as u64;
-        let setup_delta = self.stats.borrow().diff(&before);
-        profiler.record(e, &setup_delta, setup_ns, 0);
+        profiler.exit(window, e, &self.stats.borrow(), 0);
         Ok(Box::new(InstrumentedIter {
             inner: built?,
             node: e,
@@ -890,21 +840,7 @@ impl<'db> Evaluator<'db> {
             }
             AlgebraExpr::GroupCount { input, group } => {
                 let tuples = self.materialize(input, "group-input")?;
-                let mut counts: HashMap<Tuple, i64> = HashMap::new();
-                let mut order: Vec<Tuple> = Vec::new();
-                for t in tuples.iter() {
-                    let key = t.project(group);
-                    let entry = counts.entry(key.clone()).or_insert_with(|| {
-                        order.push(key);
-                        0
-                    });
-                    *entry += 1;
-                    self.stats.borrow_mut().comparisons += 1;
-                }
-                Ok(Box::new(order.into_iter().map(move |k| {
-                    let n = counts[&k];
-                    k.extended_with(Value::Int(n))
-                })))
+                Ok(Box::new(self.group_count(&tuples, group).into_iter()))
             }
             AlgebraExpr::Product { left, right } => {
                 let right_tuples = self.materialize(right, "product-build")?;
@@ -917,27 +853,12 @@ impl<'db> Evaluator<'db> {
             }
             AlgebraExpr::Join { left, right, on } => {
                 if self.join_algorithm == JoinAlgorithm::SortMerge {
-                    return self.sort_merge_join(left, right, on);
+                    let lt = unshare(self.materialize(left, "sort-input")?);
+                    let rt = unshare(self.materialize(right, "sort-input")?);
+                    return Ok(Box::new(self.sort_merge(lt, rt, on).into_iter()));
                 }
-                // Cached-index fast path when the build side is a base
-                // relation scan.
-                if let (Some(cache), AlgebraExpr::Relation(name)) = (self.index_cache, &**right) {
-                    if let Some(p) = &self.profiler {
-                        p.annotate(right, "cached-index");
-                    }
-                    let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+                if let Some((idx, rel)) = self.cached_index(right, on)? {
                     let stats = self.stats.clone();
-                    let idx = cache
-                        .get_or_build(self.db, name, &right_cols, |len| {
-                            let mut s = stats.borrow_mut();
-                            s.base_scans += 1;
-                            s.base_tuples_read += len;
-                        })
-                        .map_err(AlgebraError::Storage)?;
-                    let rel = self
-                        .db
-                        .relation(name)
-                        .map_err(|_| AlgebraError::UnknownRelation(name.clone()))?;
                     let left = self.stream(left)?;
                     let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
                     let mut scratch: Vec<Value> = Vec::new();
@@ -1093,49 +1014,91 @@ impl<'db> Evaluator<'db> {
         }
     }
 
+    /// The persistent index over the right-hand columns of `on`, with the
+    /// relation it indexes, when an index cache is attached and `right`
+    /// is a plain relation scan — which is then never evaluated. Built on
+    /// first use, charging that one scan.
+    pub(crate) fn cached_index(
+        &self,
+        right: &AlgebraExpr,
+        on: &[(usize, usize)],
+    ) -> Result<Option<(Arc<HashIndex>, &'db Relation)>, AlgebraError> {
+        let (Some(cache), AlgebraExpr::Relation(name)) = (self.index_cache, right) else {
+            return Ok(None);
+        };
+        if let Some(p) = &self.profiler {
+            p.annotate(right, "cached-index");
+        }
+        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        let idx = cache
+            .get_or_build(self.db, name, &right_cols, |len| {
+                let mut s = self.stats.borrow_mut();
+                s.base_scans += 1;
+                s.base_tuples_read += len;
+            })
+            .map_err(AlgebraError::Storage)?;
+        let rel = self
+            .db
+            .relation(name)
+            .map_err(|_| AlgebraError::UnknownRelation(name.clone()))?;
+        Ok(Some((idx, rel)))
+    }
+
     /// Build the probe structure for the right side of a
     /// semi/complement/constrained-outer join: a cached [`HashIndex`] when
     /// the right side is a base relation scan and a cache is attached, a
     /// freshly materialized key set otherwise.
-    pub(crate) fn build_probe(
+    fn build_probe(
         &self,
         right: &AlgebraExpr,
         on: &[(usize, usize)],
     ) -> Result<ProbeSide, AlgebraError> {
-        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        if let (Some(cache), AlgebraExpr::Relation(name)) = (self.index_cache, right) {
-            if let Some(p) = &self.profiler {
-                p.annotate(right, "cached-index");
-            }
-            let stats = self.stats.clone();
-            let idx = cache
-                .get_or_build(self.db, name, &right_cols, |len| {
-                    let mut s = stats.borrow_mut();
-                    s.base_scans += 1;
-                    s.base_tuples_read += len;
-                })
-                .map_err(AlgebraError::Storage)?;
+        if let Some((idx, _)) = self.cached_index(right, on)? {
             return Ok(ProbeSide::Index(idx));
         }
+        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let tuples = self.materialize(right, "probe-build")?;
         Ok(ProbeSide::Keys(
             tuples.iter().map(|t| key_of(t, &right_cols)).collect(),
         ))
     }
 
-    /// Classical sort-merge equi-join: materialize and sort both inputs on
-    /// the join key, sweep both runs in lockstep, emit the cross product of
-    /// each matching key group.
-    pub(crate) fn sort_merge_join(
+    /// The counting half of group-count, over an already-materialized
+    /// input: one output tuple per distinct group key, in first-seen
+    /// order (shared by the pull stream and the push pipelines).
+    pub(crate) fn group_count(&self, tuples: &[Tuple], group: &[usize]) -> Vec<Tuple> {
+        let mut counts: HashMap<Tuple, i64> = HashMap::new();
+        let mut order: Vec<Tuple> = Vec::new();
+        for t in tuples {
+            let key = t.project(group);
+            let entry = counts.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                0
+            });
+            *entry += 1;
+            self.stats.borrow_mut().comparisons += 1;
+        }
+        order
+            .into_iter()
+            .map(|k| {
+                let n = counts[&k];
+                k.extended_with(Value::Int(n))
+            })
+            .collect()
+    }
+
+    /// Classical sort-merge equi-join over already-materialized inputs:
+    /// sort both on the join key, sweep both runs in lockstep, emit the
+    /// cross product of each matching key group (shared by the pull
+    /// stream and the push pipelines).
+    pub(crate) fn sort_merge(
         &self,
-        left: &AlgebraExpr,
-        right: &AlgebraExpr,
+        mut lt: Vec<Tuple>,
+        mut rt: Vec<Tuple>,
         on: &[(usize, usize)],
-    ) -> Result<TupleIter<'_>, AlgebraError> {
+    ) -> Vec<Tuple> {
         let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
         let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        let mut lt = unshare(self.materialize(left, "sort-input")?);
-        let mut rt = unshare(self.materialize(right, "sort-input")?);
         lt.sort_by_key(|t| key_of(t, &left_cols));
         rt.sort_by_key(|t| key_of(t, &right_cols));
         // Charge the comparisons of both sort passes (n log n each).
@@ -1178,7 +1141,7 @@ impl<'db> Evaluator<'db> {
                 }
             }
         }
-        Ok(Box::new(out.into_iter()))
+        out
     }
 
     fn eval_division(
@@ -1194,8 +1157,7 @@ impl<'db> Evaluator<'db> {
     }
 
     /// The grouping half of division, over already-materialized inputs
-    /// (shared with the parallel executor, which materializes the inputs
-    /// through its own kernels first).
+    /// (shared by the pull stream and the push pipelines).
     pub(crate) fn divide(
         &self,
         left_tuples: &[Tuple],
@@ -1251,13 +1213,14 @@ impl Iterator for InstrumentedIter<'_> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
-        let before = self.stats.borrow().clone();
-        let start = Instant::now();
+        let window = self.profiler.enter(&self.stats.borrow());
         let item = self.inner.next();
-        let ns = start.elapsed().as_nanos() as u64;
-        let delta = self.stats.borrow().diff(&before);
-        self.profiler
-            .record(self.node, &delta, ns, item.is_some() as u64);
+        self.profiler.exit(
+            window,
+            self.node,
+            &self.stats.borrow(),
+            item.is_some() as usize,
+        );
         item
     }
 }
@@ -1266,9 +1229,8 @@ impl Iterator for InstrumentedIter<'_> {
 pub(crate) enum ProbeSide {
     /// Freshly materialized key set.
     Keys(HashSet<Vec<Value>>),
-    /// A cached base-relation index (an `Arc` so parallel probe kernels
-    /// can share it across worker threads).
-    Index(Arc<gq_storage::HashIndex>),
+    /// A cached base-relation index.
+    Index(Arc<HashIndex>),
 }
 
 impl ProbeSide {

@@ -383,8 +383,8 @@ fn eval_limit_stops_early() {
 /// probe tuples than a full evaluation: the build side is materialized
 /// (any hash join must), but the probe side streams and stops at the
 /// first result. This holds regardless of the execution configuration —
-/// `eval_limit` always takes the streaming path, because a batch
-/// executor would defeat its purpose.
+/// `eval_limit` always pulls through the lazy stream, because a
+/// morsel-granular sink would defeat its purpose.
 #[test]
 fn eval_limit_reads_fewer_probe_tuples_than_full_scan() {
     let mut db = Database::new();

@@ -1,41 +1,83 @@
 //! Per-operator runtime attribution (the EXPLAIN ANALYZE substrate).
 //!
 //! A [`PlanProfiler`] is built over the *final* (post-optimization) plan
-//! and attached to an [`Evaluator`](crate::Evaluator). The evaluator then
-//! wraps every operator's tuple stream: each `next()` call is bracketed by
-//! an [`ExecStats`] snapshot pair and a monotonic timer, and the deltas
-//! are accumulated against the plan node that produced the stream. Because
-//! pulls nest strictly (a parent's `next()` drives its children's
-//! `next()`s inside its own window), the accumulated figures are
-//! *inclusive*; [`PlanProfiler::trace`] converts them to *exclusive*
-//! per-node figures by subtracting the children's inclusive totals, so the
-//! exclusive numbers over the whole tree sum exactly to the query-level
-//! [`ExecStats`].
+//! and attached to an [`Evaluator`](crate::Evaluator). Work is attributed
+//! through [`Window`]s — an [`ExecStats`] snapshot and a monotonic timer
+//! taken before a piece of work and compared after it:
+//!
+//! * the pull stream wraps every operator's construction and every
+//!   `next()` in a window. Pulls nest strictly (a parent's `next()`
+//!   drives its children's inside its own window), so the profiler keeps
+//!   a stack of open windows and credits each node with its window
+//!   *minus* the windows that closed inside it;
+//! * the push coordinator opens the same nested windows around a
+//!   breaker's own work (build the probe table, group, divide, merge) —
+//!   the build side it materializes through the pull stream subtracts
+//!   itself out;
+//! * fused pipeline operators run on workers, which cannot reach the
+//!   profiler; each worker keeps one flat [`OpProfile`] per operator and
+//!   the coordinator folds them in when the pipeline ends
+//!   ([`PlanProfiler::add`]).
+//!
+//! Every figure stored is therefore *exclusive*, and the figures over the
+//! whole tree sum exactly to the query-level [`ExecStats`]. A node's time
+//! is busy time, summed over the workers that ran it.
 //!
 //! Nodes are keyed by address (`*const AlgebraExpr`): every node of a live
 //! plan tree has a distinct, stable address for the lifetime of the
 //! profile, and the profiler never dereferences the key.
 
+use crate::stats::OpProfile;
 use crate::{AlgebraExpr, BoolExpr, ExecStats};
 use gq_obs::PlanNodeTrace;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::time::Instant;
 
-/// Inclusive metrics accumulated for one plan node.
-#[derive(Debug, Clone, Default)]
-struct NodeMetrics {
-    rows_out: u64,
-    elapsed_ns: u64,
-    stats: ExecStats,
-    note: Option<&'static str>,
+#[cfg(test)]
+thread_local! {
+    /// Windows opened on this thread — lets a test assert that an
+    /// unprofiled evaluation opens none.
+    pub(crate) static WINDOWS_OPENED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// An open attribution window: the only place the evaluators snapshot
+/// [`ExecStats`] or read the clock for attribution. None is ever opened
+/// unless a [`PlanProfiler`] is attached.
+pub(crate) struct Window {
+    before: ExecStats,
+    start: Instant,
+}
+
+impl Window {
+    /// Open a window over the accumulator `stats` is a snapshot of.
+    pub(crate) fn open(stats: &ExecStats) -> Window {
+        #[cfg(test)]
+        WINDOWS_OPENED.with(|n| n.set(n.get() + 1));
+        Window {
+            before: stats.clone(),
+            start: Instant::now(),
+        }
+    }
+
+    /// Close it: what the accumulator gained, and the nanoseconds spent.
+    pub(crate) fn close(self, stats: &ExecStats) -> (ExecStats, u64) {
+        (
+            stats.diff(&self.before),
+            self.start.elapsed().as_nanos() as u64,
+        )
+    }
 }
 
 /// Accumulates per-node runtime metrics for one plan evaluation.
 ///
-/// Single-threaded by design, like the evaluator itself.
+/// Lives on the coordinating thread, like the evaluator itself.
 pub struct PlanProfiler {
-    /// Node address → metrics slot.
-    slots: RefCell<HashMap<usize, NodeMetrics>>,
+    /// Node address → exclusive metrics and annotation.
+    slots: RefCell<HashMap<usize, (OpProfile, Option<&'static str>)>>,
+    /// One entry per open nested window: the stats and time claimed so
+    /// far by the windows that closed inside it.
+    open: RefCell<Vec<(ExecStats, u64)>>,
 }
 
 fn addr(e: &AlgebraExpr) -> usize {
@@ -46,33 +88,28 @@ impl PlanProfiler {
     /// Profile the nodes of `plan`. Only nodes of this tree are tracked;
     /// streams built for other expressions stay uninstrumented.
     pub fn new(plan: &AlgebraExpr) -> Self {
-        let mut slots = HashMap::new();
-        fn walk(e: &AlgebraExpr, slots: &mut HashMap<usize, NodeMetrics>) {
-            slots.insert(addr(e), NodeMetrics::default());
-            for c in e.children() {
-                walk(c, slots);
-            }
-        }
-        walk(plan, &mut slots);
-        PlanProfiler {
-            slots: RefCell::new(slots),
-        }
+        Self::over([plan])
     }
 
     /// Profile every algebra subplan of a boolean (closed-query) plan.
     pub fn new_bool(plan: &BoolExpr) -> Self {
-        let mut slots = HashMap::new();
-        fn walk(e: &AlgebraExpr, slots: &mut HashMap<usize, NodeMetrics>) {
-            slots.insert(addr(e), NodeMetrics::default());
+        Self::over(plan.algebra_exprs())
+    }
+
+    fn over<'p>(roots: impl IntoIterator<Item = &'p AlgebraExpr>) -> Self {
+        fn walk(e: &AlgebraExpr, slots: &mut HashMap<usize, (OpProfile, Option<&'static str>)>) {
+            slots.insert(addr(e), Default::default());
             for c in e.children() {
                 walk(c, slots);
             }
         }
-        for root in plan.algebra_exprs() {
+        let mut slots = HashMap::new();
+        for root in roots {
             walk(root, &mut slots);
         }
         PlanProfiler {
             slots: RefCell::new(slots),
+            open: RefCell::new(Vec::new()),
         }
     }
 
@@ -81,12 +118,42 @@ impl PlanProfiler {
         self.slots.borrow().contains_key(&addr(e))
     }
 
-    /// Attribute a stats delta, wall time, and emitted-row count to a node.
-    pub(crate) fn record(&self, e: &AlgebraExpr, delta: &ExecStats, ns: u64, rows: u64) {
-        if let Some(m) = self.slots.borrow_mut().get_mut(&addr(e)) {
-            m.stats.merge(delta);
-            m.elapsed_ns += ns;
-            m.rows_out += rows;
+    /// Open a nested window over the evaluator's shared accumulator.
+    /// Every `enter` is paired with one [`PlanProfiler::exit`], innermost
+    /// first.
+    pub(crate) fn enter(&self, stats: &ExecStats) -> Window {
+        self.open.borrow_mut().push(Default::default());
+        Window::open(stats)
+    }
+
+    /// Close the innermost window for node `e`, which emitted `rows`
+    /// tuples during it: `e` is credited with the window minus whatever
+    /// closed inside it, and the enclosing window learns to subtract all
+    /// of this one.
+    pub(crate) fn exit(&self, window: Window, e: &AlgebraExpr, stats: &ExecStats, rows: usize) {
+        let (delta, ns) = window.close(stats);
+        let (inner, inner_ns) = {
+            let mut open = self.open.borrow_mut();
+            let inner = open.pop().unwrap_or_default();
+            if let Some((claimed, claimed_ns)) = open.last_mut() {
+                claimed.merge(&delta);
+                *claimed_ns += ns;
+            }
+            inner
+        };
+        // Nested windows observe the same accumulator inside this one's
+        // span, so `inner` never exceeds `delta` on the summed counters.
+        let own = (delta.diff(&inner), ns.saturating_sub(inner_ns));
+        if let Some((slot, _)) = self.slots.borrow_mut().get_mut(&addr(e)) {
+            slot.add(own, rows);
+        }
+    }
+
+    /// Credit already-exclusive figures — what a worker accumulated for
+    /// a fused operator — to its node.
+    pub(crate) fn add(&self, e: &AlgebraExpr, op: &OpProfile) {
+        if let Some((own, _)) = self.slots.borrow_mut().get_mut(&addr(e)) {
+            own.merge(op);
         }
     }
 
@@ -94,17 +161,32 @@ impl PlanProfiler {
     /// the persistent index cache, `memo-hit` when the shared-subplan
     /// cache answered for its subtree).
     pub(crate) fn annotate(&self, e: &AlgebraExpr, note: &'static str) {
-        if let Some(m) = self.slots.borrow_mut().get_mut(&addr(e)) {
-            m.note = Some(note);
+        if let Some((_, slot)) = self.slots.borrow_mut().get_mut(&addr(e)) {
+            *slot = Some(note);
         }
     }
 
     /// Extract the annotated plan tree. Counter and time fields of each
-    /// node are *exclusive* (inclusive minus the children's inclusive), so
-    /// [`PlanNodeTrace::totals`] over the result equals the query-level
-    /// totals accumulated while the profiler was attached.
+    /// node are *exclusive*, so [`PlanNodeTrace::totals`] over the result
+    /// equals the query-level totals accumulated while the profiler was
+    /// attached.
     pub fn trace(&self, plan: &AlgebraExpr) -> PlanNodeTrace {
-        self.node(plan).0
+        let (own, note) = self
+            .slots
+            .borrow()
+            .get(&addr(plan))
+            .cloned()
+            .unwrap_or_default();
+        let mut trace = PlanNodeTrace::new(plan.label());
+        trace.note = note.map(str::to_string);
+        trace.rows_out = own.rows_out;
+        trace.base_reads = own.stats.base_tuples_read as u64;
+        trace.comparisons = own.stats.comparisons as u64;
+        trace.probes = own.stats.probes as u64;
+        trace.memo_hits = own.stats.memo_hits as u64;
+        trace.elapsed_ns = own.elapsed_ns;
+        trace.children = plan.children().into_iter().map(|c| self.trace(c)).collect();
+        trace
     }
 
     /// Extract the annotated tree of a boolean (closed-query) plan:
@@ -118,11 +200,11 @@ impl PlanProfiler {
         match plan {
             BoolExpr::NonEmpty(e) => {
                 t = PlanNodeTrace::new("non-empty?");
-                t.children.push(self.node(e).0);
+                t.children.push(self.trace(e));
             }
             BoolExpr::Empty(e) => {
                 t = PlanNodeTrace::new("empty?");
-                t.children.push(self.node(e).0);
+                t.children.push(self.trace(e));
             }
             BoolExpr::And(a, b) => {
                 t = PlanNodeTrace::new("∧ and");
@@ -144,58 +226,6 @@ impl PlanProfiler {
         }
         t
     }
-
-    /// Build the trace for one node; returns it together with the node's
-    /// inclusive metrics (needed by the parent's exclusive computation).
-    fn node(&self, e: &AlgebraExpr) -> (PlanNodeTrace, ExecStats, u64) {
-        let own = self
-            .slots
-            .borrow()
-            .get(&addr(e))
-            .cloned()
-            .unwrap_or_default();
-        let mut trace = PlanNodeTrace::new(e.label());
-        trace.note = own.note.map(str::to_string);
-        trace.rows_out = own.rows_out;
-        let mut child_stats = ExecStats::new();
-        let mut child_ns = 0u64;
-        for c in e.children() {
-            let (ct, cs, cns) = self.node(c);
-            trace.children.push(ct);
-            child_stats.merge(&cs);
-            child_ns += cns;
-        }
-        let ex = own.stats.diff(&clamp(&child_stats, &own.stats));
-        trace.base_reads = ex.base_tuples_read as u64;
-        trace.comparisons = ex.comparisons as u64;
-        trace.probes = ex.probes as u64;
-        trace.memo_hits = ex.memo_hits as u64;
-        trace.elapsed_ns = own.elapsed_ns.saturating_sub(child_ns);
-        (trace, own.stats, own.elapsed_ns)
-    }
-}
-
-/// Clamp `child` field-wise to `parent` so exclusive figures never
-/// underflow. Strict pull nesting makes children ≤ parent structurally;
-/// the clamp is belt-and-braces against attribution drift.
-fn clamp(child: &ExecStats, parent: &ExecStats) -> ExecStats {
-    ExecStats {
-        base_tuples_read: child.base_tuples_read.min(parent.base_tuples_read),
-        base_scans: child.base_scans.min(parent.base_scans),
-        comparisons: child.comparisons.min(parent.comparisons),
-        probes: child.probes.min(parent.probes),
-        tuples_emitted: child.tuples_emitted.min(parent.tuples_emitted),
-        intermediate_tuples: child.intermediate_tuples.min(parent.intermediate_tuples),
-        max_intermediate: 0,
-        peak_intermediate_tuples: 0,
-        peak_intermediate_bytes: 0,
-        operators_evaluated: child.operators_evaluated.min(parent.operators_evaluated),
-        memo_hits: child.memo_hits.min(parent.memo_hits),
-        cse_materialized: child.cse_materialized.min(parent.cse_materialized),
-        cse_reused: child.cse_reused.min(parent.cse_reused),
-        morsels: child.morsels.min(parent.morsels),
-        workers_spawned: child.workers_spawned.min(parent.workers_spawned),
-    }
 }
 
 #[cfg(test)]
@@ -212,26 +242,33 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_subtracts_children() {
+    fn nested_windows_credit_each_node_exclusively() {
         let p = plan();
         let profiler = PlanProfiler::new(&p);
-        let children = p.children();
-        let mut child_delta = ExecStats::new();
-        child_delta.base_tuples_read = 10;
-        profiler.record(children[0], &child_delta, 100, 10);
-        let mut root_delta = ExecStats::new();
-        root_delta.base_tuples_read = 10; // inclusive: covers the child
-        root_delta.comparisons = 4;
-        profiler.record(&p, &root_delta, 250, 3);
+        let mut acc = ExecStats::new();
+        let outer = profiler.enter(&acc);
+        acc.comparisons += 4;
+        let inner = profiler.enter(&acc);
+        acc.base_tuples_read += 10;
+        profiler.exit(inner, p.children()[0], &acc, 10);
+        profiler.exit(outer, &p, &acc, 3);
+        // What a worker accumulated for the fused probe lands flat.
+        let mut probed = OpProfile::default();
+        let delta = ExecStats {
+            probes: 2,
+            ..ExecStats::new()
+        };
+        probed.add((delta, 50), 0);
+        profiler.add(&p, &probed);
         let t = profiler.trace(&p);
-        assert_eq!(t.comparisons, 4);
+        assert_eq!((t.comparisons, t.probes, t.rows_out), (4, 2, 3));
         assert_eq!(t.base_reads, 0, "child's reads excluded from the root");
-        assert_eq!(t.elapsed_ns, 150);
         assert_eq!(t.children[0].base_reads, 10);
+        assert_eq!(t.children[0].rows_out, 10);
         let totals = t.totals();
         assert_eq!(totals.base_reads, 10);
         assert_eq!(totals.comparisons, 4);
-        assert_eq!(totals.elapsed_ns, 250);
+        assert!(totals.elapsed_ns >= 50);
     }
 
     #[test]
@@ -240,7 +277,9 @@ mod tests {
         let other = AlgebraExpr::Relation("r".into());
         let profiler = PlanProfiler::new(&p);
         assert!(!profiler.tracks(&other));
-        profiler.record(&other, &ExecStats::new(), 10, 1);
+        let mut op = OpProfile::default();
+        op.add((ExecStats::new(), 10), 1);
+        profiler.add(&other, &op);
         assert_eq!(profiler.trace(&p).totals().elapsed_ns, 0);
     }
 

@@ -1,11 +1,9 @@
 //! Push-based streaming pipeline execution.
 //!
-//! The third execution strategy, and the default for parallel configs:
-//! instead of materializing a `Vec<Tuple>` per operator (the legacy
-//! batch executor of [`crate::parallel`]) or pulling tuple-at-a-time
-//! through boxed iterators (the sequential path), a compiled plan is
-//! decomposed into **pipelines** separated by **breakers** — the points
-//! where an operator *must* see its whole input before producing output:
+//! The executor behind [`Evaluator::eval`], at every thread count and
+//! with or without a profiler: a compiled plan is decomposed into
+//! **pipelines** separated by **breakers** — the points where an operator
+//! *must* see its whole input before producing output:
 //!
 //! | breaker                | kind string          |
 //! |------------------------|----------------------|
@@ -26,33 +24,48 @@
 //! coordinator is worker 0 and, for a source of at most one morsel, the
 //! only one (`parallel::Dispatch`) — while everything at or above the
 //! last order-sensitive operator (dedup) runs on the coordinator, over
-//! batches released in morsel order by a reorder buffer. Only breakers materialize — through the *sequential*
-//! `Evaluator::materialize`, so memo/CSE gates, governor charges, live
-//! watermark accounting and pipeline events are charged once, at the
-//! coordinator, in structural plan order. That is what makes answers,
-//! row order, `ExecStats::without_dispatch_counters`, *and* the peak
-//! watermarks bit-identical across 1/2/8 threads.
+//! batches released in morsel order by a reorder buffer. Only breakers
+//! materialize — by draining the lazy pull stream
+//! (`Evaluator::materialize_scoped`), so memo/CSE gates, governor
+//! charges, live watermark accounting and pipeline events are charged
+//! once, at the coordinator, in structural plan order. That is what makes
+//! answers, row order and `ExecStats::without_dispatch_counters` — peak
+//! watermarks included — bit-identical across 1/2/8 threads.
 //!
-//! Governor discipline matches the sequential drain exactly: output
-//! budgets are checked per sink tuple, cancellation/deadline every
-//! morsel-size outputs and between morsels; workers only ever poll the
-//! cancel flag, so every budget trip happens at a coordinator point.
+//! Governor discipline: output budgets are checked per sink tuple,
+//! cancellation/deadline every morsel-size outputs and between morsels;
+//! workers only ever poll the cancel flag, so every budget trip happens
+//! at a coordinator point.
+//!
+//! Attribution (only when a [`PlanProfiler`](crate::PlanProfiler) is
+//! attached): every [`ChainOp`] carries the plan node it was fused from.
+//! Workers bracket each operator application with a [`Window`] into a
+//! per-operator [`OpProfile`] slot of their [`WorkerStats`], which the
+//! coordinator folds into the profiler when the pipeline ends; a
+//! breaker's own coordinator-side work runs inside a nested profiler
+//! window ([`PushExec::own`]), from which the build side it drains
+//! through the pull stream subtracts itself.
 
-use crate::eval::{arity_of, eval_predicate, fill_key, Evaluator, JoinAlgorithm, LiveGuard};
-use crate::parallel::{
-    chaos_morsel_hooks, panic_message, worker_panic, Dispatch, ParProbe, ParallelExec, PartIndex,
+use crate::eval::{
+    arity_of, eval_predicate, fill_key, unshare, Evaluator, JoinAlgorithm, LiveGuard,
 };
-use crate::{AlgebraError, AlgebraExpr, Constraint, Predicate, WorkerStats};
+use crate::parallel::{
+    build_part_index, build_part_keys, chaos_morsel_hooks, panic_message, worker_panic, Dispatch,
+    ParProbe, PartIndex,
+};
+use crate::profile::Window;
+use crate::stats::OpProfile;
+use crate::{AlgebraError, AlgebraExpr, Constraint, ExecStats, Predicate, WorkerStats};
 use gq_storage::{HashIndex, Relation, Tuple, Value};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-/// Evaluate `e` through the push executor (entered from
-/// [`Evaluator::eval`] for streaming parallel configurations).
+/// Evaluate `e` through the push pipelines (the body of
+/// [`Evaluator::eval`]).
 pub(crate) fn eval_push(
     ev: &Evaluator<'_>,
     e: &AlgebraExpr,
@@ -82,8 +95,7 @@ pub(crate) fn eval_push(
 }
 
 /// The push executor: a coordinator that decomposes the plan into fused
-/// operator chains and drives each pipeline's morsel dispatch. Breaker
-/// builds reuse the partitioned build kernel of [`ParallelExec`].
+/// operator chains and drives each pipeline's morsel dispatch.
 struct PushExec<'a, 'db> {
     ev: &'a Evaluator<'db>,
     threads: usize,
@@ -100,8 +112,8 @@ struct PushExec<'a, 'db> {
 }
 
 /// A stateless, order-preserving operator appliable to a batch on any
-/// thread. Each variant charges [`crate::ExecStats`] exactly as the
-/// sequential evaluator's corresponding stream adapter does per tuple.
+/// thread. Each variant charges [`crate::ExecStats`] exactly as the pull
+/// stream's corresponding adapter does per tuple.
 enum WorkOp<'a> {
     /// Selection predicate.
     Filter(&'a Predicate),
@@ -144,22 +156,40 @@ enum WorkOp<'a> {
     DiffFilter(HashSet<Tuple>),
 }
 
-/// One link of a fused pipeline chain, pushed root-first during plan
-/// decomposition (so batches apply the chain in *reverse*). `Dedup` is
-/// the one stateful link: it must see tuples in stream order, so it and
-/// everything rootward of it run on the coordinator.
-enum ChainOp<'a> {
-    /// Stateless segment, eligible for worker threads.
-    Work(WorkOp<'a>),
-    /// Order-sensitive distinct filter. The set lives in the chain entry
-    /// itself, so a union's branches (which re-run the leafward segment)
-    /// share one set, exactly like the sequential `chain(..).filter`.
-    Dedup(RefCell<HashSet<Tuple>>),
+impl WorkOp<'_> {
+    /// Is this operator's output its plan node's output? All but the
+    /// map half of a projection, whose node emits what survives the
+    /// dedup half.
+    fn emits(&self) -> bool {
+        !matches!(self, WorkOp::ProjectMap(_))
+    }
 }
 
-/// The result sink: inserts coordinator-ordered tuples under the same
-/// governor cadence as the sequential drain (output budget per tuple,
-/// cancellation/deadline every morsel-size outputs).
+/// One link of a fused pipeline chain, pushed root-first during plan
+/// decomposition (so batches apply the chain in *reverse*), with the plan
+/// node it was fused from (what a profiled run attributes its work to).
+/// `Dedup` is the one stateful link: it must see tuples in stream order,
+/// so it and everything rootward of it run on the coordinator.
+enum ChainOp<'a> {
+    /// Stateless segment, eligible for worker threads.
+    Work(&'a AlgebraExpr, WorkOp<'a>),
+    /// Order-sensitive distinct filter. The set lives in the chain entry
+    /// itself, so a union's branches (which re-run the leafward segment)
+    /// share one set, exactly like the pull stream's `chain(..).filter`.
+    Dedup(&'a AlgebraExpr, RefCell<HashSet<Tuple>>),
+}
+
+impl<'a> ChainOp<'a> {
+    fn node(&self) -> &'a AlgebraExpr {
+        match self {
+            ChainOp::Work(node, _) | ChainOp::Dedup(node, _) => node,
+        }
+    }
+}
+
+/// The result sink: inserts coordinator-ordered tuples under the
+/// governor (output budget per tuple, cancellation/deadline every
+/// morsel-size outputs).
 struct Sink {
     out: Relation,
     governor: Option<gq_governor::Governor>,
@@ -179,15 +209,44 @@ impl Sink {
     }
 }
 
+/// Rows a breaker that becomes a buffer source emitted.
+fn rows_of(out: &Result<Vec<Tuple>, AlgebraError>) -> usize {
+    out.as_ref().map_or(0, Vec::len)
+}
+
+/// A breaker that fuses a probe op emits through that op, not here.
+fn no_rows<T>(_: &T) -> usize {
+    0
+}
+
 impl<'db> PushExec<'_, 'db> {
-    /// The build-kernel view of this executor (partitioned index/key-set
-    /// builds, shared with the legacy batch executor).
-    fn kernels(&self) -> ParallelExec<'_, 'db> {
-        ParallelExec {
-            ev: self.ev,
-            threads: self.threads,
-            morsel_size: self.morsel_size,
-        }
+    /// Cut `len` input tuples into a dispatch under this executor's
+    /// thread and morsel configuration.
+    fn dispatch(&self, len: usize) -> Dispatch<'_> {
+        let governor = self.ev.governor.as_ref();
+        Dispatch::new(self.threads, self.morsel_size, len, governor)
+    }
+
+    /// Run a breaker's own coordinator-side work — everything its arm
+    /// does before handing over to the pipeline child: materializing the
+    /// build side, building the probe table, grouping, dividing, merging
+    /// — inside a profiler window credited to `node`, which emitted
+    /// `rows(&result)` tuples. The build side drains through the pull
+    /// stream's own nested windows, so `node` is credited with the
+    /// remainder only. Without a profiler this is `work()`.
+    fn own<T>(
+        &self,
+        node: &AlgebraExpr,
+        rows: impl FnOnce(&T) -> usize,
+        work: impl FnOnce() -> T,
+    ) -> T {
+        let Some(p) = &self.ev.profiler else {
+            return work();
+        };
+        let window = p.enter(&self.ev.stats.borrow());
+        let out = work();
+        p.exit(window, node, &self.ev.stats.borrow(), rows(&out));
+        out
     }
 
     /// Park a scoped build-side guard (if the materialization produced
@@ -210,8 +269,9 @@ impl<'db> PushExec<'_, 'db> {
     /// and fuse a probe/filter op; sources run the completed pipeline.
     ///
     /// Effect order (CSE gate, operator counting, build-before-probe,
-    /// division right-then-left) mirrors the sequential `stream_inner`
-    /// arm for arm, which is what keeps every counter bit-identical.
+    /// division right-then-left) mirrors the pull stream's `stream_inner`
+    /// arm for arm, so a full drain of `Evaluator::stream` is an
+    /// independent reference for every counter.
     fn run_node<'p>(
         &self,
         e: &'p AlgebraExpr,
@@ -222,10 +282,10 @@ impl<'db> PushExec<'_, 'db> {
         'db: 'p,
     {
         // CSE gate first, before the operator is counted — a shared
-        // subplan becomes a buffer source, exactly like the sequential
-        // stream's early return.
+        // subplan becomes a buffer source, exactly like the pull stream's
+        // early return.
         if let Some(shared) = self.ev.cse_get(e)? {
-            return self.run_pipeline(&shared, false, chain, sink);
+            return self.run_pipeline(&shared, None, chain, sink);
         }
         self.ev.check_governor()?;
         self.ev.stats.borrow_mut().operators_evaluated += 1;
@@ -241,135 +301,103 @@ impl<'db> PushExec<'_, 'db> {
                     .relation(name)
                     .map_err(|_| AlgebraError::UnknownRelation(name.clone()))?;
                 self.ev.stats.borrow_mut().base_scans += 1;
-                self.run_pipeline(rel.tuples(), true, chain, sink)
+                self.run_pipeline(rel.tuples(), Some(e), chain, sink)
             }
             AlgebraExpr::Literal(r) => {
                 self.ev.stats.borrow_mut().base_scans += 1;
-                self.run_pipeline(r.tuples(), true, chain, sink)
+                self.run_pipeline(r.tuples(), Some(e), chain, sink)
             }
             AlgebraExpr::Select { input, predicate } => {
-                chain.push(ChainOp::Work(WorkOp::Filter(predicate)));
+                chain.push(ChainOp::Work(e, WorkOp::Filter(predicate)));
                 self.run_node(input, chain, sink)
             }
             AlgebraExpr::Project { input, positions } => {
-                chain.push(ChainOp::Dedup(RefCell::new(HashSet::new())));
-                chain.push(ChainOp::Work(WorkOp::ProjectMap(positions)));
+                chain.push(ChainOp::Dedup(e, RefCell::new(HashSet::new())));
+                chain.push(ChainOp::Work(e, WorkOp::ProjectMap(positions)));
                 self.run_node(input, chain, sink)
             }
             AlgebraExpr::GroupCount { input, group } => {
                 // Grouping is a full breaker: input materializes, the
-                // sweep runs on the coordinator (sequential logic and
-                // charging), and the grouped output becomes a source. The
-                // scoped guard releases the input buffer when this arm
-                // (and the grouped pipeline it feeds) completes.
-                let (tuples, _guard) = self.ev.materialize_scoped(input, "group-input")?;
-                let mut counts: HashMap<Tuple, i64> = HashMap::new();
-                let mut order: Vec<Tuple> = Vec::new();
-                for t in tuples.iter() {
-                    let key = t.project(group);
-                    let entry = counts.entry(key.clone()).or_insert_with(|| {
-                        order.push(key);
-                        0
-                    });
-                    *entry += 1;
-                    self.ev.stats.borrow_mut().comparisons += 1;
-                }
-                let out: Vec<Tuple> = order
-                    .into_iter()
-                    .map(|k| {
-                        let n = counts[&k];
-                        k.extended_with(Value::Int(n))
-                    })
-                    .collect();
-                self.run_pipeline(&out, false, chain, sink)
+                // sweep runs on the coordinator, and the grouped output
+                // becomes a source.
+                let out = self.own(e, rows_of, || {
+                    let (tuples, _guard) = self.ev.materialize_scoped(input, "group-input")?;
+                    Ok(self.ev.group_count(&tuples, group))
+                })?;
+                self.run_pipeline(&out, None, chain, sink)
             }
             AlgebraExpr::Product { left, right } => {
-                let (right_tuples, guard) = self.ev.materialize_scoped(right, "product-build")?;
+                let (right_tuples, guard) = self.own(e, no_rows, || {
+                    self.ev.materialize_scoped(right, "product-build")
+                })?;
                 self.hold_guard(chain.len(), guard);
-                chain.push(ChainOp::Work(WorkOp::Product(right_tuples)));
+                chain.push(ChainOp::Work(e, WorkOp::Product(right_tuples)));
                 self.run_node(left, chain, sink)
             }
             AlgebraExpr::Join { left, right, on } => {
                 if self.ev.join_algorithm == JoinAlgorithm::SortMerge {
-                    // The sequential ablation baseline: both inputs are
-                    // breakers, the merged output is a source.
-                    let out: Vec<Tuple> = self.ev.sort_merge_join(left, right, on)?.collect();
-                    return self.run_pipeline(&out, false, chain, sink);
+                    // The ablation baseline: both inputs are breakers,
+                    // the merged output is a source.
+                    let out = self.own(e, rows_of, || {
+                        let lt = unshare(self.ev.materialize(left, "sort-input")?);
+                        let rt = unshare(self.ev.materialize(right, "sort-input")?);
+                        Ok(self.ev.sort_merge(lt, rt, on))
+                    })?;
+                    return self.run_pipeline(&out, None, chain, sink);
                 }
                 let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-                if let (Some(cache), AlgebraExpr::Relation(name)) = (self.ev.index_cache, &**right)
+                if let Some((idx, rel)) =
+                    self.own(e, no_rows, || self.ev.cached_index(right, on))?
                 {
-                    let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-                    let stats = self.ev.stats.clone();
-                    let idx = cache
-                        .get_or_build(self.ev.db, name, &right_cols, |len| {
-                            let mut s = stats.borrow_mut();
-                            s.base_scans += 1;
-                            s.base_tuples_read += len;
-                        })
-                        .map_err(AlgebraError::Storage)?;
-                    let rel = self
-                        .ev
-                        .db
-                        .relation(name)
-                        .map_err(|_| AlgebraError::UnknownRelation(name.clone()))?;
-                    chain.push(ChainOp::Work(WorkOp::CachedProbe {
+                    let probe = WorkOp::CachedProbe {
                         idx,
                         rel,
                         left_cols,
-                    }));
+                    };
+                    chain.push(ChainOp::Work(e, probe));
                     return self.run_node(left, chain, sink);
                 }
-                let (right_tuples, guard) = self.ev.materialize_scoped(right, "join-build")?;
+                let (index, right, guard) =
+                    self.own(e, no_rows, || self.build_index(right, on, "join-build"))?;
                 self.hold_guard(chain.len(), guard);
-                let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-                let index = self
-                    .kernels()
-                    .build_part_index(&right_tuples, &right_cols)?;
-                chain.push(ChainOp::Work(WorkOp::HashProbe {
+                let probe = WorkOp::HashProbe {
                     index,
-                    right: right_tuples,
+                    right,
                     left_cols,
-                }));
+                };
+                chain.push(ChainOp::Work(e, probe));
                 self.run_node(left, chain, sink)
             }
-            AlgebraExpr::SemiJoin { left, right, on } => {
-                let (probe, guard) = self.build_probe(right, on)?;
+            AlgebraExpr::SemiJoin { left, right, on }
+            | AlgebraExpr::ComplementJoin { left, right, on } => {
+                let (probe, guard) = self.own(e, no_rows, || self.build_probe(right, on))?;
                 self.hold_guard(chain.len(), guard);
-                chain.push(ChainOp::Work(WorkOp::SemiProbe {
+                let probe = WorkOp::SemiProbe {
                     probe,
                     left_cols: on.iter().map(|&(l, _)| l).collect(),
-                    negate: false,
-                }));
-                self.run_node(left, chain, sink)
-            }
-            AlgebraExpr::ComplementJoin { left, right, on } => {
-                let (probe, guard) = self.build_probe(right, on)?;
-                self.hold_guard(chain.len(), guard);
-                chain.push(ChainOp::Work(WorkOp::SemiProbe {
-                    probe,
-                    left_cols: on.iter().map(|&(l, _)| l).collect(),
-                    negate: true,
-                }));
+                    negate: matches!(e, AlgebraExpr::ComplementJoin { .. }),
+                };
+                chain.push(ChainOp::Work(e, probe));
                 self.run_node(left, chain, sink)
             }
             AlgebraExpr::Division { left, right, on } => {
-                // Division is a double breaker (right then left, like the
-                // sequential arm); the grouping sweep shares the
-                // evaluator's implementation and charging.
-                let left_arity = arity_of(left, self.ev.db)?;
-                let (right_tuples, _rguard) =
-                    self.ev.materialize_scoped(right, "division-divisor")?;
-                let (left_tuples, _lguard) =
-                    self.ev.materialize_scoped(left, "division-dividend")?;
-                let out = self.ev.divide(&left_tuples, &right_tuples, left_arity, on);
-                self.run_pipeline(&out, false, chain, sink)
+                // Division is a double breaker (right then left); the
+                // grouping sweep is the evaluator's.
+                let out = self.own(e, rows_of, || {
+                    let left_arity = arity_of(left, self.ev.db)?;
+                    let (right_tuples, _rguard) =
+                        self.ev.materialize_scoped(right, "division-divisor")?;
+                    let (left_tuples, _lguard) =
+                        self.ev.materialize_scoped(left, "division-dividend")?;
+                    Ok(self.ev.divide(&left_tuples, &right_tuples, left_arity, on))
+                })?;
+                self.run_pipeline(&out, None, chain, sink)
             }
             AlgebraExpr::Union { left, right } => {
                 // One shared dedup set; each branch re-runs the leafward
                 // chain segment, then its ops are unwound so the next
                 // branch starts from the union's own chain position.
-                chain.push(ChainOp::Dedup(RefCell::new(HashSet::new())));
+                chain.push(ChainOp::Dedup(e, RefCell::new(HashSet::new())));
                 let mark = chain.len();
                 self.run_node(left, chain, sink)?;
                 chain.truncate(mark);
@@ -380,30 +408,31 @@ impl<'db> PushExec<'_, 'db> {
                 Ok(())
             }
             AlgebraExpr::Difference { left, right } => {
-                let (right_tuples, guard) =
-                    self.ev.materialize_scoped(right, "difference-build")?;
+                let (keys, guard) = self.own(e, no_rows, || {
+                    let (right_tuples, guard) =
+                        self.ev.materialize_scoped(right, "difference-build")?;
+                    let keys: HashSet<Tuple> = right_tuples.iter().cloned().collect();
+                    Ok::<_, AlgebraError>((keys, guard))
+                })?;
                 self.hold_guard(chain.len(), guard);
-                let keys: HashSet<Tuple> = right_tuples.iter().cloned().collect();
-                chain.push(ChainOp::Work(WorkOp::DiffFilter(keys)));
+                chain.push(ChainOp::Work(e, WorkOp::DiffFilter(keys)));
                 self.run_node(left, chain, sink)
             }
             AlgebraExpr::LeftOuterJoin { left, right, on } => {
-                let (right_tuples, guard) = self.ev.materialize_scoped(right, "outer-build")?;
+                let (index, right_tuples, guard) =
+                    self.own(e, no_rows, || self.build_index(right, on, "outer-build"))?;
                 self.hold_guard(chain.len(), guard);
                 let pad_arity = match right_tuples.first().map(Tuple::arity) {
                     Some(a) => a,
                     None => arity_of(right, self.ev.db)?,
                 };
-                let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-                let index = self
-                    .kernels()
-                    .build_part_index(&right_tuples, &right_cols)?;
-                chain.push(ChainOp::Work(WorkOp::OuterProbe {
+                let probe = WorkOp::OuterProbe {
                     index,
                     right: right_tuples,
                     left_cols: on.iter().map(|&(l, _)| l).collect(),
                     pad_arity,
-                }));
+                };
+                chain.push(ChainOp::Work(e, probe));
                 self.run_node(left, chain, sink)
             }
             AlgebraExpr::ConstrainedOuterJoin {
@@ -412,47 +441,56 @@ impl<'db> PushExec<'_, 'db> {
                 on,
                 constraint,
             } => {
-                let (probe, guard) = self.build_probe(right, on)?;
+                let (probe, guard) = self.own(e, no_rows, || self.build_probe(right, on))?;
                 self.hold_guard(chain.len(), guard);
-                chain.push(ChainOp::Work(WorkOp::Marker {
+                let marker = WorkOp::Marker {
                     probe,
                     left_cols: on.iter().map(|&(l, _)| l).collect(),
                     constraint,
-                }));
+                };
+                chain.push(ChainOp::Work(e, marker));
                 self.run_node(left, chain, sink)
             }
         }
     }
 
-    /// Build the probe side of a semi/complement/marker join, mirroring
-    /// the sequential `build_probe`: the cached base-relation index when
-    /// available (right subtree not evaluated), otherwise a sequential
-    /// materialization followed by a partitioned key-set build. The
-    /// returned guard (fresh materializations only) carries the build
-    /// side's watermark charge; the caller keys it to the probe op so it
-    /// releases when that op unwinds.
+    /// Materialize the build side of a hash (`kind` = `join-build`) or
+    /// outer (`outer-build`) join and index it on the right-hand columns
+    /// of `on`. The guard (fresh materializations only) carries the
+    /// buffer's watermark charge.
+    #[allow(clippy::type_complexity)]
+    fn build_index(
+        &self,
+        right: &AlgebraExpr,
+        on: &[(usize, usize)],
+        kind: &'static str,
+    ) -> Result<(PartIndex, Arc<Vec<Tuple>>, Option<LiveGuard>), AlgebraError> {
+        let (tuples, guard) = self.ev.materialize_scoped(right, kind)?;
+        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        let dispatch = self.dispatch(tuples.len());
+        let index = build_part_index(dispatch, &self.ev.stats, &tuples, &right_cols)?;
+        Ok((index, tuples, guard))
+    }
+
+    /// Build the probe side of a semi/complement/marker join: the cached
+    /// base-relation index when available (right subtree not evaluated),
+    /// otherwise a drained build side followed by a partitioned key-set
+    /// build. The returned guard (fresh materializations only) carries
+    /// the build side's watermark charge; the caller keys it to the probe
+    /// op so it releases when that op unwinds.
     fn build_probe(
         &self,
         right: &AlgebraExpr,
         on: &[(usize, usize)],
     ) -> Result<(ParProbe, Option<LiveGuard>), AlgebraError> {
-        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        if let (Some(cache), AlgebraExpr::Relation(name)) = (self.ev.index_cache, right) {
-            let stats = self.ev.stats.clone();
-            let idx = cache
-                .get_or_build(self.ev.db, name, &right_cols, |len| {
-                    let mut s = stats.borrow_mut();
-                    s.base_scans += 1;
-                    s.base_tuples_read += len;
-                })
-                .map_err(AlgebraError::Storage)?;
+        if let Some((idx, _)) = self.ev.cached_index(right, on)? {
             return Ok((ParProbe::Index(idx), None));
         }
         let (tuples, guard) = self.ev.materialize_scoped(right, "probe-build")?;
-        Ok((
-            ParProbe::Parts(self.kernels().build_part_keys(&tuples, &right_cols)?),
-            guard,
-        ))
+        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        let dispatch = self.dispatch(tuples.len());
+        let parts = build_part_keys(dispatch, &self.ev.stats, &tuples, &right_cols)?;
+        Ok((ParProbe::Parts(parts), guard))
     }
 
     /// Run one completed pipeline: morselize `input`, apply the chain's
@@ -460,13 +498,14 @@ impl<'db> PushExec<'_, 'db> {
     /// batches in morsel order and finish them (stateful ops + sink) on
     /// the coordinator.
     ///
-    /// `charge_reads` is true for base-relation sources, whose tuples are
-    /// charged to `base_tuples_read` as workers consume them — this is
-    /// the producer-side counter the termination tests observe.
+    /// `scan` is the plan node of a base-relation source, whose tuples
+    /// are charged to `base_tuples_read` as workers consume them — the
+    /// producer-side counter the termination tests observe; buffer
+    /// sources (a breaker's output, a CSE share) pass `None`.
     fn run_pipeline(
         &self,
         input: &[Tuple],
-        charge_reads: bool,
+        scan: Option<&AlgebraExpr>,
         chain: &[ChainOp<'_>],
         sink: &mut Sink,
     ) -> Result<(), AlgebraError> {
@@ -475,31 +514,41 @@ impl<'db> PushExec<'_, 'db> {
         // on the coordinator in morsel order.
         let split = chain
             .iter()
-            .rposition(|op| matches!(op, ChainOp::Dedup(_)))
+            .rposition(|op| matches!(op, ChainOp::Dedup(..)))
             .map(|i| i + 1)
             .unwrap_or(0);
-        let (coord_part, work_part) = chain.split_at(split);
         // The worker segment applies leaf-to-root, i.e. in reverse of the
-        // chain's root-first construction order.
-        let work_ops: Vec<&WorkOp<'_>> = work_part
+        // chain's root-first construction order. Each op keeps its chain
+        // position: that is its attribution slot.
+        let work_ops: Vec<(usize, &WorkOp<'_>)> = chain
             .iter()
+            .enumerate()
+            .skip(split)
             .rev()
-            .filter_map(|op| match op {
-                ChainOp::Work(w) => Some(w),
+            .filter_map(|(slot, op)| match op {
+                ChainOp::Work(_, w) => Some((slot, w)),
                 // Unreachable by construction: the split point is past
                 // the last Dedup.
-                ChainOp::Dedup(_) => None,
+                ChainOp::Dedup(..) => None,
             })
             .collect();
-        let governor = self.ev.governor.as_ref();
-        let dispatch = Dispatch::new(self.threads, self.morsel_size, input.len(), governor);
+        let dispatch = self.dispatch(input.len());
+        // One attribution slot per chain op plus one for the scan — none
+        // without a profiler, which is what keeps workers from opening
+        // windows.
+        let profiler = self.ev.profiler.as_deref();
+        let slots = profiler.map_or(0, |_| chain.len() + 1);
+        let worker_stats = |w: usize| {
+            let mut ws = WorkerStats::new(w);
+            ws.ops = vec![OpProfile::default(); slots];
+            ws
+        };
 
         // The coordinator is worker 0: it claims morsels too, and between
         // them drains the batches its helpers sent through the channel
-        // into the reorder buffer, which releases them in morsel order —
-        // incremental (pipelined) where the legacy dispatcher is a full
-        // barrier. A source of at most one morsel has no helpers, so the
-        // whole pipeline runs on the calling thread.
+        // into the reorder buffer, which releases them in morsel order as
+        // they complete. A source of at most one morsel has no helpers,
+        // so the whole pipeline runs on the calling thread.
         enum Msg {
             Batch(usize, Vec<Tuple>),
             Panic(usize, String),
@@ -509,7 +558,7 @@ impl<'db> PushExec<'_, 'db> {
             ws.morsels += 1;
             match catch_unwind(AssertUnwindSafe(|| {
                 chaos_morsel_hooks(mi);
-                apply_work(&work_ops, ws, charge_reads, &input[range])
+                apply_work(&work_ops, ws, scan.is_some(), &input[range])
             })) {
                 Ok(batch) => Msg::Batch(mi, batch),
                 Err(p) => {
@@ -521,16 +570,16 @@ impl<'db> PushExec<'_, 'db> {
         let helpers = dispatch.workers - 1;
         self.ev.stats.borrow_mut().workers_spawned += helpers;
         let (tx, rx) = mpsc::channel::<Msg>();
-        let mut coord_ws = WorkerStats::new(0);
-        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(helpers);
+        let mut coord_ws = worker_stats(0);
+        let mut done: Vec<WorkerStats> = Vec::with_capacity(helpers);
         let mut first_panic: Option<(usize, String)> = None;
         let mut sink_result: Result<(), AlgebraError> = Ok(());
         thread::scope(|s| {
-            let (dispatch, run_morsel) = (&dispatch, &run_morsel);
+            let (dispatch, run_morsel, worker_stats) = (&dispatch, &run_morsel, &worker_stats);
             for w in 1..=helpers {
                 let tx = tx.clone();
                 s.spawn(move || {
-                    let mut ws = WorkerStats::new(w);
+                    let mut ws = worker_stats(w);
                     while let Some((mi, range)) = dispatch.claim() {
                         let msg = run_morsel(&mut ws, mi, range);
                         let panicked = matches!(msg, Msg::Panic(..));
@@ -546,7 +595,7 @@ impl<'db> PushExec<'_, 'db> {
             let mut pending: BTreeMap<usize, Vec<Tuple>> = BTreeMap::new();
             let mut next_emit = 0usize;
             let mut handle = |coord_ws: &mut WorkerStats, msg: Msg| match msg {
-                Msg::Done(ws) => worker_stats.push(ws),
+                Msg::Done(ws) => done.push(ws),
                 Msg::Panic(mi, message) => {
                     // Smallest morsel id wins, so the surfaced panic is
                     // deterministic under chaos seeds.
@@ -561,7 +610,7 @@ impl<'db> PushExec<'_, 'db> {
                     pending.insert(mi, batch);
                     while let Some(batch) = pending.remove(&next_emit) {
                         next_emit += 1;
-                        if let Err(e) = self.finish_batch(coord_part, coord_ws, sink, batch) {
+                        if let Err(e) = finish_batch(&chain[..split], coord_ws, sink, batch) {
                             sink_result = Err(e);
                             dispatch.abort();
                             break;
@@ -583,75 +632,107 @@ impl<'db> PushExec<'_, 'db> {
             }
         });
         // Fold all counters before error propagation so partially-done
-        // work stays observable, mirroring the legacy dispatcher.
-        {
-            let mut shared = self.ev.stats.borrow_mut();
-            for ws in &worker_stats {
-                ws.merge_into(&mut shared);
+        // work stays observable.
+        for ws in done.iter().chain([&coord_ws]) {
+            ws.merge_into(&mut self.ev.stats.borrow_mut());
+            for (slot, op) in ws.ops.iter().enumerate() {
+                let node = chain.get(slot).map(ChainOp::node).or(scan);
+                if let (Some(p), Some(node)) = (profiler, node) {
+                    p.add(node, op);
+                }
             }
-            coord_ws.merge_into(&mut shared);
         }
         sink_result?;
         if let Some((_, message)) = first_panic {
-            return Err(worker_panic(governor, message));
+            return Err(worker_panic(dispatch.governor, message));
         }
-        if let Some(g) = governor {
-            g.check("evaluate")?;
-        }
-        Ok(())
-    }
-
-    /// Coordinator tail of a pipeline: apply the order-sensitive chain
-    /// segment (root-first order reversed, like the worker segment) and
-    /// sink the survivors.
-    fn finish_batch(
-        &self,
-        coord_part: &[ChainOp<'_>],
-        coord_ws: &mut WorkerStats,
-        sink: &mut Sink,
-        batch: Vec<Tuple>,
-    ) -> Result<(), AlgebraError> {
-        let mut batch = batch;
-        for op in coord_part.iter().rev() {
-            match op {
-                ChainOp::Dedup(seen) => {
-                    let mut seen = seen.borrow_mut();
-                    batch.retain(|t| seen.insert(t.clone()));
-                }
-                ChainOp::Work(w) => {
-                    batch = apply_one(w, &mut coord_ws.stats, batch);
-                }
-            }
-        }
-        for t in batch {
-            sink.push(t)?;
-        }
-        Ok(())
+        self.ev.check_governor()
     }
 }
 
+/// Coordinator tail of a pipeline: apply the order-sensitive chain
+/// segment (root-first order reversed, like the worker segment) and sink
+/// the survivors.
+fn finish_batch(
+    coord_part: &[ChainOp<'_>],
+    coord_ws: &mut WorkerStats,
+    sink: &mut Sink,
+    mut batch: Vec<Tuple>,
+) -> Result<(), AlgebraError> {
+    for (slot, op) in coord_part.iter().enumerate().rev() {
+        match op {
+            ChainOp::Dedup(_, seen) => in_slot(coord_ws, slot, |_| {
+                let mut seen = seen.borrow_mut();
+                batch.retain(|t| seen.insert(t.clone()));
+                ((), batch.len())
+            }),
+            ChainOp::Work(_, w) => batch = apply_in_slot(w, slot, coord_ws, batch),
+        }
+    }
+    for t in batch {
+        sink.push(t)?;
+    }
+    Ok(())
+}
+
 /// Apply the fused worker segment to one morsel, charging the worker's
-/// private stats. `charge_reads` accounts base-relation tuples as they
-/// are consumed (the sequential scan's per-tuple `inspect`).
+/// private stats. `scan` accounts base-relation tuples as they are
+/// consumed (the pull scan's per-tuple `inspect`); the source's slot is
+/// the last one.
 fn apply_work(
-    ops: &[&WorkOp<'_>],
+    ops: &[(usize, &WorkOp<'_>)],
     ws: &mut WorkerStats,
-    charge_reads: bool,
+    scan: bool,
     chunk: &[Tuple],
 ) -> Vec<Tuple> {
-    if charge_reads {
-        ws.stats.base_tuples_read += chunk.len();
-    }
-    let mut batch: Vec<Tuple> = chunk.to_vec();
-    for op in ops {
-        batch = apply_one(op, &mut ws.stats, batch);
+    let source_slot = ws.ops.len().saturating_sub(1);
+    let mut batch = in_slot(ws, source_slot, |stats| {
+        if scan {
+            stats.base_tuples_read += chunk.len();
+        }
+        (chunk.to_vec(), chunk.len())
+    });
+    for &(slot, op) in ops {
+        batch = apply_in_slot(op, slot, ws, batch);
     }
     batch
 }
 
-/// Apply one stateless operator to a batch. Charges mirror the
-/// sequential stream adapters exactly, per tuple.
-fn apply_one(op: &WorkOp<'_>, stats: &mut crate::ExecStats, batch: Vec<Tuple>) -> Vec<Tuple> {
+/// [`apply_one`], attributed to `slot`.
+fn apply_in_slot(
+    op: &WorkOp<'_>,
+    slot: usize,
+    ws: &mut WorkerStats,
+    batch: Vec<Tuple>,
+) -> Vec<Tuple> {
+    in_slot(ws, slot, |stats| {
+        let out = apply_one(op, stats, batch);
+        let rows = if op.emits() { out.len() } else { 0 };
+        (out, rows)
+    })
+}
+
+/// Run `work` over the worker's counters. In a profiled run — the worker
+/// has attribution slots at all — it runs inside a [`Window`] credited,
+/// with the row count `work` reports, to `slot`; otherwise nothing is
+/// snapshotted or timed.
+fn in_slot<T>(
+    ws: &mut WorkerStats,
+    slot: usize,
+    work: impl FnOnce(&mut ExecStats) -> (T, usize),
+) -> T {
+    if ws.ops.is_empty() {
+        return work(&mut ws.stats).0;
+    }
+    let window = Window::open(&ws.stats);
+    let (out, rows) = work(&mut ws.stats);
+    ws.ops[slot].add(window.close(&ws.stats), rows);
+    out
+}
+
+/// Apply one stateless operator to a batch. Charges mirror the pull
+/// stream's adapters exactly, per tuple.
+fn apply_one(op: &WorkOp<'_>, stats: &mut ExecStats, batch: Vec<Tuple>) -> Vec<Tuple> {
     match op {
         WorkOp::Filter(p) => batch
             .into_iter()
@@ -766,5 +847,74 @@ fn apply_one(op: &WorkOp<'_>, stats: &mut crate::ExecStats, batch: Vec<Tuple>) -
                 !keys.contains(t)
             })
             .collect(),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use crate::profile::WINDOWS_OPENED;
+    use crate::{AlgebraExpr, Evaluator, ExecConfig, PlanProfiler, Predicate};
+    use gq_storage::{tuple, Database, Schema};
+    use std::rc::Rc;
+
+    /// Attribution is paid for only when asked for: an unprofiled run —
+    /// fused operators, every kind of breaker, the coordinator claiming
+    /// morsels beside helpers — opens no [`super::Window`], so it takes
+    /// no stats snapshot and never reads the clock. The same plan with a
+    /// profiler attached opens them, and what they credit adds up to the
+    /// evaluator's totals.
+    #[test]
+    fn unprofiled_pipelines_open_no_window() {
+        let mut db = Database::new();
+        db.create_relation("member", Schema::anonymous(2)).unwrap();
+        db.create_relation("skill", Schema::anonymous(2)).unwrap();
+        for i in 0..500i64 {
+            db.insert("member", tuple![i, i % 7]).unwrap();
+            if i % 3 == 0 {
+                db.insert("skill", tuple![i, i % 5]).unwrap();
+            }
+        }
+        let member = || AlgebraExpr::relation("member");
+        let skill = || AlgebraExpr::relation("skill").select(Predicate::True);
+        let plan = member()
+            .join(skill(), vec![(0, 0)])
+            .project(vec![0, 1])
+            .union(member().complement_join(skill(), vec![(0, 0)]))
+            .union(member().difference(member().semi_join(skill(), vec![(0, 0)])))
+            .union(member().group_count(vec![1]))
+            .union(
+                member()
+                    .divide(skill().project(vec![1]), vec![(1, 0)])
+                    .project(vec![0, 0]),
+            );
+        for threads in [1, 4] {
+            let exec = ExecConfig::with_threads(threads).with_morsel_size(64);
+            WINDOWS_OPENED.set(0);
+            let plain = Evaluator::new(&db).with_exec_config(exec);
+            let expected = plain.eval(&plan).unwrap();
+            assert_eq!(
+                WINDOWS_OPENED.get(),
+                0,
+                "unprofiled run at {threads} threads"
+            );
+
+            let profiler = Rc::new(PlanProfiler::new(&plan));
+            let profiled = Evaluator::new(&db)
+                .with_exec_config(exec)
+                .with_profiler(Rc::clone(&profiler));
+            assert_eq!(profiled.eval(&plan).unwrap().tuples(), expected.tuples());
+            assert!(WINDOWS_OPENED.get() > 0, "profiled run opened no window");
+            assert_eq!(
+                profiled.stats(),
+                plain.stats(),
+                "the observer changed the run"
+            );
+            let totals = profiler.trace(&plan).totals();
+            let stats = profiled.stats();
+            assert_eq!(totals.base_reads as usize, stats.base_tuples_read);
+            assert_eq!(totals.comparisons as usize, stats.comparisons);
+            assert_eq!(totals.probes as usize, stats.probes);
+        }
     }
 }

@@ -29,14 +29,11 @@ pub struct ExecStats {
     pub max_intermediate: usize,
     /// High-water mark of *simultaneously live* intermediate tuples: the
     /// peak of (tuples materialized − tuples released) over the query.
-    /// A watermark, not a sum — merged with `max`, so it is bit-identical
-    /// across 1/2/8 worker threads (live charges happen only at
-    /// coordinator points, in structural plan order). It *does* depend on
-    /// the execution strategy: the streaming push executor only
-    /// materializes pipeline breakers, the materializing baseline charges
-    /// every operator output — that difference is the headline metric of
-    /// the E-STREAM bench, so cross-strategy determinism checks strip it
-    /// (see [`ExecStats::without_dispatch_counters`]).
+    /// A watermark, not a sum — merged with `max`. Only pipeline breakers
+    /// materialize, and they are charged and released on the coordinating
+    /// thread in structural plan order, so the mark is bit-identical
+    /// across 1/2/8 worker threads and the determinism checks compare it
+    /// like any other counter.
     pub peak_intermediate_tuples: usize,
     /// Byte-estimate sibling of `peak_intermediate_tuples` (tuples ×
     /// `gq_governor::estimate_tuple_bytes` at materialization arity).
@@ -148,20 +145,42 @@ impl ExecStats {
     }
 
     /// This record with the configuration-dependent counters zeroed —
-    /// what determinism tests compare across thread counts and execution
-    /// strategies (the morsel and spawn counters legitimately differ with
-    /// the thread count and morsel size, and the peak watermarks
-    /// legitimately differ between the streaming and materializing
-    /// strategies — the peak *reduction* is the point). Cross-thread
-    /// identity of the peaks within one strategy is asserted separately.
+    /// what determinism tests compare across thread counts: the morsel
+    /// and spawn counters legitimately differ with the thread count and
+    /// morsel size; everything else, the peak watermarks included, is a
+    /// property of the plan and the data.
     pub fn without_dispatch_counters(&self) -> ExecStats {
         ExecStats {
             morsels: 0,
             workers_spawned: 0,
-            peak_intermediate_tuples: 0,
-            peak_intermediate_bytes: 0,
             ..self.clone()
         }
+    }
+}
+
+/// Exclusive figures for one operator: what a worker accumulated for a
+/// fused pipeline operator over the batches it ran, or a plan node's
+/// running total inside the profiler.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpProfile {
+    pub(crate) rows_out: u64,
+    pub(crate) elapsed_ns: u64,
+    pub(crate) stats: ExecStats,
+}
+
+impl OpProfile {
+    /// Credit a closed attribution window (stats delta, nanoseconds) and
+    /// the rows emitted during it.
+    pub(crate) fn add(&mut self, (delta, ns): (ExecStats, u64), rows: usize) {
+        self.stats.merge(&delta);
+        self.elapsed_ns += ns;
+        self.rows_out += rows as u64;
+    }
+
+    pub(crate) fn merge(&mut self, other: &OpProfile) {
+        self.stats.merge(&other.stats);
+        self.elapsed_ns += other.elapsed_ns;
+        self.rows_out += other.rows_out;
     }
 }
 
@@ -183,6 +202,10 @@ pub struct WorkerStats {
     pub morsels: usize,
     /// Counters accumulated by this worker alone.
     pub stats: ExecStats,
+    /// Per-operator attribution, one slot per fused operator of the
+    /// pipeline plus one for its source; empty unless a profiler is
+    /// attached.
+    pub(crate) ops: Vec<OpProfile>,
 }
 
 impl WorkerStats {
@@ -341,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn without_dispatch_counters_strips_peaks() {
+    fn without_dispatch_counters_keeps_peaks() {
         let s = ExecStats {
             peak_intermediate_tuples: 7,
             peak_intermediate_bytes: 560,
@@ -351,8 +374,8 @@ mod tests {
             ..ExecStats::new()
         };
         let stripped = s.without_dispatch_counters();
-        assert_eq!(stripped.peak_intermediate_tuples, 0);
-        assert_eq!(stripped.peak_intermediate_bytes, 0);
+        assert_eq!(stripped.peak_intermediate_tuples, 7);
+        assert_eq!(stripped.peak_intermediate_bytes, 560);
         assert_eq!(stripped.morsels, 0);
         assert_eq!(stripped.workers_spawned, 0);
         assert_eq!(stripped.probes, 3);

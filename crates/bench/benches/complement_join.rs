@@ -26,8 +26,8 @@ fn bench_complement_join(c: &mut Criterion) {
     }
 }
 
-/// The improved plan across worker counts (1 = the sequential streaming
-/// path; >1 = morsel-driven partitioned build + parallel probe).
+/// The improved plan across worker counts (1 = the pipelines on the
+/// calling thread; >1 = morsel-driven partitioned build + parallel probe).
 fn bench_complement_join_threads(c: &mut Criterion) {
     let n = 10_000;
     let db = university(&UniversityScale::of_size(n));

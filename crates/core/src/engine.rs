@@ -92,7 +92,7 @@ impl QueryResult {
 /// Evaluation options orthogonal to the [`Strategy`]: post-translation
 /// plan optimization and shared-subplan caching. Both apply to the
 /// algebraic strategies only (the nested-loop interpreter has no plans).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EngineOptions {
     /// Apply the rule-based plan optimizer (selection/projection pushdown,
     /// product-to-join conversion) after translation.
@@ -115,27 +115,6 @@ pub struct EngineOptions {
     /// `cse_materialized`/`cse_reused` counters are bit-identical across
     /// thread counts.
     pub cse: bool,
-    /// Stream batches through push-based pipelines, materializing only at
-    /// pipeline breakers (on by default). Off, every operator of a
-    /// parallel plan materializes its full output — the legacy executor,
-    /// kept as the peak-memory baseline (`gq-bench`'s E-STREAM table) and
-    /// an A/B switch (`.stream off` in the REPL). Answers, order, and
-    /// `ExecStats::without_dispatch_counters` are bit-identical either
-    /// way; only the peak intermediate watermarks differ.
-    pub streaming: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            optimize: false,
-            share_subplans: false,
-            domain_closure: false,
-            use_base_indexes: false,
-            cse: false,
-            streaming: true,
-        }
-    }
 }
 
 /// The catalog behind a [`QueryEngine`]: either a plain in-memory
@@ -1614,7 +1593,7 @@ impl QueryEngine {
                 Evaluator::new(snap)
             };
             let ev = ev
-                .with_exec_config(self.exec.with_streaming(options.streaming))
+                .with_exec_config(self.exec)
                 .with_governor(governor.clone());
             let ev = if options.use_base_indexes {
                 ev.with_index_cache(&self.index_cache)

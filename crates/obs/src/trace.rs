@@ -37,7 +37,8 @@ pub struct PlanNodeTrace {
     pub comparisons: u64,
     pub probes: u64,
     pub memo_hits: u64,
-    /// Exclusive wall time, nanoseconds.
+    /// Exclusive busy time, nanoseconds, summed over the workers that
+    /// ran the node.
     pub elapsed_ns: u64,
     pub children: Vec<PlanNodeTrace>,
 }
@@ -303,6 +304,10 @@ impl QueryTrace {
         }
         if let Some(plan) = &self.plan {
             let _ = writeln!(out, "\n== plan (actual) ==");
+            let _ = writeln!(
+                out,
+                "  (per node, own work only; time = busy time summed over workers, % of the tree)"
+            );
             out.push_str(&plan.render(plan.totals().elapsed_ns));
         }
         if !self.pipelines.is_empty() {

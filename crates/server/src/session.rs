@@ -32,7 +32,6 @@ pub enum Outcome {
 /// Mutable per-session knobs.
 pub struct SessionState {
     strategy: Strategy,
-    streaming: bool,
     limits: QueryLimits,
     cancel: CancelToken,
     budget: SharedBudget,
@@ -44,17 +43,9 @@ impl SessionState {
     pub fn new(limits: QueryLimits, cancel: CancelToken, budget: SharedBudget) -> SessionState {
         SessionState {
             strategy: Strategy::Improved,
-            streaming: true,
             limits,
             cancel,
             budget,
-        }
-    }
-
-    fn options(&self) -> EngineOptions {
-        EngineOptions {
-            streaming: self.streaming,
-            ..Default::default()
         }
     }
 
@@ -184,22 +175,6 @@ impl SessionState {
         if line == ".strategy" {
             return Ok(format!("strategy: {}", self.strategy.name()));
         }
-        if let Some(rest) = line.strip_prefix(".stream ") {
-            self.streaming = match rest.trim() {
-                "on" => true,
-                "off" => false,
-                other => {
-                    return Err(protocol::err(
-                        code::PROTO,
-                        &format!("usage: .stream on|off (got `{other}`)"),
-                    ))
-                }
-            };
-            return Ok(format!(
-                "streaming: {}",
-                if self.streaming { "on" } else { "off" }
-            ));
-        }
         if let Some(rest) = line.strip_prefix(".timeout ") {
             let rest = rest.trim();
             if rest == "off" {
@@ -261,7 +236,7 @@ impl SessionState {
             .query_session(
                 line,
                 self.strategy,
-                self.options(),
+                EngineOptions::default(),
                 self.limits,
                 self.cancel.clone(),
                 Some(self.budget.clone()),

@@ -50,8 +50,6 @@ use std::io::{self, BufRead, Write};
 struct Repl {
     engine: QueryEngine,
     strategy: Strategy,
-    /// Streaming push-based execution (`.stream on|off`, default on).
-    streaming: bool,
     prepared: BTreeMap<String, PreparedQuery>,
     /// Client mode: when connected, every line is forwarded to a remote
     /// `gq-server` instead of the in-process engine.
@@ -62,7 +60,6 @@ fn main() {
     let mut repl = Repl {
         engine: QueryEngine::new(Database::new()),
         strategy: Strategy::Improved,
-        streaming: true,
         prepared: BTreeMap::new(),
         remote: None,
     };
@@ -253,20 +250,6 @@ impl Repl {
                 "exec: morsel size {} ({} threads)",
                 exec.morsel_size, exec.threads
             );
-        } else if let Some(rest) = line.strip_prefix(".stream ") {
-            self.streaming = match rest.trim() {
-                "on" => true,
-                "off" => false,
-                other => return Err(format!("usage: .stream on|off (got `{other}`)").into()),
-            };
-            println!(
-                "streaming: {}",
-                if self.streaming {
-                    "on (push-based pipelines, breakers only materialize)"
-                } else {
-                    "off (legacy executor, every operator materializes)"
-                }
-            );
         } else if let Some(rest) = line.strip_prefix(".timeout ") {
             let rest = rest.trim();
             let mut limits = self.engine.limits();
@@ -312,9 +295,9 @@ impl Repl {
             let Some((name, query)) = rest.split_once(' ') else {
                 return Err("usage: .prepare name <query>".into());
             };
-            let p = self
-                .engine
-                .prepare_with(query.trim(), self.strategy, self.options())?;
+            let p =
+                self.engine
+                    .prepare_with(query.trim(), self.strategy, EngineOptions::default())?;
             println!("prepared `{name}` ({})", p.strategy().name());
             self.prepared.insert(name.to_string(), p);
         } else if let Some(rest) = line.strip_prefix(".exec ") {
@@ -370,7 +353,7 @@ impl Repl {
                 self.engine.explain_analyze_with_options(
                     rest.trim(),
                     self.strategy,
-                    self.options()
+                    EngineOptions::default()
                 )?
             );
         } else if line == ":events" || line.starts_with(":events ") {
@@ -499,8 +482,6 @@ impl Repl {
                  .strategy s               improved | classical | nested-loop\n\
                  .threads n                worker threads (1 = sequential)\n\
                  .morsel n                 tuples per morsel (default 1024)\n\
-                 .stream on|off            push-based streaming pipelines (default on;\n\
-                                           off = materialize every operator)\n\
                  .timeout <ms|off>         per-query deadline\n\
                  .limits [output|rows <n|off>]  show / set resource budgets\n\
                  .prepare name <query>     compile once, cache the plan\n\
@@ -531,10 +512,10 @@ impl Repl {
             // materialized views before running the trailing query.
             let result = if line.starts_with("with recursive") {
                 self.engine
-                    .query_program_with(line, self.strategy, self.options())?
+                    .query_program_with(line, self.strategy, EngineOptions::default())?
             } else {
                 self.engine
-                    .query_with_options(line, self.strategy, self.options())?
+                    .query_with_options(line, self.strategy, EngineOptions::default())?
             };
             if result.vars.is_empty() {
                 println!("{}", result.is_true());
@@ -553,14 +534,6 @@ impl Repl {
             }
         }
         Ok(())
-    }
-
-    /// Per-query options from the REPL's toggles.
-    fn options(&self) -> EngineOptions {
-        EngineOptions {
-            streaming: self.streaming,
-            ..Default::default()
-        }
     }
 }
 

@@ -1,23 +1,57 @@
 //! Cross-strategy observability integration tests.
 //!
-//! Two properties of EXPLAIN ANALYZE, checked through the public engine
-//! API on the paper's university workload:
+//! Properties of EXPLAIN ANALYZE, checked through the public engine API
+//! on the paper's university workload, at 1, 2 and 8 threads (or
+//! `GQ_TEST_THREADS`) with a morsel small enough that helpers really run
+//! — the profile is taken on the push pipelines every query runs on:
 //!
 //! * **conservation** — the per-node (exclusive) rows/comparisons/probes/
 //!   reads of the annotated plan tree sum exactly to the query-level
-//!   [`ExecStats`], for every strategy;
+//!   [`ExecStats`], for every strategy, and are identical across thread
+//!   counts;
+//! * **no observer effect** — `analyze`, a `query` with the slow log
+//!   armed, and a plain `query` return the same answers and the same
+//!   `ExecStats`, peak watermarks included, and a memory budget the plain
+//!   run fits in also fits the observed ones;
 //! * **shape** — on a Fig. 2-style query with universal quantification,
 //!   the improved strategy's per-operator profile contains neither a
 //!   division nor a cartesian product, while the classical strategy's
 //!   contains both (claims C2/C3, now visible in the observability
 //!   output rather than only in plan inspection).
 
-use gq_core::{EngineOptions, QueryEngine, Strategy};
-use gq_obs::PlanNodeTrace;
+use gq_bench::E2E_SUITE;
+use gq_core::{EngineOptions, ExecConfig, QueryEngine, QueryLimits, Strategy};
+use gq_obs::{EventKind, PlanNodeTrace};
 use gq_workload::{university, UniversityScale};
 
+fn thread_counts() -> Vec<usize> {
+    match std::env::var("GQ_TEST_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+    {
+        Some(n) => vec![n],
+        None => vec![1, 2, 8],
+    }
+}
+
+/// `n` students; at morsel 64 every relation of the `n = 300` instance
+/// spans several morsels.
+fn engine_at(n: usize, threads: usize) -> QueryEngine {
+    QueryEngine::new(university(&UniversityScale::of_size(n)))
+        .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(64))
+}
+
 fn engine() -> QueryEngine {
-    QueryEngine::new(university(&UniversityScale::of_size(60)))
+    engine_at(60, 2)
+}
+
+/// The annotated tree with its one schedule-dependent field zeroed.
+fn without_time(plan: &PlanNodeTrace) -> PlanNodeTrace {
+    PlanNodeTrace {
+        elapsed_ns: 0,
+        children: plan.children.iter().map(without_time).collect(),
+        ..plan.clone()
+    }
 }
 
 /// Paper-derived queries spanning open/closed, negation, universal
@@ -32,64 +66,190 @@ const QUERIES: &[&str] = &[
 
 #[test]
 fn node_totals_sum_to_query_stats_across_strategies() {
-    let e = engine();
     for query in QUERIES {
         for strategy in Strategy::ALL {
-            let (result, trace) = e
-                .analyze_with_options(query, strategy, EngineOptions::default())
-                .unwrap();
-            let plan = trace.plan.as_ref().expect("annotated plan attached");
-            let totals = plan.totals();
-            let tag = format!("`{query}` under {}", strategy.name());
-            assert_eq!(
-                totals.comparisons as usize,
-                result.stats.comparisons,
-                "comparisons conservation for {tag}\n{}",
-                plan.render(totals.elapsed_ns)
-            );
-            assert_eq!(
-                totals.probes as usize, result.stats.probes,
-                "probes conservation for {tag}"
-            );
-            assert_eq!(
-                totals.base_reads as usize, result.stats.base_tuples_read,
-                "base-read conservation for {tag}"
-            );
-            assert_eq!(
-                totals.memo_hits as usize, result.stats.memo_hits,
-                "memo-hit conservation for {tag}"
-            );
+            let mut across_threads: Option<PlanNodeTrace> = None;
+            for threads in thread_counts() {
+                let (result, trace) = engine_at(300, threads)
+                    .analyze_with_options(query, strategy, EngineOptions::default())
+                    .unwrap();
+                let plan = trace.plan.as_ref().expect("annotated plan attached");
+                let totals = plan.totals();
+                let tag = format!("`{query}` under {} at {threads} threads", strategy.name());
+                assert_eq!(
+                    totals.comparisons as usize,
+                    result.stats.comparisons,
+                    "comparisons conservation for {tag}\n{}",
+                    plan.render(totals.elapsed_ns)
+                );
+                assert_eq!(
+                    totals.probes as usize, result.stats.probes,
+                    "probes conservation for {tag}"
+                );
+                assert_eq!(
+                    totals.base_reads as usize, result.stats.base_tuples_read,
+                    "base-read conservation for {tag}"
+                );
+                assert_eq!(
+                    totals.memo_hits as usize, result.stats.memo_hits,
+                    "memo-hit conservation for {tag}"
+                );
+                // Per node, not just in total: rows, reads, probes and
+                // comparisons are sums over tuples, so how morsels were
+                // dealt to workers cannot show.
+                let shape = without_time(plan);
+                match &across_threads {
+                    None => across_threads = Some(shape),
+                    Some(first) => assert_eq!(&shape, first, "per-node counters for {tag}"),
+                }
+            }
         }
     }
 }
 
+/// The notes that explain an all-zero subtree survive on the push path,
+/// and conservation holds with every sharing option on.
 #[test]
 fn node_totals_sum_under_options() {
-    let e = engine();
     let options = EngineOptions {
         optimize: true,
         share_subplans: true,
         use_base_indexes: true,
         ..EngineOptions::default()
     };
-    for query in QUERIES {
-        for strategy in [Strategy::Improved, Strategy::Classical] {
-            // Warm the index cache, then measure the instrumented run.
-            e.query_with_options(query, strategy, options).unwrap();
-            let (result, trace) = e.analyze_with_options(query, strategy, options).unwrap();
-            let totals = trace.plan.as_ref().unwrap().totals();
-            let tag = format!("`{query}` under {} with {options:?}", strategy.name());
+    let mut notes = Vec::new();
+    for threads in thread_counts() {
+        let e = engine_at(300, threads);
+        for query in QUERIES {
+            for (strategy, options) in [
+                (Strategy::Improved, options),
+                (Strategy::Classical, options),
+                (
+                    Strategy::Classical,
+                    EngineOptions {
+                        cse: true,
+                        ..EngineOptions::default()
+                    },
+                ),
+            ] {
+                // Warm the index cache, then measure the instrumented run.
+                e.query_with_options(query, strategy, options).unwrap();
+                let (result, trace) = e.analyze_with_options(query, strategy, options).unwrap();
+                let plan = trace.plan.as_ref().unwrap();
+                let totals = plan.totals();
+                let tag = format!("`{query}` under {} with {options:?}", strategy.name());
+                assert_eq!(
+                    totals.comparisons as usize, result.stats.comparisons,
+                    "comparisons conservation for {tag}"
+                );
+                assert_eq!(
+                    totals.probes as usize, result.stats.probes,
+                    "probes conservation for {tag}"
+                );
+                assert_eq!(
+                    totals.base_reads as usize, result.stats.base_tuples_read,
+                    "base-read conservation for {tag}"
+                );
+                assert_eq!(
+                    totals.memo_hits as usize, result.stats.memo_hits,
+                    "memo-hit conservation for {tag}"
+                );
+                collect_notes(plan, &mut notes);
+            }
+        }
+    }
+    for note in ["memo-hit", "cse-reuse", "cached-index"] {
+        assert!(
+            notes.iter().any(|n| n == note),
+            "no `{note}` annotation on any profiled plan: {notes:?}"
+        );
+    }
+}
+
+fn collect_notes(plan: &PlanNodeTrace, out: &mut Vec<String>) {
+    out.extend(plan.note.clone());
+    for c in &plan.children {
+        collect_notes(c, out);
+    }
+}
+
+/// The `== pipelines ==` section of `:analyze` describes the run a plain
+/// `query` makes: the same breakers, in the same order, with the same
+/// tuple counts as the pipeline-break events that query journals.
+#[test]
+fn analyze_lists_the_breakers_a_plain_query_journals() {
+    for threads in thread_counts() {
+        let e = engine_at(300, threads);
+        for (label, text) in E2E_SUITE {
+            let before = e.journal().events().len();
+            e.query(text).unwrap();
+            let journaled: Vec<String> = e.journal().events()[before..]
+                .iter()
+                .filter(|ev| ev.kind == EventKind::PipelineBreak)
+                .map(|ev| ev.detail.clone())
+                .collect();
+            let (_, trace) = e.analyze(text).unwrap();
+            let listed: Vec<String> = trace
+                .pipelines
+                .iter()
+                .map(|p| format!("pipeline {} {} tuples={}", p.id, p.breaker, p.tuples))
+                .collect();
+            assert_eq!(listed, journaled, "{label} at {threads} threads");
+            if !listed.is_empty() {
+                let out = e.explain_analyze(text).unwrap();
+                assert!(out.contains("== pipelines =="), "{label}:\n{out}");
+                assert!(out.contains("busy time"), "{label}: legend missing\n{out}");
+            }
+        }
+    }
+}
+
+/// The observer must not change the outcome: `analyze`, and `query` with
+/// the slow log armed (the engine then profiles on its own behalf), run
+/// the code a plain `query` runs. Same answers in the same order, equal
+/// `ExecStats` down to the peak watermarks, the slow log's tuple
+/// watermark is what the plain run materialized, and a memory budget set
+/// to the plain run's own peak does not trip under observation.
+#[test]
+fn observers_do_not_change_the_outcome() {
+    for threads in thread_counts() {
+        for (label, text) in E2E_SUITE {
+            let tag = format!("{label} at {threads} threads");
+            let mut e = engine_at(300, threads);
+            let plain = e.query(text).unwrap();
+            let (analyzed, _) = e.analyze(text).unwrap();
+            assert_eq!(analyzed.answers.tuples(), plain.answers.tuples(), "{tag}");
+            assert_eq!(analyzed.stats, plain.stats, "{tag}: analyze vs query");
+
+            e.set_limits(
+                QueryLimits::UNLIMITED
+                    .with_max_memory_bytes(plain.stats.peak_intermediate_bytes as u64),
+            );
+            e.query(text)
+                .unwrap_or_else(|err| panic!("{tag}: plain run over its own peak: {err}"));
+            e.slow_log().set_tuple_threshold(Some(0));
+            let armed = e
+                .query(text)
+                .unwrap_or_else(|err| panic!("{tag}: armed run tripped the budget: {err}"));
+            assert_eq!(armed.answers.tuples(), plain.answers.tuples(), "{tag}");
+            assert_eq!(armed.stats, plain.stats, "{tag}: armed vs plain query");
+            let (analyzed, _) = e
+                .analyze(text)
+                .unwrap_or_else(|err| panic!("{tag}: analyze tripped the budget: {err}"));
+            assert_eq!(analyzed.stats, plain.stats, "{tag}: budgeted analyze");
+
+            // The governor charges one intermediate tuple per tuple a
+            // breaker materializes, which is what `intermediate_tuples`
+            // sums — so this is the plain run's governor watermark.
+            let entries = e.slow_log().entries();
+            let entry = entries.last().expect("threshold 0 retains every query");
             assert_eq!(
-                totals.comparisons as usize, result.stats.comparisons,
-                "comparisons conservation for {tag}"
+                entry.peak_intermediate_tuples, plain.stats.intermediate_tuples as u64,
+                "{tag}: slow-log tuple watermark"
             );
             assert_eq!(
-                totals.probes as usize, result.stats.probes,
-                "probes conservation for {tag}"
-            );
-            assert_eq!(
-                totals.base_reads as usize, result.stats.base_tuples_read,
-                "base-read conservation for {tag}"
+                entry.peak_memory_bytes, plain.stats.peak_intermediate_bytes as u64,
+                "{tag}: slow-log memory watermark"
             );
         }
     }

@@ -1,9 +1,9 @@
-//! Cross-thread-count determinism of the morsel-driven batch executor.
+//! Cross-thread-count determinism of the morsel-driven push pipelines.
 //!
 //! Every tier-1 query must produce the same answers — same tuples, same
-//! order — and the same merged [`ExecStats`] (minus the morsel dispatch
-//! counter, which legitimately depends on the execution configuration) at
-//! 1, 2 and 8 threads. This is the executable form of the PR's exactness
+//! order — and the same merged [`ExecStats`], peak watermarks included
+//! (minus the morsel dispatch counters, which legitimately depend on the
+//! execution configuration) at 1, 2 and 8 threads. This is the executable form of the PR's exactness
 //! guarantee: parallelism is an execution detail, invisible to every
 //! observable the paper's claims are stated over.
 //!

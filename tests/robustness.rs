@@ -155,12 +155,13 @@ fn intermediate_and_memory_budgets() {
     assert_eq!(e.query("p(x) & !q(x)").unwrap().len(), 1000);
 }
 
-/// The intermediate-tuple budget holds on every execution path: the
-/// plain query runs the push pipelines, and arming the slow log attaches
-/// the engine's own profiler, which at two or more threads routes the
-/// query through the legacy batch executor. A build side over the budget
-/// must trip with the same `used` on all of them, and a query that fits
-/// must leave the same tuple watermark in the slow log.
+/// The intermediate-tuple budget holds observed or not: arming the slow
+/// log attaches the engine's own profiler, and the query still runs the
+/// push pipelines a plain one does (the body predates that — it was
+/// written against a second executor — and passes unmodified). A build
+/// side over the budget must trip with the same `used` at every thread
+/// count, armed or plain, and a query that fits must leave the same tuple
+/// watermark in the slow log.
 #[test]
 fn intermediate_budget_trips_identically_on_every_executor() {
     // Exact trip points: keep injected faults out while this runs.

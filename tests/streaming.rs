@@ -1,23 +1,30 @@
-//! Streaming-vs-materialized property suite for the push-based executor.
+//! Push-vs-pull property suite for the one executor behind
+//! `Evaluator::eval`.
 //!
-//! `EngineOptions::streaming` is a pure execution detail: every observable
-//! the paper's claims are stated over — answers, answer *order*, and
-//! [`ExecStats::without_dispatch_counters`] — must be bit-identical
-//! between the push pipelines and the legacy materializing executor, at
-//! every strategy, option set, and thread count. What *does* change is
-//! the peak intermediate watermark: pipelines materialize only at
-//! breakers, so disjunctive/union-shaped plans shed the per-operator
-//! buffers entirely. The suite pins both halves of that contract, plus
-//! the §3.2 laziness claim (LIMIT / non-emptiness provably stop upstream
-//! producers) and engine reusability after mid-pipeline aborts.
+//! `Evaluator::eval` runs the push pipelines at every thread count;
+//! `Evaluator::stream` is the lazy pull stream the short-circuiting entry
+//! points use. The two share no operator code, so a full drain of the
+//! stream is an independent reference for the pipelines: answers, answer
+//! *order*, and [`ExecStats::without_dispatch_counters`] must agree for
+//! every suite query at every strategy, option set, and thread count —
+//! and among thread counts the peak intermediate watermarks too. The
+//! suite also pins what the pipelines are for (only breakers
+//! materialize), the §3.2 laziness claim (LIMIT / non-emptiness provably
+//! stop upstream producers) and engine reusability after mid-pipeline
+//! aborts.
 //!
 //! `GQ_TEST_THREADS` (CI sweeps 1/2/8) narrows the thread matrix to one
 //! count; unset, each test sweeps all three.
 
-use gq_algebra::{AlgebraExpr, Evaluator, ExecStats, Predicate};
+use gq_algebra::{
+    optimize, shared_subplans, AlgebraExpr, Evaluator, ExecStats, IndexCache, Predicate,
+};
 use gq_bench::E2E_SUITE;
-use gq_core::{EngineError, EngineOptions, ExecConfig, QueryEngine, QueryLimits, Strategy};
-use gq_storage::{tuple, Database, Schema};
+use gq_calculus::parse;
+use gq_core::{EngineError, ExecConfig, QueryEngine, QueryLimits, Strategy};
+use gq_rewrite::canonicalize;
+use gq_storage::{tuple, Database, Schema, Tuple};
+use gq_translate::{ClassicalTranslator, ImprovedTranslator};
 use gq_workload::{university, UniversityScale};
 
 /// Morsel size small enough that a ~300-row instance spans several
@@ -34,126 +41,206 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-fn engine(threads: usize) -> QueryEngine {
-    QueryEngine::new(university(&UniversityScale::of_size(300)))
-        .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(MORSEL))
+/// The evaluator-level options `EngineOptions` maps to.
+#[derive(Clone, Copy, Default)]
+struct Opts {
+    optimize: bool,
+    share_subplans: bool,
+    use_base_indexes: bool,
+    cse: bool,
 }
 
-fn streaming_opts() -> EngineOptions {
-    EngineOptions::default() // streaming: true is the default
+/// The algebra plans `text` compiles to under `strategy`, the way the
+/// engine compiles it: one for an open query, one per (non-)emptiness
+/// test for a closed one. `None` when the query is outside the
+/// strategy's fragment.
+fn compile(db: &Database, text: &str, strategy: Strategy, opts: Opts) -> Option<Vec<AlgebraExpr>> {
+    let formula = parse(text).unwrap();
+    let tune = |plan: &AlgebraExpr| {
+        if opts.optimize {
+            optimize(plan)
+        } else {
+            plan.clone()
+        }
+    };
+    let plans = match (strategy, formula.is_closed()) {
+        (Strategy::Improved, closed) => {
+            let canonical = canonicalize(&formula).unwrap();
+            let tr = ImprovedTranslator::new(db).with_cost_ordering(opts.optimize);
+            if closed {
+                let plan = tr.translate_closed(&canonical).unwrap();
+                plan.algebra_exprs().into_iter().map(tune).collect()
+            } else {
+                vec![tune(&tr.translate_open(&canonical).unwrap().1)]
+            }
+        }
+        (Strategy::Classical, true) => {
+            let plan = ClassicalTranslator::new(db)
+                .translate_closed(&formula)
+                .ok()?;
+            plan.algebra_exprs().into_iter().map(tune).collect()
+        }
+        (Strategy::Classical, false) => {
+            vec![tune(
+                &ClassicalTranslator::new(db)
+                    .translate_open(&formula)
+                    .ok()?
+                    .1,
+            )]
+        }
+        (Strategy::NestedLoop, _) => return None,
+    };
+    Some(plans)
 }
 
-fn legacy_opts() -> EngineOptions {
-    EngineOptions {
-        streaming: false,
-        ..EngineOptions::default()
+fn evaluator<'a>(
+    db: &'a Database,
+    plan: &AlgebraExpr,
+    opts: Opts,
+    cache: &'a IndexCache,
+    threads: usize,
+) -> Evaluator<'a> {
+    let mut ev = if opts.share_subplans {
+        Evaluator::with_sharing(db)
+    } else {
+        Evaluator::new(db)
+    }
+    .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(MORSEL));
+    if opts.use_base_indexes {
+        ev = ev.with_index_cache(cache);
+    }
+    if opts.cse {
+        ev = ev.with_cse(shared_subplans(&[plan]));
+    }
+    ev
+}
+
+/// `Evaluator::eval` of `plan` at every thread count against a full drain
+/// of `Evaluator::stream` over the same plan: same rows in the same
+/// order, same counters. The one licensed difference is the peak
+/// watermark — the pipelines release a build side when the probe it fed
+/// unwinds, the pull stream holds every buffer to the end — so the push
+/// peak may only be lower; among thread counts it may not differ at all.
+fn assert_push_matches_pull_drain(label: &str, db: &Database, plan: &AlgebraExpr, opts: Opts) {
+    // Fresh index caches per run keep the build charges comparable.
+    let cache = IndexCache::new();
+    let pull = evaluator(db, plan, opts, &cache, 1);
+    let rows: Vec<Tuple> = pull.stream(plan).unwrap().collect();
+    let mut expected = pull.stats().without_dispatch_counters();
+    expected.tuples_emitted += rows.len();
+
+    let mut across_threads: Option<ExecStats> = None;
+    for threads in thread_counts() {
+        let cache = IndexCache::new();
+        let push = evaluator(db, plan, opts, &cache, threads);
+        let out = push.eval(plan).unwrap();
+        assert_eq!(
+            out.tuples(),
+            rows.as_slice(),
+            "{label}: rows/order differ, push@{threads} vs pull drain"
+        );
+        let got = push.stats().without_dispatch_counters();
+        assert!(
+            got.peak_intermediate_tuples <= expected.peak_intermediate_tuples
+                && got.peak_intermediate_bytes <= expected.peak_intermediate_bytes,
+            "{label}: push@{threads} peaked above the pull drain: {got} vs {expected}"
+        );
+        let masked = ExecStats {
+            peak_intermediate_tuples: expected.peak_intermediate_tuples,
+            peak_intermediate_bytes: expected.peak_intermediate_bytes,
+            ..got.clone()
+        };
+        assert_eq!(
+            masked, expected,
+            "{label}: stats differ, push@{threads} vs pull drain"
+        );
+        match &across_threads {
+            None => across_threads = Some(got),
+            Some(first) => assert_eq!(
+                &got, first,
+                "{label}: stats (peaks included) vary with the thread count at {threads}"
+            ),
+        }
     }
 }
 
-/// Tier-1 exactness: the push pipelines and the legacy batch executor
-/// agree on answers, order, and every counter the dispatch mask keeps,
-/// for every suite query × strategy × thread count.
+/// Tier-1 exactness: the push pipelines agree with the independent pull
+/// reference on answers, order, and every counter the dispatch mask
+/// keeps, for every suite query × algebraic strategy × thread count.
 #[test]
-fn streaming_matches_materialized_bit_identically() {
+fn push_matches_pull_drain_bit_identically() {
+    let db = university(&UniversityScale::of_size(300));
+    let mut compared = 0;
     for (label, text) in E2E_SUITE {
-        for strategy in Strategy::ALL {
-            let baseline = engine(1)
-                .query_with_options(text, strategy, legacy_opts())
-                .unwrap();
-            for threads in thread_counts() {
-                let r = engine(threads)
-                    .query_with_options(text, strategy, streaming_opts())
-                    .unwrap();
-                assert_eq!(r.vars, baseline.vars, "{label}: vars differ");
-                assert_eq!(
-                    r.answers.tuples(),
-                    baseline.answers.tuples(),
-                    "{label} [{}]: answers/order differ streaming@{threads} vs legacy@1",
-                    strategy.name()
-                );
-                assert_eq!(
-                    r.stats.without_dispatch_counters(),
-                    baseline.stats.without_dispatch_counters(),
-                    "{label} [{}]: stats differ streaming@{threads} vs legacy@1",
-                    strategy.name()
-                );
+        for strategy in [Strategy::Improved, Strategy::Classical] {
+            // Some suite queries are outside the classical translator's
+            // fragment; skip those.
+            let Some(plans) = compile(&db, text, strategy, Opts::default()) else {
+                continue;
+            };
+            for plan in &plans {
+                let label = format!("{label} [{}]", strategy.name());
+                assert_push_matches_pull_drain(&label, &db, plan, Opts::default());
+                compared += 1;
             }
         }
     }
+    assert!(
+        compared >= 2 * E2E_SUITE.len() - 4,
+        "compared only {compared} plans"
+    );
 }
 
 /// The equivalence survives the orthogonal engine options: optimizer,
-/// shared-subplan memoization, persistent base indexes, and CSE. Fresh
-/// engines per run keep the index cache cold so build charges compare.
+/// shared-subplan memoization, persistent base indexes, and CSE — each
+/// alone and all together.
 #[test]
-fn streaming_matches_materialized_under_all_options() {
-    let mut with = EngineOptions {
-        optimize: true,
-        share_subplans: true,
-        use_base_indexes: true,
-        cse: true,
-        ..EngineOptions::default()
-    };
-    for (label, text) in E2E_SUITE {
-        with.streaming = false;
-        let baseline = engine(1)
-            .query_with_options(text, Strategy::Improved, with)
-            .unwrap();
-        with.streaming = true;
-        for threads in thread_counts() {
-            let r = engine(threads)
-                .query_with_options(text, Strategy::Improved, with)
-                .unwrap();
-            assert_eq!(
-                r.answers.tuples(),
-                baseline.answers.tuples(),
-                "{label}: answers/order differ with options at {threads} threads"
-            );
-            assert_eq!(
-                r.stats.without_dispatch_counters(),
-                baseline.stats.without_dispatch_counters(),
-                "{label}: stats differ with options at {threads} threads"
-            );
-        }
-    }
-}
-
-/// The peak watermark itself (excluded from the dispatch mask because the
-/// *legacy* executor's peaks differ from streaming's) is structural on
-/// the streaming path: breakers charge coordinator-side in plan order, so
-/// 1, 2 and 8 threads report the identical high-water mark.
-#[test]
-fn streaming_peaks_are_thread_count_invariant() {
-    for (label, text) in E2E_SUITE {
-        let mut baseline: Option<(usize, usize)> = None;
-        for threads in [1usize, 2, 8] {
-            let r = engine(threads)
-                .query_with_options(text, Strategy::Improved, streaming_opts())
-                .unwrap();
-            let peaks = (
-                r.stats.peak_intermediate_tuples,
-                r.stats.peak_intermediate_bytes,
-            );
-            match baseline {
-                None => baseline = Some(peaks),
-                Some(b) => assert_eq!(
-                    peaks, b,
-                    "{label}: streaming peak watermark varies with thread count at {threads}"
-                ),
+fn push_matches_pull_drain_under_all_options() {
+    let db = university(&UniversityScale::of_size(300));
+    let one_at_a_time = [
+        Opts {
+            optimize: true,
+            ..Opts::default()
+        },
+        Opts {
+            share_subplans: true,
+            ..Opts::default()
+        },
+        Opts {
+            use_base_indexes: true,
+            ..Opts::default()
+        },
+        Opts {
+            cse: true,
+            ..Opts::default()
+        },
+        Opts {
+            optimize: true,
+            share_subplans: true,
+            use_base_indexes: true,
+            cse: true,
+        },
+    ];
+    for (i, opts) in one_at_a_time.into_iter().enumerate() {
+        for (label, text) in E2E_SUITE {
+            for plan in &compile(&db, text, Strategy::Improved, opts).unwrap() {
+                let label = format!("{label} [option set {i}]");
+                assert_push_matches_pull_drain(&label, &db, plan, opts);
             }
         }
     }
 }
 
-/// The headline metric: on E-PAR workloads whose plans are dominated by
-/// select/project/complement chains, the legacy executor's per-operator
-/// buffers push the peak intermediate watermark at least 5× above the
-/// streaming executor's, which materializes only breaker build sides.
-/// (Queries that *are* one big breaker — division, closed formulas —
-/// keep their peaks by construction; these two are the representative
-/// streaming wins, measured at ~23× and ~8× on this instance.)
+/// What the pipelines are for: on plans dominated by
+/// select/project/complement chains nothing but breaker build sides is
+/// ever live, so the peak intermediate watermark is bounded by what the
+/// breakers materialized in total (`intermediate_tuples`, which counts
+/// build sides only) — next to
+/// `union_of_semijoins_peaks_at_largest_branch_build`, which pins the
+/// release side. The node-per-`Vec` executor this replaced charged every
+/// operator's output and peaked 8–23× above that bound on these two.
 #[test]
-fn streaming_slashes_peak_intermediates() {
+fn only_breaker_builds_count_toward_the_peak() {
     let workloads = [
         (
             "neg-subquery (P4 c3)",
@@ -164,39 +251,22 @@ fn streaming_slashes_peak_intermediates() {
             "student(x) & (!enrolled(x,\"d0\") | skill(x,\"db\"))",
         ),
     ];
-    let big = || {
-        QueryEngine::new(university(&UniversityScale::of_size(1000)))
-            .with_exec_config(ExecConfig::with_threads(2).with_morsel_size(MORSEL))
-    };
     for (label, text) in workloads {
-        let legacy = big()
-            .query_with_options(text, Strategy::Improved, legacy_opts())
+        let r = QueryEngine::new(university(&UniversityScale::of_size(1000)))
+            .with_exec_config(ExecConfig::with_threads(2).with_morsel_size(MORSEL))
+            .query(text)
             .unwrap();
-        let streaming = big()
-            .query_with_options(text, Strategy::Improved, streaming_opts())
-            .unwrap();
-        assert_eq!(
-            legacy.answers.tuples(),
-            streaming.answers.tuples(),
-            "{label}: executors disagree on answers"
-        );
-        let (lp, sp) = (
-            legacy.stats.peak_intermediate_tuples,
-            streaming.stats.peak_intermediate_tuples,
-        );
-        assert!(lp > 0, "{label}: legacy run recorded no peak watermark");
+        let s = &r.stats;
+        assert!(s.max_intermediate > 0, "{label}: no breaker build at all");
         assert!(
-            lp >= 5 * sp.max(1),
-            "{label}: expected >=5x peak reduction, got legacy={lp} streaming={sp}"
+            s.max_intermediate <= s.peak_intermediate_tuples
+                && s.peak_intermediate_tuples <= s.intermediate_tuples,
+            "{label}: peak {} outside [largest build {}, all builds {}]",
+            s.peak_intermediate_tuples,
+            s.max_intermediate,
+            s.intermediate_tuples
         );
-        let (lb, sb) = (
-            legacy.stats.peak_intermediate_bytes,
-            streaming.stats.peak_intermediate_bytes,
-        );
-        assert!(
-            lb >= 5 * sb.max(1),
-            "{label}: expected >=5x byte-peak reduction, got legacy={lb} streaming={sb}"
-        );
+        assert!(s.peak_intermediate_bytes > 0, "{label}: bytes not charged");
     }
 }
 
@@ -342,9 +412,7 @@ fn aborted_pipeline_leaves_engine_usable() {
         let mut e = QueryEngine::new(termination_db(3000))
             .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(MORSEL));
         e.set_limits(QueryLimits::UNLIMITED.with_max_output_tuples(100));
-        let err = e
-            .query_with_options("p(x) & r(x,y)", Strategy::Improved, streaming_opts())
-            .unwrap_err();
+        let err = e.query("p(x) & r(x,y)").unwrap_err();
         match err {
             EngineError::ResourceExhausted { phase, limit, .. } => {
                 assert_eq!(phase, "evaluate");
@@ -354,12 +422,7 @@ fn aborted_pipeline_leaves_engine_usable() {
         }
         // Same engine, limits lifted: the follow-up query runs clean.
         e.set_limits(QueryLimits::UNLIMITED);
-        assert_eq!(
-            e.query_with_options("p(x) & r(x,y)", Strategy::Improved, streaming_opts())
-                .unwrap()
-                .len(),
-            3000
-        );
+        assert_eq!(e.query("p(x) & r(x,y)").unwrap().len(), 3000);
     }
     trip_limits.dedup();
     assert_eq!(
@@ -410,9 +473,7 @@ mod chaos {
             let e = QueryEngine::new(termination_db(4000))
                 .with_exec_config(ExecConfig::with_threads(4).with_morsel_size(256));
             let _g = gq_chaos::install(ChaosConfig::with_seed(seed()).worker_panic(1.0));
-            let err = e
-                .query_with_options("p(x) & r(x,y)", Strategy::Improved, streaming_opts())
-                .unwrap_err();
+            let err = e.query("p(x) & r(x,y)").unwrap_err();
             match err {
                 EngineError::WorkerPanic { phase, ref message } => {
                     assert_eq!(phase, "evaluate");
@@ -421,12 +482,7 @@ mod chaos {
                 other => panic!("expected WorkerPanic, got {other:?}"),
             }
             drop(_g);
-            assert_eq!(
-                e.query_with_options("p(x) & r(x,y)", Strategy::Improved, streaming_opts())
-                    .unwrap()
-                    .len(),
-                4000
-            );
+            assert_eq!(e.query("p(x) & r(x,y)").unwrap().len(), 4000);
         });
     }
 
@@ -444,9 +500,7 @@ mod chaos {
                 .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(64));
             e.set_limits(QueryLimits::UNLIMITED.with_deadline(Duration::from_millis(50)));
             let start = Instant::now();
-            let err = e
-                .query_with_options("p(x) & r(x,y)", Strategy::Improved, streaming_opts())
-                .unwrap_err();
+            let err = e.query("p(x) & r(x,y)").unwrap_err();
             assert!(
                 matches!(err, EngineError::Cancelled { .. }),
                 "threads={threads}: expected Cancelled, got {err:?}"
@@ -458,12 +512,7 @@ mod chaos {
             drop(_g);
             // Fault and deadline removed: the same engine recovers.
             e.set_limits(QueryLimits::UNLIMITED);
-            assert_eq!(
-                e.query_with_options("p(x)", Strategy::Improved, streaming_opts())
-                    .unwrap()
-                    .len(),
-                20_000
-            );
+            assert_eq!(e.query("p(x)").unwrap().len(), 20_000);
         }
     }
 
@@ -476,7 +525,7 @@ mod chaos {
             let _g = gq_chaos::install(ChaosConfig::with_seed(seed()).scan_error(0.3));
             let e = QueryEngine::new(termination_db(500))
                 .with_exec_config(ExecConfig::with_threads(2).with_morsel_size(64));
-            e.query_with_options("p(x) & r(x,y)", Strategy::Improved, streaming_opts())
+            e.query("p(x) & r(x,y)")
                 .map(|r| r.answers.tuples().to_vec())
                 .map_err(|e| e.to_string())
         };
