@@ -495,13 +495,13 @@ pub fn delta_database(
 }
 
 /// Like [`delta_database`], but every `r@old` extent is registered as an
-/// **empty placeholder**: copying (and renaming) a large pre-mutation
-/// extent is the dominant cost of building a delta database, and most
-/// delta plans never read it — an insert-only or remove-only mutation
-/// folds all `@old` terms away (see [`delta_plan`]). After rewriting,
-/// collect the names a plan actually reads with [`referenced_old_names`]
-/// and swap the real extents in with [`materialize_old`] before
-/// evaluating.
+/// **empty placeholder**: most delta plans never read it — an insert-only
+/// or remove-only mutation folds all `@old` terms away (see
+/// [`delta_plan`]). After rewriting, collect the names a plan actually
+/// reads with [`referenced_old_names`] and swap the real extents in with
+/// [`materialize_old`] before evaluating. Swapping one in shares the
+/// pre-mutation extent's storage under the new name (O(chunks), no tuple
+/// is copied), so what the laziness saves is catalog churn, not copying.
 pub fn delta_database_lazy(
     new: &Database,
     old: &Database,
@@ -553,7 +553,7 @@ pub fn referenced_old_names(
 }
 
 /// Replace the placeholder `r@old` extents of a lazily-built delta
-/// database with real renamed copies of the pre-mutation extents, for
+/// database with the pre-mutation extents under their `r@old` names, for
 /// exactly the given changed-relation names.
 pub fn materialize_old(
     db: &mut Database,
@@ -562,7 +562,8 @@ pub fn materialize_old(
 ) -> Result<(), StorageError> {
     for name in names {
         if let Ok(r) = old.relation_arc(name) {
-            // Renaming requires copying this one relation's tuples.
+            // A structural share: the renamed value holds the old
+            // extent's chunks and shards, and copies no tuple.
             let mut renamed = (*r).clone();
             renamed.set_name(old_name(name));
             db.replace_relation_arc(Arc::new(renamed));

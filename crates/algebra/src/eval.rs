@@ -409,7 +409,8 @@ impl<'db> Evaluator<'db> {
     /// complement-joins and constrained outer-joins whose build side is a
     /// direct relation scan probe the cached
     /// [`HashIndex`](gq_storage::HashIndex) instead of rebuilding a key
-    /// set. The cache must be cleared by the caller on database mutation.
+    /// set. Entries are keyed by relation version, so a cache shared
+    /// across mutations never serves a stale index (see [`IndexCache`]).
     pub fn with_index_cache(mut self, cache: &'db IndexCache) -> Self {
         self.index_cache = Some(cache);
         self
@@ -857,7 +858,7 @@ impl<'db> Evaluator<'db> {
                     let rt = unshare(self.materialize(right, "sort-input")?);
                     return Ok(Box::new(self.sort_merge(lt, rt, on).into_iter()));
                 }
-                if let Some((idx, rel)) = self.cached_index(right, on)? {
+                if let Some(idx) = self.cached_index(right, on)? {
                     let stats = self.stats.clone();
                     let left = self.stream(left)?;
                     let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
@@ -868,10 +869,7 @@ impl<'db> Evaluator<'db> {
                         let matches = idx.probe_with(&l, &left_cols, &mut scratch);
                         s.comparisons += matches.len().max(1);
                         drop(s);
-                        matches
-                            .iter()
-                            .map(|&rid| l.concat(&rel.tuples()[rid]))
-                            .collect::<Vec<_>>()
+                        matches.iter().map(|r| l.concat(r)).collect::<Vec<_>>()
                     })));
                 }
                 let right_tuples = self.materialize(right, "join-build")?;
@@ -1014,15 +1012,15 @@ impl<'db> Evaluator<'db> {
         }
     }
 
-    /// The persistent index over the right-hand columns of `on`, with the
-    /// relation it indexes, when an index cache is attached and `right`
-    /// is a plain relation scan — which is then never evaluated. Built on
-    /// first use, charging that one scan.
+    /// The persistent index over the right-hand columns of `on`, when an
+    /// index cache is attached and `right` is a plain relation scan —
+    /// which is then never evaluated. Built on first use, charging that
+    /// one scan.
     pub(crate) fn cached_index(
         &self,
         right: &AlgebraExpr,
         on: &[(usize, usize)],
-    ) -> Result<Option<(Arc<HashIndex>, &'db Relation)>, AlgebraError> {
+    ) -> Result<Option<Arc<HashIndex>>, AlgebraError> {
         let (Some(cache), AlgebraExpr::Relation(name)) = (self.index_cache, right) else {
             return Ok(None);
         };
@@ -1037,11 +1035,7 @@ impl<'db> Evaluator<'db> {
                 s.base_tuples_read += len;
             })
             .map_err(AlgebraError::Storage)?;
-        let rel = self
-            .db
-            .relation(name)
-            .map_err(|_| AlgebraError::UnknownRelation(name.clone()))?;
-        Ok(Some((idx, rel)))
+        Ok(Some(idx))
     }
 
     /// Build the probe structure for the right side of a
@@ -1053,7 +1047,7 @@ impl<'db> Evaluator<'db> {
         right: &AlgebraExpr,
         on: &[(usize, usize)],
     ) -> Result<ProbeSide, AlgebraError> {
-        if let Some((idx, _)) = self.cached_index(right, on)? {
+        if let Some(idx) = self.cached_index(right, on)? {
             return Ok(ProbeSide::Index(idx));
         }
         let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();

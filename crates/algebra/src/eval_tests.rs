@@ -659,8 +659,8 @@ fn cse_stats_identical_across_thread_counts() {
             .with_cse(shared.clone());
         let got = par.eval(&plan).unwrap();
         assert_eq!(
-            got.tuples(),
-            expected.tuples(),
+            got.iter().collect::<Vec<_>>(),
+            expected.iter().collect::<Vec<_>>(),
             "rows differ at {threads} threads"
         );
         assert_eq!(

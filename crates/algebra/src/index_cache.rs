@@ -6,12 +6,15 @@
 //! (typically the engine) and shared by every
 //! [`Evaluator`](crate::Evaluator) created with
 //! [`Evaluator::with_index_cache`](crate::Evaluator). Entries are keyed by
-//! the *catalog epoch* of the database they were built from, so concurrent
-//! readers pinned to different snapshots each resolve to an index that
-//! matches their own snapshot — a reader can never probe an index built
-//! from a newer (or older) catalog version. [`clear`](IndexCache::clear)
-//! after mutations bounds memory by discarding indexes for superseded
-//! epochs; it is no longer required for correctness.
+//! the indexed relation's *version stamp*
+//! ([`Database::relation_version`]) in the database they were built from,
+//! so concurrent readers pinned to different snapshots each resolve to an
+//! index that matches their own snapshot — a reader can never probe an
+//! index built from a newer (or older) version of the relation — and a
+//! write to one relation leaves every other relation's indexes in place.
+//! [`retain_current`](IndexCache::retain_current) after a write bounds
+//! memory by discarding the indexes of superseded versions; it is not
+//! required for correctness.
 //!
 //! Indexes are handed out as `Arc`s so the morsel-driven parallel kernels
 //! (see [`ExecConfig`](crate::ExecConfig)) can probe them from worker
@@ -22,7 +25,7 @@ use gq_storage::{Database, HashIndex};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Cache key: catalog epoch + relation name + build columns.
+/// Cache key: relation version stamp + relation name + build columns.
 type Key = (u64, String, Vec<usize>);
 
 /// A registry of base-relation hash indexes.
@@ -43,8 +46,9 @@ impl IndexCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The index on `relation`'s `cols` as of `db`'s epoch, building (and
-    /// recording the build cost via `on_build`) only on first use.
+    /// The index on `relation`'s `cols` as of the relation's version in
+    /// `db`, building (and recording the build cost via `on_build`) only
+    /// on first use.
     pub fn get_or_build(
         &self,
         db: &Database,
@@ -52,7 +56,11 @@ impl IndexCache {
         cols: &[usize],
         on_build: impl FnOnce(usize),
     ) -> Result<Arc<HashIndex>, gq_storage::StorageError> {
-        let key = (db.epoch(), relation.to_string(), cols.to_vec());
+        let key = (
+            db.relation_version(relation),
+            relation.to_string(),
+            cols.to_vec(),
+        );
         if let Some(idx) = self.lock().get(&key) {
             return Ok(idx.clone());
         }
@@ -65,8 +73,8 @@ impl IndexCache {
         let idx = Arc::new(HashIndex::build(rel, cols));
         on_build(rel.len());
         // A racing builder may have inserted the same key meanwhile; either
-        // index is equivalent (same epoch ⇒ same relation contents), so the
-        // last write simply wins.
+        // index is equivalent (same version ⇒ same relation contents), so
+        // the last write simply wins.
         self.lock().insert(key, idx.clone());
         Ok(idx)
     }
@@ -81,10 +89,13 @@ impl IndexCache {
         self.lock().is_empty()
     }
 
-    /// Drop every cached index (call after database mutations to bound
-    /// memory; epoch-keyed lookups stay correct either way).
-    pub fn clear(&self) {
-        self.lock().clear();
+    /// Drop the indexes of relation versions `db` has moved past (call
+    /// with the newly published catalog after a write, to bound memory;
+    /// version-keyed lookups stay correct either way). Indexes of
+    /// relations the write did not touch stay.
+    pub fn retain_current(&self, db: &Database) {
+        self.lock()
+            .retain(|(version, relation, _), _| db.relation_version(relation) == *version);
     }
 }
 
@@ -118,13 +129,19 @@ mod tests {
     }
 
     #[test]
-    fn clear_invalidates() {
-        let db = db();
+    fn retain_current_drops_only_superseded_versions() {
+        let mut db = db();
+        db.create_relation("s", Schema::anonymous(1)).unwrap();
         let cache = IndexCache::new();
-        cache.get_or_build(&db, "r", &[0], |_| {}).unwrap();
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
+        let r = cache.get_or_build(&db, "r", &[0], |_| {}).unwrap();
+        cache.get_or_build(&db, "s", &[0], |_| {}).unwrap();
+        cache.retain_current(&db);
+        assert_eq!(cache.len(), 2, "nothing moved, nothing dropped");
+        db.insert("s", tuple![1]).unwrap();
+        cache.retain_current(&db);
+        assert_eq!(cache.len(), 1);
+        let again = cache.get_or_build(&db, "r", &[0], |_| {}).unwrap();
+        assert!(Arc::ptr_eq(&r, &again), "r's index survived the write to s");
     }
 
     #[test]
@@ -134,13 +151,13 @@ mod tests {
     }
 
     #[test]
-    fn epochs_key_distinct_indexes() {
+    fn versions_key_distinct_indexes() {
         let mut db = db();
         let cache = IndexCache::new();
         let old = cache.get_or_build(&db, "r", &[0], |_| {}).unwrap();
         let snapshot = db.clone();
         db.insert("r", tuple![3, 30]).unwrap();
-        // The mutated catalog resolves to a fresh index at its new epoch…
+        // The mutated catalog resolves to a fresh index at r's new version…
         let new = cache.get_or_build(&db, "r", &[0], |_| {}).unwrap();
         assert!(!Arc::ptr_eq(&old, &new));
         // …while a reader pinned to the old snapshot still gets the old one.

@@ -453,7 +453,11 @@ mod tests {
                 let par = Evaluator::new(&db)
                     .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(64));
                 let got = par.eval(&plan).unwrap();
-                assert_eq!(got.tuples(), expected.tuples(), "row order differs");
+                assert_eq!(
+                    got.iter().collect::<Vec<_>>(),
+                    expected.iter().collect::<Vec<_>>(),
+                    "row order differs"
+                );
                 assert_eq!(
                     par.stats().without_dispatch_counters(),
                     seq.stats().without_dispatch_counters(),
@@ -487,7 +491,10 @@ mod tests {
         let got = par.eval(&join_plan()).unwrap();
         let seq = Evaluator::new(&db);
         let expected = seq.eval(&join_plan()).unwrap();
-        assert_eq!(got.tuples(), expected.tuples());
+        assert_eq!(
+            got.iter().collect::<Vec<_>>(),
+            expected.iter().collect::<Vec<_>>()
+        );
         assert_eq!(
             par.stats().without_dispatch_counters(),
             seq.stats().without_dispatch_counters()

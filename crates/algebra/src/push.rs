@@ -130,7 +130,6 @@ enum WorkOp<'a> {
     /// Hash-join probe against a cached base-relation index.
     CachedProbe {
         idx: Arc<HashIndex>,
-        rel: &'a Relation,
         left_cols: Vec<usize>,
     },
     /// Semi-join (`negate: false`) or complement-join (`true`) probe.
@@ -285,7 +284,7 @@ impl<'db> PushExec<'_, 'db> {
         // subplan becomes a buffer source, exactly like the pull stream's
         // early return.
         if let Some(shared) = self.ev.cse_get(e)? {
-            return self.run_pipeline(&shared, None, chain, sink);
+            return self.run_pipeline(&[&shared], None, chain, sink);
         }
         self.ev.check_governor()?;
         self.ev.stats.borrow_mut().operators_evaluated += 1;
@@ -301,11 +300,13 @@ impl<'db> PushExec<'_, 'db> {
                     .relation(name)
                     .map_err(|_| AlgebraError::UnknownRelation(name.clone()))?;
                 self.ev.stats.borrow_mut().base_scans += 1;
-                self.run_pipeline(rel.tuples(), Some(e), chain, sink)
+                let runs: Vec<&[Tuple]> = rel.runs().collect();
+                self.run_pipeline(&runs, Some(e), chain, sink)
             }
             AlgebraExpr::Literal(r) => {
                 self.ev.stats.borrow_mut().base_scans += 1;
-                self.run_pipeline(r.tuples(), Some(e), chain, sink)
+                let runs: Vec<&[Tuple]> = r.runs().collect();
+                self.run_pipeline(&runs, Some(e), chain, sink)
             }
             AlgebraExpr::Select { input, predicate } => {
                 chain.push(ChainOp::Work(e, WorkOp::Filter(predicate)));
@@ -324,7 +325,7 @@ impl<'db> PushExec<'_, 'db> {
                     let (tuples, _guard) = self.ev.materialize_scoped(input, "group-input")?;
                     Ok(self.ev.group_count(&tuples, group))
                 })?;
-                self.run_pipeline(&out, None, chain, sink)
+                self.run_pipeline(&[&out], None, chain, sink)
             }
             AlgebraExpr::Product { left, right } => {
                 let (right_tuples, guard) = self.own(e, no_rows, || {
@@ -343,17 +344,11 @@ impl<'db> PushExec<'_, 'db> {
                         let rt = unshare(self.ev.materialize(right, "sort-input")?);
                         Ok(self.ev.sort_merge(lt, rt, on))
                     })?;
-                    return self.run_pipeline(&out, None, chain, sink);
+                    return self.run_pipeline(&[&out], None, chain, sink);
                 }
                 let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-                if let Some((idx, rel)) =
-                    self.own(e, no_rows, || self.ev.cached_index(right, on))?
-                {
-                    let probe = WorkOp::CachedProbe {
-                        idx,
-                        rel,
-                        left_cols,
-                    };
+                if let Some(idx) = self.own(e, no_rows, || self.ev.cached_index(right, on))? {
+                    let probe = WorkOp::CachedProbe { idx, left_cols };
                     chain.push(ChainOp::Work(e, probe));
                     return self.run_node(left, chain, sink);
                 }
@@ -391,7 +386,7 @@ impl<'db> PushExec<'_, 'db> {
                         self.ev.materialize_scoped(left, "division-dividend")?;
                     Ok(self.ev.divide(&left_tuples, &right_tuples, left_arity, on))
                 })?;
-                self.run_pipeline(&out, None, chain, sink)
+                self.run_pipeline(&[&out], None, chain, sink)
             }
             AlgebraExpr::Union { left, right } => {
                 // One shared dedup set; each branch re-runs the leafward
@@ -483,7 +478,7 @@ impl<'db> PushExec<'_, 'db> {
         right: &AlgebraExpr,
         on: &[(usize, usize)],
     ) -> Result<(ParProbe, Option<LiveGuard>), AlgebraError> {
-        if let Some((idx, _)) = self.ev.cached_index(right, on)? {
+        if let Some(idx) = self.ev.cached_index(right, on)? {
             return Ok((ParProbe::Index(idx), None));
         }
         let (tuples, guard) = self.ev.materialize_scoped(right, "probe-build")?;
@@ -493,10 +488,12 @@ impl<'db> PushExec<'_, 'db> {
         Ok((ParProbe::Parts(parts), guard))
     }
 
-    /// Run one completed pipeline: morselize `input`, apply the chain's
-    /// stateless suffix on the workers the dispatch rule grants, release
-    /// batches in morsel order and finish them (stateful ops + sink) on
-    /// the coordinator.
+    /// Run one completed pipeline: morselize `input` — contiguous runs of
+    /// tuples, a relation's chunks or a breaker's one buffer, cut into
+    /// morsels by logical row number whatever the run boundaries — apply
+    /// the chain's stateless suffix on the workers the dispatch rule
+    /// grants, release batches in morsel order and finish them (stateful
+    /// ops + sink) on the coordinator.
     ///
     /// `scan` is the plan node of a base-relation source, whose tuples
     /// are charged to `base_tuples_read` as workers consume them — the
@@ -504,11 +501,12 @@ impl<'db> PushExec<'_, 'db> {
     /// sources (a breaker's output, a CSE share) pass `None`.
     fn run_pipeline(
         &self,
-        input: &[Tuple],
+        input: &[&[Tuple]],
         scan: Option<&AlgebraExpr>,
         chain: &[ChainOp<'_>],
         sink: &mut Sink,
     ) -> Result<(), AlgebraError> {
+        let input = Source::new(input);
         // Split at the last (leafward-most) dedup: everything after it is
         // stateless and runs on workers, it and everything before it run
         // on the coordinator in morsel order.
@@ -532,7 +530,7 @@ impl<'db> PushExec<'_, 'db> {
                 ChainOp::Dedup(..) => None,
             })
             .collect();
-        let dispatch = self.dispatch(input.len());
+        let dispatch = self.dispatch(input.len);
         // One attribution slot per chain op plus one for the scan — none
         // without a profiler, which is what keeps workers from opening
         // windows.
@@ -558,7 +556,7 @@ impl<'db> PushExec<'_, 'db> {
             ws.morsels += 1;
             match catch_unwind(AssertUnwindSafe(|| {
                 chaos_morsel_hooks(mi);
-                apply_work(&work_ops, ws, scan.is_some(), &input[range])
+                apply_work(&work_ops, ws, scan.is_some(), &input, range)
             })) {
                 Ok(batch) => Msg::Batch(mi, batch),
                 Err(p) => {
@@ -650,6 +648,50 @@ impl<'db> PushExec<'_, 'db> {
     }
 }
 
+/// A pipeline's input as contiguous runs, addressed by logical row
+/// number: row `i` is the `i`-th tuple of the runs laid end to end.
+struct Source<'t> {
+    runs: &'t [&'t [Tuple]],
+    /// Logical row number of each run's first tuple (prefix sums of the
+    /// run lengths).
+    starts: Vec<usize>,
+    len: usize,
+}
+
+impl<'t> Source<'t> {
+    fn new(runs: &'t [&'t [Tuple]]) -> Self {
+        let mut len = 0;
+        let starts = runs
+            .iter()
+            .map(|run| {
+                let start = len;
+                len += run.len();
+                start
+            })
+            .collect();
+        Source { runs, starts, len }
+    }
+
+    /// The rows of one morsel (a non-empty range below `len`) as a batch.
+    /// When runs and morsels are cut alike — a fully loaded relation at
+    /// the default morsel size — that is one run, whole.
+    fn rows(&self, range: Range<usize>) -> Vec<Tuple> {
+        let mut batch = Vec::with_capacity(range.len());
+        // The last run starting at or before the range: of several equal
+        // starts (empty runs), the one that has the row.
+        let mut run = self.starts.partition_point(|&s| s <= range.start) - 1;
+        let mut at = range.start;
+        while at < range.end {
+            let offset = at - self.starts[run];
+            let take = (self.runs[run].len() - offset).min(range.end - at);
+            batch.extend_from_slice(&self.runs[run][offset..offset + take]);
+            at += take;
+            run += 1;
+        }
+        batch
+    }
+}
+
 /// Coordinator tail of a pipeline: apply the order-sensitive chain
 /// segment (root-first order reversed, like the worker segment) and sink
 /// the survivors.
@@ -683,14 +725,16 @@ fn apply_work(
     ops: &[(usize, &WorkOp<'_>)],
     ws: &mut WorkerStats,
     scan: bool,
-    chunk: &[Tuple],
+    input: &Source<'_>,
+    morsel: Range<usize>,
 ) -> Vec<Tuple> {
     let source_slot = ws.ops.len().saturating_sub(1);
     let mut batch = in_slot(ws, source_slot, |stats| {
         if scan {
-            stats.base_tuples_read += chunk.len();
+            stats.base_tuples_read += morsel.len();
         }
-        (chunk.to_vec(), chunk.len())
+        let rows = morsel.len();
+        (input.rows(morsel), rows)
     });
     for &(slot, op) in ops {
         batch = apply_in_slot(op, slot, ws, batch);
@@ -763,18 +807,14 @@ fn apply_one(op: &WorkOp<'_>, stats: &mut ExecStats, batch: Vec<Tuple>) -> Vec<T
             }
             out
         }
-        WorkOp::CachedProbe {
-            idx,
-            rel,
-            left_cols,
-        } => {
+        WorkOp::CachedProbe { idx, left_cols } => {
             let mut scratch: Vec<Value> = Vec::new();
             let mut out = Vec::new();
             for l in &batch {
                 stats.probes += 1;
                 let matches = idx.probe_with(l, left_cols, &mut scratch);
                 stats.comparisons += matches.len().max(1);
-                out.extend(matches.iter().map(|&rid| l.concat(&rel.tuples()[rid])));
+                out.extend(matches.iter().map(|r| l.concat(r)));
             }
             out
         }
@@ -858,6 +898,52 @@ mod tests {
     use gq_storage::{tuple, Database, Schema};
     use std::rc::Rc;
 
+    /// Morsels are logical row ranges, whatever the chunk boundaries of
+    /// the relation scanned: a relation whose chunks thinned out — one of
+    /// them to nothing — scans into the same rows, in the same order, with
+    /// the same morsel count as the flat list of its tuples would, at
+    /// morsel sizes below, at and across the chunk size.
+    #[test]
+    fn ragged_chunks_scan_like_a_flat_vector() {
+        use crate::parallel::DEFAULT_MORSEL_SIZE;
+        let mut db = Database::new();
+        db.create_relation("r", Schema::anonymous(2)).unwrap();
+        for i in 0..3_500i64 {
+            db.insert("r", tuple![i, i % 10]).unwrap();
+        }
+        // A loaded relation is cut into chunks of exactly one morsel.
+        assert_eq!(db.relation("r").unwrap().parts().0, 4);
+        assert!(db
+            .relation("r")
+            .unwrap()
+            .runs()
+            .take(3)
+            .all(|run| run.len() == DEFAULT_MORSEL_SIZE));
+        // Empty the second chunk, thin the first and the third.
+        for i in (1_024..2_048)
+            .chain((0..1_024).step_by(3))
+            .chain(2_500..2_600)
+        {
+            assert!(db.remove("r", &tuple![i, i % 10]).unwrap());
+        }
+        let rel = db.relation("r").unwrap();
+        assert_eq!(rel.parts().0, 4, "the emptied chunk keeps its slot");
+        let rows = rel.len();
+        let plan = AlgebraExpr::relation("r")
+            .select(Predicate::True)
+            .project(vec![0, 1]);
+        let flat: Vec<_> = rel.iter().collect();
+        for (threads, morsel) in [(1, 64), (4, 64), (4, 1_000), (2, 1_024), (4, 1_500)] {
+            let ev = Evaluator::new(&db)
+                .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(morsel));
+            let out = ev.eval(&plan).unwrap();
+            assert_eq!(out.iter().collect::<Vec<_>>(), flat, "{threads}×{morsel}");
+            let stats = ev.stats();
+            assert_eq!(stats.morsels, rows.div_ceil(morsel), "{threads}×{morsel}");
+            assert_eq!(stats.base_tuples_read, rows);
+        }
+    }
+
     /// Attribution is paid for only when asked for: an unprofiled run —
     /// fused operators, every kind of breaker, the coordinator claiming
     /// morsels beside helpers — opens no [`super::Window`], so it takes
@@ -903,7 +989,10 @@ mod tests {
             let profiled = Evaluator::new(&db)
                 .with_exec_config(exec)
                 .with_profiler(Rc::clone(&profiler));
-            assert_eq!(profiled.eval(&plan).unwrap().tuples(), expected.tuples());
+            assert_eq!(
+                profiled.eval(&plan).unwrap().iter().collect::<Vec<_>>(),
+                expected.iter().collect::<Vec<_>>()
+            );
             assert!(WINDOWS_OPENED.get() > 0, "profiled run opened no window");
             assert_eq!(
                 profiled.stats(),

@@ -105,7 +105,8 @@ pub struct EngineOptions {
     /// [`QueryEngine::refresh_domain_view`] to have been called.
     pub domain_closure: bool,
     /// Probe persistent per-relation hash indexes (built lazily, cached
-    /// across queries, invalidated by [`QueryEngine::db_mut`]).
+    /// across queries; a write drops the indexes of the relations it
+    /// changed and no others).
     pub use_base_indexes: bool,
     /// Common-subexpression elimination: fingerprint the compiled plan's
     /// repeated interior subplans at compile time and evaluate each once
@@ -462,7 +463,7 @@ impl QueryEngine {
     /// [`QueryEngine::define_materialized_view`] with an explicit
     /// maintenance strategy ([`MaintenanceStrategy::Recompute`]
     /// re-evaluates the full plan after every relevant mutation — the
-    /// baseline the E-IVM bench compares against).
+    /// reference `tests/ivm.rs` compares incremental maintenance against).
     pub fn define_materialized_view_with(
         &self,
         name: impl Into<String>,
@@ -825,14 +826,15 @@ impl QueryEngine {
     }
 
     /// Republish `store`'s current catalog as the read snapshot (a COW
-    /// clone — relation payloads are shared `Arc`s) and drop superseded
-    /// cached base-relation indexes. Called after every committed
-    /// mutation, while still holding the store lock, so snapshots are
-    /// published in commit order.
+    /// clone — relation payloads are shared `Arc`s) and drop the cached
+    /// base-relation indexes of the relations whose version moved; every
+    /// other index stays. Called after every committed mutation, while
+    /// still holding the store lock, so snapshots are published in
+    /// commit order.
     fn publish(&self, store: &Store) {
         let snap = Arc::new(store.db().clone());
+        self.index_cache.retain_current(&snap);
         *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snap;
-        self.index_cache.clear();
     }
 
     /// Pin the current committed snapshot: an immutable, epoch-stamped
@@ -852,7 +854,8 @@ impl QueryEngine {
 
     /// Exclusive mutable access to the database (inserts, new
     /// relations) through a guard that republishes the read snapshot on
-    /// drop. Invalidates the base-relation index cache.
+    /// drop, which also drops the cached indexes of the relations it
+    /// changed.
     ///
     /// On a durable engine this is a *volatile* escape hatch: changes
     /// made through it are not WAL-logged and will not survive a crash.
@@ -905,8 +908,8 @@ impl QueryEngine {
     }
 
     /// Create a relation through the store — WAL-logged when durable.
-    /// On success the new catalog state is published for readers and the
-    /// base-relation index cache is invalidated; in-flight queries keep
+    /// On success the new catalog state is published for readers (there
+    /// is no index on a new relation to drop); in-flight queries keep
     /// their pinned snapshots.
     pub fn create_relation(
         &self,
@@ -932,8 +935,9 @@ impl QueryEngine {
 
     /// Insert a tuple through the store — WAL-logged when durable. On
     /// success the new catalog state is published for readers and the
-    /// base-relation index cache is invalidated; in-flight queries keep
-    /// their pinned snapshots.
+    /// cached indexes on `relation` (and on every materialized extent the
+    /// write moved) are dropped, no others; in-flight queries keep their
+    /// pinned snapshots.
     pub fn insert(&self, relation: &str, t: Tuple) -> Result<bool, EngineError> {
         let mut store = self.store_lock();
         // Capture the tuple for view maintenance only when views exist —
@@ -969,8 +973,9 @@ impl QueryEngine {
 
     /// Remove a tuple through the store — WAL-logged when durable. On
     /// success the new catalog state is published for readers and the
-    /// base-relation index cache is invalidated; in-flight queries keep
-    /// their pinned snapshots.
+    /// cached indexes on `relation` (and on every materialized extent the
+    /// write moved) are dropped, no others; in-flight queries keep their
+    /// pinned snapshots.
     pub fn remove(&self, relation: &str, t: &Tuple) -> Result<bool, EngineError> {
         let mut store = self.store_lock();
         let out = match &mut *store {
@@ -1091,7 +1096,7 @@ impl QueryEngine {
         } else {
             let empty = gq_storage::Relation::new("dom", gq_storage::Schema::anonymous(1));
             let old = store.db().relation("dom").unwrap_or(&empty);
-            Some(MutationDelta::replaced("dom", old, named.tuples()))
+            Some(MutationDelta::replaced("dom", old, &named))
         };
         let out = match &mut *store {
             Store::Plain(db) => {
@@ -2267,6 +2272,39 @@ mod option_tests {
             .query_with_options("p(x) & q(x)", Strategy::Improved, opts)
             .unwrap();
         assert_eq!(after.len(), before.len() + 1, "stale index not invalidated");
+    }
+
+    #[test]
+    fn a_write_drops_only_the_written_relations_indexes() {
+        use gq_storage::tuple;
+        let e = engine();
+        let index_on = |snap: &Snapshot, relation: &str| {
+            let mut built = false;
+            let idx = e
+                .index_cache
+                .get_or_build(snap, relation, &[0], |_| built = true)
+                .unwrap();
+            (idx, built)
+        };
+        let pinned = e.snapshot();
+        let (on_p, _) = index_on(&pinned, "p");
+        let (on_q, _) = index_on(&pinned, "q");
+        assert!(e.insert("q", tuple![1]).unwrap()); // 1 was odd → not in q
+        let current = e.snapshot();
+        // p was not written: same index, not rebuilt.
+        let (p_after, rebuilt) = index_on(&current, "p");
+        assert!(Arc::ptr_eq(&on_p, &p_after) && !rebuilt);
+        // q was: the current snapshot gets an index that sees the insert…
+        let (q_after, rebuilt) = index_on(&current, "q");
+        assert!(rebuilt && q_after.entries() == on_q.entries() + 1);
+        assert!(q_after.contains_key_of(&tuple![1], &[0]));
+        // …and a reader still pinned to the old snapshot one that does not.
+        let (q_pinned, _) = index_on(&pinned, "q");
+        assert_eq!(q_pinned.entries(), on_q.entries());
+        assert!(!q_pinned.contains_key_of(&tuple![1], &[0]));
+        // The superseded version's index goes at the next publish.
+        e.insert("q", tuple![3]).unwrap();
+        assert_eq!(e.index_cache.len(), 1, "only p's index is current");
     }
 
     #[test]

@@ -501,7 +501,7 @@ fn recompute_single(
     let ev = Evaluator::new(working).with_governor(Governor::unlimited());
     let mut fresh = ev.eval(&v.plan)?;
     fresh.set_name(&v.name);
-    let delta = MutationDelta::replaced(&v.name, extent, fresh.tuples());
+    let delta = MutationDelta::replaced(&v.name, extent, &fresh);
     Ok(Patched {
         extent: fresh,
         delta,
@@ -597,7 +597,7 @@ pub(crate) fn fixpoint(
         let ev = Evaluator::new(local).with_governor(governor.clone());
         let mut out = Vec::with_capacity(group.len());
         for m in group {
-            out.push(ev.eval(&m.plan)?.tuples().to_vec());
+            out.push(ev.eval(&m.plan)?.iter().cloned().collect());
         }
         out
     };
@@ -739,8 +739,12 @@ pub(crate) fn maintain(
                     fallback,
                     rounds: 0,
                 });
-                working.replace_relation_arc(Arc::new(patched.extent));
+                // A maintenance that changed nothing keeps the stored
+                // extent — its row order is the stable one — so the view's
+                // version stamp and the catalog epoch do not move and no
+                // cached plan reading the view is evicted.
                 if !patched.delta.is_empty() {
+                    working.replace_relation_arc(Arc::new(patched.extent));
                     deltas.push(patched.delta);
                 }
             }
@@ -803,7 +807,7 @@ pub(crate) fn maintain(
                 };
                 for ((m, old_extent), new_extent) in group.iter().zip(&old_extents).zip(new_extents)
                 {
-                    let delta = MutationDelta::replaced(&m.name, old_extent, new_extent.tuples());
+                    let delta = MutationDelta::replaced(&m.name, old_extent, &new_extent);
                     out.push(ApplyOutcome {
                         view: m.name.clone(),
                         added: delta.inserted.len(),
@@ -812,8 +816,8 @@ pub(crate) fn maintain(
                         fallback: fallback.clone(),
                         rounds,
                     });
-                    working.replace_relation_arc(Arc::new(new_extent));
                     if !delta.is_empty() {
+                        working.replace_relation_arc(Arc::new(new_extent));
                         deltas.push(delta);
                     }
                 }
@@ -845,7 +849,9 @@ pub(crate) fn recompute_all(
                     fallback: None,
                     rounds: 0,
                 });
-                working.replace_relation_arc(Arc::new(patched.extent));
+                if !patched.delta.is_empty() {
+                    working.replace_relation_arc(Arc::new(patched.extent));
+                }
             }
             Unit::Recursive(group) => {
                 let mut rounds = 0u64;
@@ -856,7 +862,7 @@ pub(crate) fn recompute_all(
                 let new_extents = refixpoint(working, group, on_round, &mut rounds)?;
                 for ((m, old_extent), new_extent) in group.iter().zip(&old_extents).zip(new_extents)
                 {
-                    let delta = MutationDelta::replaced(&m.name, old_extent, new_extent.tuples());
+                    let delta = MutationDelta::replaced(&m.name, old_extent, &new_extent);
                     out.push(ApplyOutcome {
                         view: m.name.clone(),
                         added: delta.inserted.len(),
@@ -865,7 +871,9 @@ pub(crate) fn recompute_all(
                         fallback: None,
                         rounds,
                     });
-                    working.replace_relation_arc(Arc::new(new_extent));
+                    if !delta.is_empty() {
+                        working.replace_relation_arc(Arc::new(new_extent));
+                    }
                 }
             }
         }

@@ -17,8 +17,10 @@ use std::sync::Arc;
 /// Relation values are held behind `Arc`, making the catalog a
 /// copy-on-write structure: `Database::clone` is a map of refcount bumps,
 /// so a snapshot of the whole database costs O(relations), not O(tuples).
-/// Mutations go through [`Arc::make_mut`] and only deep-copy a relation
-/// when an older snapshot still holds the previous version. This is the
+/// Mutations go through [`Arc::make_mut`]; when an older snapshot still
+/// holds the previous version, that clones the [`Relation`] — which shares
+/// its chunks and shards — and the write then copies the one chunk and the
+/// one shard it touches, never the relation's tuples. This is the
 /// substrate for MVCC snapshot isolation: readers keep an epoch-stamped
 /// clone while writers advance the live catalog.
 #[derive(Debug, Clone, Default)]
@@ -116,8 +118,9 @@ impl Database {
     }
 
     /// Insert a tuple into a named relation. Copy-on-write: if a snapshot
-    /// still references the relation's current version, it is deep-copied
-    /// first and the snapshot keeps the old version untouched.
+    /// still references the relation's current version, the new version
+    /// copies the last chunk and one shard and shares the rest with it;
+    /// the snapshot keeps the old version untouched.
     pub fn insert(&mut self, relation: &str, t: Tuple) -> Result<bool, StorageError> {
         let inserted = Arc::make_mut(
             self.relations

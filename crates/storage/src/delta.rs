@@ -42,17 +42,22 @@ impl MutationDelta {
         }
     }
 
-    /// The delta of replacing `old`'s extent with `new_tuples`: the
-    /// symmetric difference of the two tuple sets.
-    pub fn replaced(relation: impl Into<String>, old: &Relation, new_tuples: &[Tuple]) -> Self {
+    /// The delta of replacing `old`'s extent with `new_tuples` (a relation
+    /// or a tuple list): the symmetric difference of the two tuple sets.
+    pub fn replaced<'a>(
+        relation: impl Into<String>,
+        old: &Relation,
+        new_tuples: impl IntoIterator<Item = &'a Tuple>,
+    ) -> Self {
         // Probe through a set on both sides: a linear `slice::contains`
         // here turns every view recompute into an O(|old|·|new|) diff.
-        let new_set: std::collections::HashSet<&Tuple> = new_tuples.iter().collect();
-        let inserted = new_tuples
-            .iter()
-            .filter(|t| !old.contains(t))
-            .cloned()
-            .collect();
+        let mut new_set = std::collections::HashSet::<&Tuple>::new();
+        let mut inserted = Vec::new();
+        for t in new_tuples {
+            if new_set.insert(t) && !old.contains(t) {
+                inserted.push(t.clone());
+            }
+        }
         let removed = old
             .iter()
             .filter(|t| !new_set.contains(t))

@@ -11,12 +11,14 @@ use std::collections::HashMap;
 /// A hash index over a relation's tuples, keyed on a subset of attribute
 /// positions.
 ///
-/// The index stores row ids into the relation's tuple slice, so the relation
-/// must outlive any lookups performed through `probe`.
+/// Buckets hold handles on the indexed tuples themselves (shared payloads,
+/// scan order within a bucket), so the index is self-contained: a probe
+/// needs no access to the relation, and the index stays valid — for the
+/// version it was built from — however the relation changes afterwards.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     key_positions: Vec<usize>,
-    buckets: HashMap<Vec<Value>, Vec<usize>>,
+    buckets: HashMap<Vec<Value>, Vec<Tuple>>,
     entries: usize,
 }
 
@@ -26,10 +28,10 @@ impl HashIndex {
     /// Positions must have been validated against the relation's schema
     /// (see [`Relation::validate_positions`]).
     pub fn build(relation: &Relation, key_positions: &[usize]) -> Self {
-        let mut buckets: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (rid, t) in relation.iter().enumerate() {
+        let mut buckets: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
+        for t in relation {
             let key: Vec<Value> = key_positions.iter().map(|&p| t[p].clone()).collect();
-            buckets.entry(key).or_default().push(rid);
+            buckets.entry(key).or_default().push(t.clone());
         }
         HashIndex {
             key_positions: key_positions.to_vec(),
@@ -53,10 +55,10 @@ impl HashIndex {
         self.buckets.len()
     }
 
-    /// Row ids matching the key extracted from `probe_tuple` at
+    /// The indexed tuples matching the key extracted from `probe_tuple` at
     /// `probe_positions` (positions into the *probe* tuple, pairing with
     /// this index's key positions in order).
-    pub fn probe<'a>(&'a self, probe_tuple: &Tuple, probe_positions: &[usize]) -> &'a [usize] {
+    pub fn probe<'a>(&'a self, probe_tuple: &Tuple, probe_positions: &[usize]) -> &'a [Tuple] {
         let mut scratch = Vec::with_capacity(probe_positions.len());
         self.probe_with(probe_tuple, probe_positions, &mut scratch)
     }
@@ -70,7 +72,7 @@ impl HashIndex {
         probe_tuple: &Tuple,
         probe_positions: &[usize],
         scratch: &mut Vec<Value>,
-    ) -> &'a [usize] {
+    ) -> &'a [Tuple] {
         debug_assert_eq!(probe_positions.len(), self.key_positions.len());
         scratch.clear();
         scratch.extend(probe_positions.iter().map(|&p| probe_tuple[p].clone()));
@@ -119,9 +121,11 @@ mod tests {
         let r = sample();
         let idx = HashIndex::build(&r, &[0]);
         let probe = tuple!["anna"];
-        let rids = idx.probe(&probe, &[0]);
-        assert_eq!(rids.len(), 2);
-        assert!(rids.iter().all(|&rid| r.tuples()[rid][0] == "anna".into()));
+        let matches = idx.probe(&probe, &[0]);
+        assert_eq!(matches, [tuple!["anna", "db"], tuple!["anna", "os"]]);
+        // The index outlives the version of the relation it was built from.
+        drop(r);
+        assert_eq!(idx.probe(&tuple!["ben"], &[0]), [tuple!["ben", "db"]]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use persist::{
     from_text, load, load_with_retry, save, save_with_retry, to_text, IoDomain, PersistError,
     RetryPolicy,
 };
-pub use relation::{unary, Relation};
+pub use relation::{unary, Iter as RelationIter, Relation};
 pub use schema::Schema;
 pub use tuple::Tuple;
 pub use value::Value;

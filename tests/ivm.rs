@@ -8,7 +8,8 @@
 //! read `GQ_CHAOS_SEED`.
 
 use gq_core::{
-    EngineError, ExecConfig, MaintenanceStrategy, QueryEngine, QueryLimits, Resource, ViewError,
+    EngineError, EventKind, ExecConfig, MaintenanceStrategy, QueryEngine, QueryLimits, Resource,
+    ViewError,
 };
 use gq_storage::{tuple, Database, Schema, Tuple};
 
@@ -40,7 +41,13 @@ fn engine_with(threads: usize) -> QueryEngine {
 
 /// Sorted answer tuples of a query — the bit-identical comparison key.
 fn answers(e: &QueryEngine, q: &str) -> Vec<Tuple> {
-    let mut out = e.query(q).unwrap().answers.tuples().to_vec();
+    let mut out = e
+        .query(q)
+        .unwrap()
+        .answers
+        .iter()
+        .cloned()
+        .collect::<Vec<_>>();
     out.sort();
     out
 }
@@ -250,7 +257,7 @@ fn transitive_closure_is_maintained_incrementally() {
         reach.into_iter().map(|(a, b)| tuple![a, b]).collect()
     };
 
-    let mut got = result.answers.tuples().to_vec();
+    let mut got = result.answers.iter().cloned().collect::<Vec<_>>();
     got.sort();
     assert_eq!(got, closure(&edges));
 
@@ -410,6 +417,137 @@ fn prepared_plans_refresh_when_extents_move() {
     e.insert("p", tuple![2]).unwrap();
     assert_eq!(e.execute(&prepared).unwrap().len(), 2);
     assert_eq!(e.plan_cache_stats().misses, warm.misses + 1);
+}
+
+/// A maintenance run that changes nothing must not look like a change:
+/// the extent keeps its version stamp, the catalog epoch moves once (the
+/// base write), a prepared plan over the view stays cached — and the
+/// journal still says the view was looked at.
+#[test]
+fn a_maintenance_that_changes_nothing_leaves_the_view_untouched() {
+    let e = engine_with(1);
+    e.insert("p", tuple![1]).unwrap();
+    e.insert("r", tuple![1, 10]).unwrap();
+    for (view, strategy) in [
+        ("inc", MaintenanceStrategy::Incremental),
+        ("rec", MaintenanceStrategy::Recompute),
+    ] {
+        e.define_materialized_view_with(view, "p(x) & r(x,y)", strategy)
+            .unwrap();
+    }
+    let prepared = ["inc(x,y)", "rec(x,y)"].map(|q| e.prepare(q).unwrap());
+    for p in &prepared {
+        assert_eq!(e.execute(p).unwrap().len(), 1);
+    }
+    let versions = |e: &QueryEngine| {
+        let snap = e.snapshot();
+        (snap.relation_version("inc"), snap.relation_version("rec"))
+    };
+    // 2 is not in `p`: the delta plan over `r` runs and derives nothing.
+    let absent = tuple![2, 20];
+    for insert in [true, false] {
+        let (before, epoch, warm) = (versions(&e), e.snapshot().epoch(), e.plan_cache_stats());
+        let seen = e.journal().events().len();
+        if insert {
+            assert!(e.insert("r", absent.clone()).unwrap());
+        } else {
+            assert!(e.remove("r", &absent).unwrap());
+        }
+        assert_eq!(versions(&e), before, "insert={insert}");
+        assert_eq!(e.snapshot().epoch(), epoch + 1, "insert={insert}");
+        for p in &prepared {
+            assert_eq!(e.execute(p).unwrap().len(), 1);
+        }
+        let stats = e.plan_cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (warm.hits + 2, warm.misses),
+            "insert={insert}"
+        );
+        let applied: Vec<String> = e.journal().events()[seen..]
+            .iter()
+            .filter(|ev| ev.kind == EventKind::IvmApply)
+            .map(|ev| ev.detail.clone())
+            .collect();
+        assert_eq!(applied.len(), 2, "{applied:?}");
+        assert!(applied[0].starts_with("view `inc`: +0 −0 via incremental"));
+        assert!(applied[1].starts_with("view `rec`: +0 −0 via recompute"));
+    }
+    // A write that does reach the views still moves them.
+    let before = versions(&e);
+    e.insert("r", tuple![1, 11]).unwrap();
+    let after = versions(&e);
+    assert!(after.0 > before.0 && after.1 > before.1);
+    assert_eq!(answers(&e, "inc(x,y)"), answers(&e, "p(x) & r(x,y)"));
+    assert_eq!(answers(&e, "rec(x,y)"), answers(&e, "p(x) & r(x,y)"));
+}
+
+/// One write under maintained views costs O(Δ), shown by what two
+/// consecutive snapshots share — no timing: the written relation and the
+/// extent the write reached each differ in at most one chunk and one
+/// shard, every other relation is the same allocation, and the older
+/// snapshot still holds exactly what it held.
+#[test]
+fn a_write_under_views_shares_all_but_one_chunk_and_shard() {
+    use gq_workload::{university, UniversityScale};
+    let e = QueryEngine::new(university(&UniversityScale::of_size(2000)))
+        .with_exec_config(ExecConfig::with_threads(2));
+    e.define_materialized_view("d0att", "attends(x,y) & lecture(y,\"d0\")")
+        .unwrap();
+    e.define_materialized_view("nodb", "member(x,z) & !skill(x,\"db\")")
+        .unwrap();
+    let query = "d0att(x,\"l0\")";
+    let row = tuple!["zz0", "l0"];
+    let written = ["attends", "d0att"];
+    let mut answered = answers(&e, query);
+    for insert in [true, false] {
+        let before = e.snapshot();
+        let held: Vec<Vec<Tuple>> = written
+            .iter()
+            .map(|name| before.relation(name).unwrap().iter().cloned().collect())
+            .collect();
+        if insert {
+            assert!(e.insert("attends", row.clone()).unwrap());
+        } else {
+            assert!(e.remove("attends", &row).unwrap());
+        }
+        let after = e.snapshot();
+        for name in written {
+            let (old, new) = (
+                before.relation(name).unwrap(),
+                after.relation(name).unwrap(),
+            );
+            let (chunks, shards) = new.parts();
+            assert!(
+                chunks >= 2,
+                "{name} is too small to show sharing: {chunks} chunks"
+            );
+            let (shared_chunks, shared_shards) = new.shared_parts_with(old);
+            assert!(
+                shared_chunks + 1 >= chunks && shared_shards + 1 >= shards,
+                "insert={insert}: {name} shares {shared_chunks}/{chunks} chunks, \
+                 {shared_shards}/{shards} shards"
+            );
+            assert_eq!(new.len() + 1 - 2 * usize::from(insert), old.len());
+        }
+        for name in before.relation_names().filter(|n| !written.contains(n)) {
+            assert!(
+                std::sync::Arc::ptr_eq(
+                    &before.relation_arc(name).unwrap(),
+                    &after.relation_arc(name).unwrap()
+                ),
+                "insert={insert}: untouched `{name}` was copied"
+            );
+        }
+        // The pinned snapshot is exactly what it was; the engine moved on.
+        for (name, rows) in written.iter().zip(&held) {
+            assert!(before.relation(name).unwrap().iter().eq(rows));
+        }
+        let now = answers(&e, query);
+        assert_eq!(now.contains(&tuple!["zz0"]), insert);
+        assert_eq!(now.len() + 1 - 2 * usize::from(insert), answered.len());
+        answered = now;
+    }
 }
 
 #[test]

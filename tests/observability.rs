@@ -218,7 +218,11 @@ fn observers_do_not_change_the_outcome() {
             let mut e = engine_at(300, threads);
             let plain = e.query(text).unwrap();
             let (analyzed, _) = e.analyze(text).unwrap();
-            assert_eq!(analyzed.answers.tuples(), plain.answers.tuples(), "{tag}");
+            assert_eq!(
+                analyzed.answers.iter().collect::<Vec<_>>(),
+                plain.answers.iter().collect::<Vec<_>>(),
+                "{tag}"
+            );
             assert_eq!(analyzed.stats, plain.stats, "{tag}: analyze vs query");
 
             e.set_limits(
@@ -231,7 +235,11 @@ fn observers_do_not_change_the_outcome() {
             let armed = e
                 .query(text)
                 .unwrap_or_else(|err| panic!("{tag}: armed run tripped the budget: {err}"));
-            assert_eq!(armed.answers.tuples(), plain.answers.tuples(), "{tag}");
+            assert_eq!(
+                armed.answers.iter().collect::<Vec<_>>(),
+                plain.answers.iter().collect::<Vec<_>>(),
+                "{tag}"
+            );
             assert_eq!(armed.stats, plain.stats, "{tag}: armed vs plain query");
             let (analyzed, _) = e
                 .analyze(text)

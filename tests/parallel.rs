@@ -54,8 +54,8 @@ fn e2e_suite_is_thread_count_invariant() {
                 "{label}: answers differ at {threads} threads"
             );
             assert_eq!(
-                r.answers.tuples(),
-                baseline.answers.tuples(),
+                r.answers.iter().collect::<Vec<_>>(),
+                baseline.answers.iter().collect::<Vec<_>>(),
                 "{label}: answer *order* differs at {threads} threads"
             );
             assert_eq!(
@@ -97,8 +97,8 @@ fn engine_options_are_thread_count_invariant() {
                 None => baseline = Some(r),
                 Some(b) => {
                     assert_eq!(
-                        r.answers.tuples(),
-                        b.answers.tuples(),
+                        r.answers.iter().collect::<Vec<_>>(),
+                        b.answers.iter().collect::<Vec<_>>(),
                         "{label}: answers differ at {threads} threads (options: {options:?})"
                     );
                     assert_eq!(
@@ -131,8 +131,8 @@ fn classical_strategy_is_thread_count_invariant() {
                 None => baseline = Some(r),
                 Some(b) => {
                     assert_eq!(
-                        r.answers.tuples(),
-                        b.answers.tuples(),
+                        r.answers.iter().collect::<Vec<_>>(),
+                        b.answers.iter().collect::<Vec<_>>(),
                         "{label}: classical answers differ at {threads} threads"
                     );
                     assert_eq!(
@@ -278,8 +278,8 @@ fn build_sides_straddling_one_morsel_are_thread_count_invariant() {
                     None => baseline = Some((out, stats)),
                     Some((b_out, b_stats)) => {
                         assert_eq!(
-                            out.tuples(),
-                            b_out.tuples(),
+                            out.iter().collect::<Vec<_>>(),
+                            b_out.iter().collect::<Vec<_>>(),
                             "{label}: rows differ at {threads} threads, build of {build}"
                         );
                         assert_eq!(

@@ -135,8 +135,8 @@ fn assert_push_matches_pull_drain(label: &str, db: &Database, plan: &AlgebraExpr
         let push = evaluator(db, plan, opts, &cache, threads);
         let out = push.eval(plan).unwrap();
         assert_eq!(
-            out.tuples(),
-            rows.as_slice(),
+            out.iter().collect::<Vec<_>>(),
+            rows.iter().collect::<Vec<_>>(),
             "{label}: rows/order differ, push@{threads} vs pull drain"
         );
         let got = push.stats().without_dispatch_counters();
@@ -526,7 +526,7 @@ mod chaos {
             let e = QueryEngine::new(termination_db(500))
                 .with_exec_config(ExecConfig::with_threads(2).with_morsel_size(64));
             e.query("p(x) & r(x,y)")
-                .map(|r| r.answers.tuples().to_vec())
+                .map(|r| r.answers.iter().cloned().collect::<Vec<_>>())
                 .map_err(|e| e.to_string())
         };
         assert_eq!(run(), run(), "identically-seeded runs diverged");
