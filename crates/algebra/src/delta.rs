@@ -32,7 +32,32 @@
 //!
 //! Under 1–4, `(old − Δ⁻) ∪ Δ⁺ = new` exactly; the rules below preserve
 //! the contract compositionally (each rule assumes only 1–4 of its
-//! children).
+//! children, and the π rule also the lemma below).
+//!
+//! ## The equality lemma
+//!
+//! The equality analysis (the `equalities` module) reports, per node,
+//! column = column and column = constant facts that every output tuple
+//! satisfies on any database. **Lemma:** every tuple of a node's `Δ⁺`
+//! and `Δ⁻` satisfies the facts reported for that node. Checked row by
+//! row against the table below, assuming the lemma for the children:
+//!
+//! * `Δ⁺` of every row: `Δ⁺ ⊆ new(E)` (condition 1), and `new(E)` is the
+//!   node's output on the new database, where its facts hold.
+//! * σ_p: `σ_p(a⁻)` — `a⁻` satisfies A's facts, σ_p adds only its own
+//!   top-level `=` conjuncts, which it checks.
+//! * π_l: `π_l(a⁻)` — A's facts hold on `a⁻`; π reports them mapped.
+//! * ×, ⋈: `(a⁻ ∘ B₀) ∪ (A₀ ∘ b⁻)` — each half pairs a tuple meeting A's
+//!   facts (`a⁻` by the lemma, `A₀` as A's output on the old database)
+//!   with one meeting B's, and ⋈ emits only pairs that match its keys.
+//! * ⋉, ⊼: `a⁻ ∪ (A₀ ⋉ b⁻)`, `a⁻ ∪ (A₀ ⋉ b⁺)` — left tuples only, each
+//!   meeting A's facts.
+//! * Every other node reports nothing, so there is nothing to check. −
+//!   is among them on purpose: its `Δ⁻` contains `b⁺`, tuples of the
+//!   *right* side that need not meet any fact of the left.
+//!
+//! The π rule uses the lemma to prove condition 4 without its semi-join
+//! when the projection is injective (see the rule in `delta_node`).
 //!
 //! ## Rules
 //!
@@ -42,7 +67,7 @@
 //! | node            | `Δ⁺`                                               | `Δ⁻`                  |
 //! |-----------------|----------------------------------------------------|-----------------------|
 //! | σ_p(A)          | σ_p(a⁺)                                            | σ_p(a⁻)               |
-//! | π_l(A)          | π_l(a⁺) ∪ (π_l(a⁻) ⋉_l A')                         | π_l(a⁻)               |
+//! | π_l(A)          | π_l(a⁺) ∪ (π_l(a⁻) ⋉_l A'); re-derivation only when π_l is not injective on A | π_l(a⁻) |
 //! | A × B           | (a⁺ × B') ∪ (A' × b⁺)                              | (a⁻ × B₀) ∪ (A₀ × b⁻) |
 //! | A ⋈ B           | (a⁺ ⋈ B') ∪ (A' ⋈ b⁺)                              | (a⁻ ⋈ B₀) ∪ (A₀ ⋈ b⁻) |
 //! | A ∪ B           | a⁺ ∪ b⁺ ∪ (a⁻ ⋉ B') ∪ (b⁻ ⋉ A')                    | a⁻ ∪ b⁻               |
@@ -63,6 +88,7 @@
 //! and un-padding (inner side grew) explicit union/product deltas of the
 //! marker-literal products.
 
+use crate::equalities::equalities;
 use crate::error::AlgebraError;
 use crate::eval::arity_of;
 use crate::expr::{AlgebraExpr, Constraint, JoinOn, Predicate};
@@ -294,13 +320,26 @@ fn delta_node(
             // Removals lose support only when no other input tuple still
             // projects to the same row: π(a⁻) is over-approximate, so
             // re-derive the survivors by probing the new input on the
-            // projected columns (condition 4).
-            let rederive = d.minus.clone().map(|e| {
-                e.project(positions.clone()).semi_join(
-                    (**input).clone(),
-                    positions.iter().copied().enumerate().collect(),
-                )
-            });
+            // projected columns (condition 4) — unless π is injective.
+            //
+            // Proof that an injective π needs no re-derivation. Say the
+            // kept columns l determine every column of A under A's
+            // reported equalities. Take a row r ∈ old ∩ new ∩ π_l(a⁻):
+            // r = π_l(t) with t ∈ a⁻ and r = π_l(u) with u ∈ A'. Both t
+            // (by the lemma) and u (an output of A) satisfy A's
+            // equalities and agree on l, so t = u ∈ A'. If t ∈ A₀, the
+            // child's condition 4 puts t in a⁺; otherwise t ∈ A' − A₀ ⊆
+            // a⁺ by its condition 2. Either way r ∈ π_l(a⁺) ⊆ Δ⁺, which
+            // is condition 4; conditions 1–3 never used the term.
+            let rederive = match &d.minus {
+                Some(e) if !equalities(input, db)?.determined_by(positions) => {
+                    Some(e.clone().project(positions.clone()).semi_join(
+                        (**input).clone(),
+                        positions.iter().copied().enumerate().collect(),
+                    ))
+                }
+                _ => None,
+            };
             Ok(Delta {
                 plus: union_opt(d.plus.map(|e| e.project(positions.clone())), rederive),
                 minus: d.minus.map(|e| e.project(positions.clone())),
@@ -602,22 +641,26 @@ mod tests {
 
     /// Evaluate `expr` on `old` and `new`, run the delta plans on the
     /// delta database, and assert the patched old extent is bit-identical
-    /// to the fresh recompute.
+    /// to the fresh recompute. The plans are rewritten twice: against the
+    /// plain new catalog (every delta leaf kept) and against the delta
+    /// database (empty delta sides folded away, as maintenance does).
     fn check(expr: &AlgebraExpr, old: &Database, new: &Database, deltas: &[MutationDelta]) {
         let old_extent = Evaluator::new(old).eval(expr).unwrap();
         let fresh = Evaluator::new(new).eval(expr).unwrap();
         let (ddb, changed) = delta_database(new, old, deltas).unwrap();
-        let plan = delta_plan(expr, &changed, new).unwrap();
         let ev = Evaluator::new(&ddb);
-        let plus = plan.insert.as_ref().map(|p| ev.eval(p).unwrap());
-        let minus = plan.remove.as_ref().map(|p| ev.eval(p).unwrap());
-        let patched = patch_extent(&old_extent, minus.as_ref(), plus.as_ref()).unwrap();
-        assert!(
-            patched.set_eq(&fresh),
-            "patched {:?} != fresh {:?} for {expr}",
-            patched.sorted_tuples(),
-            fresh.sorted_tuples(),
-        );
+        for catalog in [new, &ddb] {
+            let plan = delta_plan(expr, &changed, catalog).unwrap();
+            let plus = plan.insert.as_ref().map(|p| ev.eval(p).unwrap());
+            let minus = plan.remove.as_ref().map(|p| ev.eval(p).unwrap());
+            let patched = patch_extent(&old_extent, minus.as_ref(), plus.as_ref()).unwrap();
+            assert!(
+                patched.set_eq(&fresh),
+                "patched {:?} != fresh {:?} for {expr}",
+                patched.sorted_tuples(),
+                fresh.sorted_tuples(),
+            );
+        }
     }
 
     /// Apply `deltas` to a copy of `old`, returning the new database.
@@ -638,7 +681,9 @@ mod tests {
         let mut db = Database::new();
         db.create_relation("p", Schema::anonymous(2)).unwrap();
         db.create_relation("q", Schema::anonymous(2)).unwrap();
-        for (a, b) in [(1, 10), (2, 20), (3, 30)] {
+        // (1,10) and (1,11) share their first column: projecting it away
+        // merges them, so removing one must re-derive the other.
+        for (a, b) in [(1, 10), (1, 11), (2, 20), (3, 30)] {
             db.insert("p", tuple![a, b]).unwrap();
         }
         for (a, b) in [(10, 100), (20, 200), (20, 201)] {
@@ -647,11 +692,65 @@ mod tests {
         db
     }
 
+    /// Projections the equality analysis proves injective on their
+    /// input: their π rule emits no re-derivation term.
+    fn injective_projections() -> Vec<AlgebraExpr> {
+        use gq_calculus::CompareOp;
+        let p = AlgebraExpr::relation("p");
+        let q = AlgebraExpr::relation("q");
+        let q200 = q
+            .clone()
+            .select(Predicate::col_const(1, CompareOp::Eq, 200))
+            .project(vec![0]);
+        vec![
+            // `d0att`'s shape: the dropped column equals a kept one
+            // through the join key (and the inner π drops a pinned one).
+            p.clone().join(q200, vec![(1, 0)]).project(vec![0, 1]),
+            // The dropped column is pinned by σ[#1 = const].
+            p.clone()
+                .select(Predicate::col_const(1, CompareOp::Eq, 20))
+                .project(vec![0]),
+            // `nodb`'s shape: the identity over a complement-join.
+            p.clone()
+                .complement_join(q.clone(), vec![(1, 0)])
+                .project(vec![0, 1]),
+        ]
+    }
+
+    /// Look-alikes of [`injective_projections`] whose π may merge input
+    /// tuples as far as the analysis can tell: they keep the term.
+    fn rederiving_projections() -> Vec<AlgebraExpr> {
+        use gq_calculus::CompareOp;
+        let p = AlgebraExpr::relation("p");
+        let q = AlgebraExpr::relation("q");
+        let p20 = p.clone().select(Predicate::col_const(1, CompareOp::Eq, 20));
+        let one = |op| Predicate::col_const(1, op, 20);
+        vec![
+            p.clone().select(one(CompareOp::Ne)).project(vec![0]),
+            p.clone().select(one(CompareOp::Lt)).project(vec![0]),
+            p.clone()
+                .select(Predicate::or_all(vec![
+                    Predicate::col_const(1, CompareOp::Eq, 10),
+                    Predicate::col_const(1, CompareOp::Eq, 11),
+                ]))
+                .project(vec![0]),
+            // The equality holds on the left side only.
+            p20.clone().union(q.clone()).project(vec![0]),
+            p20.difference(q.clone()).project(vec![0]),
+            p.clone()
+                .left_outer_join(q.clone(), vec![(1, 0)])
+                .project(vec![0, 1]),
+            p.clone()
+                .constrained_outer_join(q.clone(), vec![(1, 0)], Constraint::none())
+                .project(vec![0, 1]),
+        ]
+    }
+
     fn plans() -> Vec<AlgebraExpr> {
         use gq_calculus::CompareOp;
         let p = AlgebraExpr::relation("p");
         let q = AlgebraExpr::relation("q");
-        vec![
+        let mut plans = vec![
             p.clone().select(Predicate::col_const(
                 0,
                 CompareOp::Ne,
@@ -675,7 +774,10 @@ mod tests {
             p.clone()
                 .join(q.clone(), vec![(1, 0)])
                 .complement_join(q.clone(), vec![(3, 1)]),
-        ]
+        ];
+        plans.extend(injective_projections());
+        plans.extend(rederiving_projections());
+        plans
     }
 
     fn delta_cases() -> Vec<Vec<MutationDelta>> {
@@ -707,7 +809,31 @@ mod tests {
                     removed: vec![tuple![10, 100]],
                 },
             ],
+            // Remove one of two p tuples that share their first column.
+            vec![MutationDelta::removed_tuple("p", tuple![1, 11])],
+            // Insert a q tuple that blocks nothing of σ[#1=20](p) yet
+            // shares its first column with (2,20): a difference's Δ⁻
+            // carries it.
+            vec![MutationDelta::inserted_tuple("q", tuple![2, 21])],
         ]
+    }
+
+    /// Every node of `plan`, the root first.
+    fn subplans(plan: &AlgebraExpr) -> Vec<&AlgebraExpr> {
+        let mut out = vec![plan];
+        for child in plan.children() {
+            out.extend(subplans(child));
+        }
+        out
+    }
+
+    /// Does `plan` contain π's re-derivation term `π_l(·) ⋉_l input`?
+    fn has_rederivation(plan: &AlgebraExpr, positions: &[usize], input: &AlgebraExpr) -> bool {
+        subplans(plan).into_iter().any(|node| {
+            matches!(node, AlgebraExpr::SemiJoin { left, right, .. }
+                if **right == *input
+                    && matches!(&**left, AlgebraExpr::Project { positions: l, .. } if l == positions))
+        })
     }
 
     #[test]
@@ -717,6 +843,78 @@ mod tests {
             let new = apply(&old, &deltas);
             for plan in plans() {
                 check(&plan, &old, &new, &deltas);
+            }
+        }
+    }
+
+    /// The lemma the π rule relies on: every tuple a node's delta plans
+    /// produce satisfies the equalities reported for that node — checked
+    /// on every node of every plan, for every mutation.
+    #[test]
+    fn every_delta_tuple_satisfies_its_nodes_equalities() {
+        let old = base();
+        for deltas in delta_cases() {
+            let new = apply(&old, &deltas);
+            let (ddb, changed) = delta_database(&new, &old, &deltas).unwrap();
+            let ev = Evaluator::new(&ddb);
+            for plan in plans() {
+                for node in subplans(&plan) {
+                    let eq = equalities(node, &ddb).unwrap();
+                    for catalog in [&new, &ddb] {
+                        let dp = delta_plan(node, &changed, catalog).unwrap();
+                        for side in [&dp.insert, &dp.remove].into_iter().flatten() {
+                            for t in ev.eval(side).unwrap().iter() {
+                                assert!(eq.holds_for(t), "{t:?} of Δ({node}) breaks {eq:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Injective projections lose their re-derivation term, every
+    /// look-alike keeps it whenever its input can lose tuples.
+    #[test]
+    fn only_non_injective_projections_rederive() {
+        let old = base();
+        let cases = injective_projections()
+            .into_iter()
+            .map(|e| (e, true))
+            .chain(rederiving_projections().into_iter().map(|e| (e, false)));
+        for (plan, injective) in cases {
+            let AlgebraExpr::Project { input, positions } = &plan else {
+                panic!("{plan} is not a projection");
+            };
+            assert_eq!(
+                equalities(input, &old).unwrap().determined_by(positions),
+                injective,
+                "{plan}"
+            );
+            for deltas in delta_cases() {
+                let new = apply(&old, &deltas);
+                let (ddb, changed) = delta_database(&new, &old, &deltas).unwrap();
+                let dp = delta_plan(&plan, &changed, &ddb).unwrap();
+                let input_shrinks = delta_plan(input, &changed, &ddb).unwrap().remove.is_some();
+                let rederives = dp
+                    .insert
+                    .as_ref()
+                    .is_some_and(|e| has_rederivation(e, positions, input));
+                assert_eq!(
+                    rederives,
+                    !injective && input_shrinks,
+                    "{plan} under {deltas:?}"
+                );
+            }
+            // A single removal from p: an injective projection's whole
+            // insert side folds away.
+            if injective {
+                let deltas = [MutationDelta::removed_tuple("p", tuple![2, 20])];
+                let new = apply(&old, &deltas);
+                let (ddb, changed) = delta_database(&new, &old, &deltas).unwrap();
+                let dp = delta_plan(&plan, &changed, &ddb).unwrap();
+                assert_eq!(dp.insert, None, "{plan}");
+                assert!(dp.remove.is_some(), "{plan}");
             }
         }
     }

@@ -22,6 +22,7 @@
 mod boolean;
 mod cse;
 mod delta;
+mod equalities;
 mod error;
 mod estimate;
 mod eval;

@@ -327,7 +327,7 @@ fn predicate_cols(p: &Predicate) -> Vec<usize> {
 }
 
 /// Split a predicate into its top-level conjuncts.
-fn split_conjuncts(p: &Predicate) -> Vec<Predicate> {
+pub(crate) fn split_conjuncts(p: &Predicate) -> Vec<Predicate> {
     match p {
         Predicate::And(a, b) => {
             let mut v = split_conjuncts(a);

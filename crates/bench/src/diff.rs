@@ -1,29 +1,20 @@
-//! Perf-regression diffing between two `BENCH_*.json` files.
+//! Host and schema stamps for the `BENCH_*.json` dumps.
 //!
 //! Every dump the harness writes is stamped with [`SCHEMA_VERSION`] and the
-//! host it ran on (see [`stamp`]); [`diff`] loads two such documents,
-//! pairs up their timing leaves (fields ending in `_ns`) by structural
-//! path — array elements keyed by their `label` field when present, so
-//! reordered query suites still line up — and flags every pairing whose
-//! new/base ratio exceeds a threshold. The `gq-bench diff` subcommand
-//! exits nonzero when any regression is found, which is what CI gates on.
+//! host it ran on (see [`stamp`]), so a reader can tell which layout a
+//! file has and whether two files came from comparable machines.
+//! Performance claims are measured with `bash benchmark/run.sh` and
+//! compared with `benchmark/compare.sh`, not by diffing these dumps.
 
 use gq_obs::Json;
 
 /// Version of the `BENCH_*.json` layout. Bump when a dump's structure
-/// changes incompatibly; `diff` refuses to compare mismatched versions.
+/// changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Timing leaves with a base below this are skipped: at sub-microsecond
-/// scale a 1.5× "regression" is clock jitter, not a signal.
-pub const DEFAULT_MIN_BASE_NS: u64 = 1_000;
-
-/// Default new/base ratio beyond which a timing counts as regressed.
-pub const DEFAULT_THRESHOLD: f64 = 1.5;
-
 /// Host + schema stamp for a benchmark dump: merge into the document root
-/// so `diff` can refuse cross-version comparisons and readers can judge
-/// whether two files came from comparable machines.
+/// so readers can tell the layout and judge whether two files came from
+/// comparable machines.
 pub fn stamp(doc: Json) -> Json {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -43,348 +34,9 @@ pub fn stamp(doc: Json) -> Json {
     Json::Obj(fields)
 }
 
-/// One timing that got slower past the threshold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Structural path of the leaf, e.g. `queries[label=case4].wall_ns`.
-    pub path: String,
-    /// Timing in the baseline file.
-    pub base_ns: u64,
-    /// Timing in the candidate file.
-    pub new_ns: u64,
-    /// `new_ns / base_ns`.
-    pub ratio: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} -> {} ({:.2}x)",
-            self.path,
-            gq_obs::fmt_ns(self.base_ns),
-            gq_obs::fmt_ns(self.new_ns),
-            self.ratio
-        )
-    }
-}
-
-/// Outcome of comparing two benchmark documents.
-#[derive(Debug, Clone, Default)]
-pub struct DiffReport {
-    /// Timing leaves present in both documents and above the noise floor.
-    pub compared: usize,
-    /// Leaves skipped because the base was below [`DEFAULT_MIN_BASE_NS`].
-    pub below_floor: usize,
-    /// Paths present in the baseline but missing from the candidate.
-    pub missing: Vec<String>,
-    /// Pairings past the threshold, worst first.
-    pub regressions: Vec<Regression>,
-    /// The largest improvement ratio observed (new/base < 1), if any —
-    /// reported so a wildly different run distribution is visible even
-    /// when nothing regressed.
-    pub best_improvement: Option<Regression>,
-}
-
-impl DiffReport {
-    /// True when the candidate is within the threshold everywhere.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Comparing two documents can fail before any timing is looked at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiffError {
-    /// The two files declare different `schema_version`s.
-    SchemaMismatch {
-        /// Version in the baseline (None: unstamped pre-versioning file).
-        base: Option<u64>,
-        /// Version in the candidate.
-        new: Option<u64>,
-    },
-}
-
-impl std::fmt::Display for DiffError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DiffError::SchemaMismatch { base, new } => {
-                let v = |x: &Option<u64>| match x {
-                    Some(n) => n.to_string(),
-                    None => "unstamped".to_string(),
-                };
-                write!(
-                    f,
-                    "schema_version mismatch: baseline {} vs candidate {}",
-                    v(base),
-                    v(new)
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for DiffError {}
-
-/// Compare `new` against `base`, flagging every `_ns` timing leaf whose
-/// ratio exceeds `threshold`. Non-timing leaves (counts, labels) are
-/// ignored: they are workload identity, not performance.
-///
-/// Both documents are flattened to `path → ns` maps and joined on equal
-/// paths, so the pairing never re-parses a path — labels are free to
-/// contain any characters a plan renderer emits.
-pub fn diff(base: &Json, new: &Json, threshold: f64) -> Result<DiffReport, DiffError> {
-    let version = |doc: &Json| doc.get("schema_version").and_then(Json::as_u64);
-    let (vb, vn) = (version(base), version(new));
-    if vb != vn {
-        return Err(DiffError::SchemaMismatch { base: vb, new: vn });
-    }
-
-    let base_leaves = leaf_map(base);
-    let new_leaves = leaf_map(new);
-
-    let mut report = DiffReport::default();
-    for (path, base_ns) in base_leaves {
-        let Some(&new_ns) = new_leaves.get(&path) else {
-            report.missing.push(path);
-            continue;
-        };
-        if base_ns < DEFAULT_MIN_BASE_NS {
-            report.below_floor += 1;
-            continue;
-        }
-        report.compared += 1;
-        let ratio = new_ns as f64 / base_ns as f64;
-        let entry = Regression {
-            path,
-            base_ns,
-            new_ns,
-            ratio,
-        };
-        if ratio > threshold {
-            report.regressions.push(entry);
-        } else if ratio < 1.0 {
-            let better = report
-                .best_improvement
-                .as_ref()
-                .is_none_or(|cur| ratio < cur.ratio);
-            if better {
-                report.best_improvement = Some(entry);
-            }
-        }
-    }
-    report.regressions.sort_by(|a, b| {
-        b.ratio
-            .partial_cmp(&a.ratio)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(report)
-}
-
-/// Flatten a document into `path → ns` (see [`collect_ns_leaves`]).
-/// Sibling array elements sharing a label get `#2`, `#3`, … occurrence
-/// suffixes so repeated plan-node labels still pair deterministically.
-fn leaf_map(doc: &Json) -> std::collections::BTreeMap<String, u64> {
-    let mut leaves = Vec::new();
-    collect_ns_leaves(doc, String::new(), &mut leaves);
-    let mut seen: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut out = std::collections::BTreeMap::new();
-    for (path, ns) in leaves {
-        let n = seen.entry(path.clone()).or_insert(0);
-        *n += 1;
-        let key = if *n == 1 { path } else { format!("{path}#{n}") };
-        out.insert(key, ns);
-    }
-    out
-}
-
-/// Walk a document collecting `(path, value)` for every u64 leaf whose
-/// key ends in `_ns`. Array elements are addressed `[label=X]` when the
-/// element is an object with a string `label` (or `strategy`) field —
-/// both when present, so a per-strategy suite keys uniquely — and `[i]`
-/// otherwise.
-fn collect_ns_leaves(doc: &Json, path: String, out: &mut Vec<(String, u64)>) {
-    match doc {
-        Json::Obj(fields) => {
-            for (k, v) in fields {
-                let child = if path.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{path}.{k}")
-                };
-                if k.ends_with("_ns") {
-                    if let Some(n) = v.as_u64() {
-                        out.push((child, n));
-                        continue;
-                    }
-                }
-                collect_ns_leaves(v, child, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, item) in items.iter().enumerate() {
-                collect_ns_leaves(item, format!("{path}{}", element_key(item, i)), out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// The addressing suffix for an array element (see [`collect_ns_leaves`]).
-fn element_key(item: &Json, i: usize) -> String {
-    let label = item.get("label").and_then(Json::as_str);
-    let strategy = item.get("strategy").and_then(Json::as_str);
-    match (label, strategy) {
-        (Some(l), Some(s)) => format!("[label={l}/{s}]"),
-        (Some(l), None) => format!("[label={l}]"),
-        (None, Some(s)) => format!("[label={s}]"),
-        (None, None) => format!("[{i}]"),
-    }
-}
-
-/// Resolve the diff threshold: CLI flag beats `GQ_BENCH_DIFF_THRESHOLD`
-/// beats [`DEFAULT_THRESHOLD`]. Invalid values fall back to the default.
-pub fn threshold_from(cli: Option<f64>) -> f64 {
-    if let Some(t) = cli {
-        return t;
-    }
-    std::env::var("GQ_BENCH_DIFF_THRESHOLD")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t > 1.0)
-        .unwrap_or(DEFAULT_THRESHOLD)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn doc(wall: u64, probe: u64) -> Json {
-        stamp(Json::obj().field(
-            "queries",
-            vec![
-                    Json::obj()
-                        .field("label", "q1")
-                        .field("wall_ns", wall)
-                        .field("answers", 7u64),
-                    Json::obj()
-                        .field("label", "q2")
-                        .field("probe_ns", probe),
-                ],
-        ))
-    }
-
-    #[test]
-    fn identical_documents_pass() {
-        let a = doc(1_000_000, 2_000_000);
-        let r = diff(&a, &a, DEFAULT_THRESHOLD).unwrap();
-        assert!(r.passed());
-        assert_eq!(r.compared, 2);
-        assert!(r.missing.is_empty());
-    }
-
-    #[test]
-    fn doubled_timing_is_flagged_worst_first() {
-        let base = doc(1_000_000, 2_000_000);
-        let new = doc(2_000_000, 7_000_000); // 2.0x and 3.5x
-        let r = diff(&base, &new, 1.5).unwrap();
-        assert!(!r.passed());
-        assert_eq!(r.regressions.len(), 2);
-        assert!(r.regressions[0].path.contains("q2"), "worst first");
-        assert!((r.regressions[0].ratio - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn improvements_and_noise_are_not_regressions() {
-        let base = doc(1_000_000, 2_000_000);
-        let new = doc(500_000, 2_100_000); // 0.5x and 1.05x
-        let r = diff(&base, &new, 1.5).unwrap();
-        assert!(r.passed());
-        let best = r.best_improvement.unwrap();
-        assert!(best.path.contains("q1"));
-        assert!((best.ratio - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sub_microsecond_base_is_noise_floor() {
-        let base = doc(400, 2_000_000);
-        let new = doc(40_000, 2_000_000); // 100x on a 400ns base: jitter
-        let r = diff(&base, &new, 1.5).unwrap();
-        assert!(r.passed());
-        assert_eq!(r.below_floor, 1);
-        assert_eq!(r.compared, 1);
-    }
-
-    #[test]
-    fn label_keyed_elements_survive_reordering() {
-        let base = doc(1_000_000, 2_000_000);
-        let mut reordered = base.clone();
-        if let Some(Json::Arr(items)) = reordered
-            .as_obj()
-            .and_then(|fields| fields.iter().find(|(k, _)| k == "queries"))
-            .map(|(_, v)| v.clone())
-        {
-            let swapped: Vec<Json> = items.into_iter().rev().collect();
-            reordered = stamp(Json::obj().field("queries", swapped));
-        }
-        let r = diff(&base, &reordered, 1.5).unwrap();
-        assert!(r.passed(), "{:?}", r.regressions);
-        assert_eq!(r.compared, 2);
-        assert!(r.missing.is_empty());
-    }
-
-    #[test]
-    fn labels_with_brackets_and_duplicates_still_pair() {
-        // Real plan-node labels contain `]` (join keys render as
-        // `on [(0, 0)]`) and siblings can share a label; neither may
-        // produce phantom "missing" paths when a file is self-diffed.
-        let tricky = stamp(Json::obj().field(
-            "plan",
-            Json::obj().field(
-                "children",
-                vec![
-                    Json::obj()
-                        .field("label", "⊼ complement-join on [(0, 0)]")
-                        .field("elapsed_ns", 3_000_000u64),
-                    Json::obj()
-                        .field("label", "scan p")
-                        .field("elapsed_ns", 4_000_000u64),
-                    Json::obj()
-                        .field("label", "scan p")
-                        .field("elapsed_ns", 5_000_000u64),
-                ],
-            ),
-        ));
-        let r = diff(&tricky, &tricky, 1.01).unwrap();
-        assert!(r.passed(), "{:?}", r.regressions);
-        assert_eq!(r.compared, 3);
-        assert!(r.missing.is_empty(), "{:?}", r.missing);
-    }
-
-    #[test]
-    fn missing_paths_are_reported_not_flagged() {
-        let base = doc(1_000_000, 2_000_000);
-        let new = stamp(Json::obj().field(
-            "queries",
-            vec![Json::obj().field("label", "q1").field("wall_ns", 1_000_000u64)],
-        ));
-        let r = diff(&base, &new, 1.5).unwrap();
-        assert!(r.passed());
-        assert_eq!(r.missing.len(), 1);
-        assert!(r.missing[0].contains("q2"));
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_an_error() {
-        let a = doc(1_000_000, 2_000_000);
-        let b = Json::obj()
-            .field("schema_version", 999u64)
-            .field("queries", Vec::<Json>::new());
-        let err = diff(&a, &b, 1.5).unwrap_err();
-        assert!(matches!(err, DiffError::SchemaMismatch { .. }));
-        let unstamped = Json::obj().field("queries", Vec::<Json>::new());
-        assert!(diff(&a, &unstamped, 1.5).is_err());
-    }
 
     #[test]
     fn stamp_leads_with_version_and_host() {
@@ -398,24 +50,5 @@ mod tests {
         );
         assert!(doc.get("host").and_then(|h| h.get("cores")).is_some());
         assert_eq!(doc.get("x").and_then(Json::as_u64), Some(1));
-    }
-
-    #[test]
-    fn threshold_resolution_prefers_cli() {
-        assert_eq!(threshold_from(Some(2.0)), 2.0);
-        // No env var set in tests: default applies.
-        let t = threshold_from(None);
-        assert!(t >= 1.0);
-    }
-
-    #[test]
-    fn round_trips_through_the_parser() {
-        // What the binary actually does: pretty-print to disk, parse back.
-        let a = doc(5_000_000, 9_000_000);
-        let text = format!("{}\n", a.pretty());
-        let parsed = Json::parse(&text).unwrap();
-        let r = diff(&a, &parsed, 1.01).unwrap();
-        assert!(r.passed());
-        assert_eq!(r.compared, 2);
     }
 }
