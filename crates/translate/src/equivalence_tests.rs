@@ -284,6 +284,47 @@ fn prop4_cases_1_to_4_avoid_division() {
     }
 }
 
+/// Range passing (DESIGN.md §7.7): case 1's inner block is joined under
+/// the `attends` range that binds both of its correlation variables — it is
+/// never built on its own as `lecture ⋈ enrolled`, which is quadratic in
+/// the database — and `enrolled`, whose variables are then all bound, is a
+/// semi-join.
+#[test]
+fn prop4_case1_inner_block_is_joined_under_its_range() {
+    use gq_algebra::AlgebraExpr;
+    fn is_scan(e: &AlgebraExpr, name: &str) -> bool {
+        matches!(e, AlgebraExpr::Relation(n) if n == name)
+    }
+    fn joins_lecture_with_enrolled(e: &AlgebraExpr) -> bool {
+        let here = match e {
+            AlgebraExpr::Join { left, right, .. } => {
+                (is_scan(left, "lecture") && is_scan(right, "enrolled"))
+                    || (is_scan(left, "enrolled") && is_scan(right, "lecture"))
+            }
+            _ => false,
+        };
+        here || e.children().into_iter().any(joins_lecture_with_enrolled)
+    }
+    fn semi_joins_enrolled(e: &AlgebraExpr) -> bool {
+        matches!(e, AlgebraExpr::SemiJoin { right, .. } if is_scan(right, "enrolled"))
+            || e.children().into_iter().any(semi_joins_enrolled)
+    }
+    let db = uni_db();
+    let text = "exists y. attends(x,y) & (exists d. lecture(y,d) & enrolled(x,d))";
+    let canonical = canonicalize(&parse(text).unwrap()).unwrap();
+    for cost_ordering in [false, true] {
+        let (_, plan) = ImprovedTranslator::new(&db)
+            .with_cost_ordering(cost_ordering)
+            .translate_open(&canonical)
+            .unwrap();
+        assert!(
+            !joins_lecture_with_enrolled(&plan),
+            "inner block built on its own: {plan}"
+        );
+        assert!(semi_joins_enrolled(&plan), "expected ⋉ enrolled: {plan}");
+    }
+}
+
 #[test]
 fn disjunctive_filter_outer_joins() {
     // §2.3 Q₁: PhD student or professor speaking french or german.

@@ -11,6 +11,11 @@
 //!   subquery's plan when its producers cover the correlation variables
 //!   (Proposition 4 cases 1/2a/3/4), and *correlated joins* otherwise
 //!   (case 2b);
+//! * *range passing* (DESIGN.md §7.7): an ∃-range whose variables the
+//!   block's other producers already produce is applied as a filter, and a
+//!   subquery all of whose producers are correlated with the context is
+//!   joined under the range that binds it, a producer adding no variable
+//!   becoming a semi-join — so no subquery result outgrows that range;
 //! * negated existential subqueries whose producers do not cover the
 //!   correlation variables use **division** — the only case where division
 //!   is unavoidable (case 5);
@@ -165,7 +170,10 @@ impl<'db> ImprovedTranslator<'db> {
                 let positions = lay
                     .positions_of(free.iter())
                     .ok_or_else(|| TranslateError::internal("producers cover free variables"))?;
-                Ok((Layout::new(free.to_vec()), expr.project(positions)))
+                Ok((
+                    Layout::new(free.to_vec()),
+                    project(expr, positions, lay.arity()),
+                ))
             }
             None => Err(TranslateError::Unsupported {
                 context: "open query".into(),
@@ -241,6 +249,10 @@ impl<'db> ImprovedTranslator<'db> {
     /// each filter. Returns `None` if a filter references variables that
     /// only an *enclosing* context could supply (the caller then falls back
     /// to a correlated plan).
+    ///
+    /// An ∃-range producer whose variables the other producers already
+    /// produce is applied as a filter on their join instead of being built
+    /// on its own (DESIGN.md §7.5, §7.7).
     fn translate_block(
         &self,
         producers: &[Formula],
@@ -250,6 +262,7 @@ impl<'db> ImprovedTranslator<'db> {
         // Every translation recursion cycle passes through here, so this
         // is the cooperative cancellation point for the translate phase.
         self.check_governor()?;
+        let (producers, covered) = split_covered_ranges(producers);
         let mut translated: Vec<Typed> = Vec::with_capacity(producers.len());
         for p in producers {
             let vars: BTreeSet<Var> = p.free_vars().difference(outer).cloned().collect();
@@ -267,7 +280,7 @@ impl<'db> ImprovedTranslator<'db> {
                 None => return Ok(None),
             }
         };
-        for filt in filters {
+        for filt in covered.into_iter().chain(filters) {
             match self.apply_filter(acc, filt, outer)? {
                 Some(next) => acc = next,
                 None => return Ok(None),
@@ -347,7 +360,7 @@ impl<'db> ImprovedTranslator<'db> {
                         subformula: f.to_string(),
                     }
                 })?;
-                Ok((la, ea.union(eb.project(positions))))
+                Ok((la, ea.union(project(eb, positions, lb.arity()))))
             }
             Formula::Exists(ys, r) => {
                 let mut wider = target.clone();
@@ -371,7 +384,7 @@ impl<'db> ImprovedTranslator<'db> {
                 let positions = lr
                     .positions_of(kept_unique.iter())
                     .ok_or_else(|| TranslateError::internal("columns of own layout"))?;
-                Ok((Layout::new(kept_unique), er.project(positions)))
+                Ok((Layout::new(kept_unique), project(er, positions, lr.arity())))
             }
             _ => Err(TranslateError::Unsupported {
                 context: "range".into(),
@@ -540,7 +553,7 @@ impl<'db> ImprovedTranslator<'db> {
                             .ok_or_else(|| TranslateError::internal("block covers its vars"))?;
                         Ok(Some(Test::Membership {
                             cvars,
-                            expr: bexpr.project(positions),
+                            expr: project(bexpr, positions, blay.arity()),
                             positive: true,
                         }))
                     }
@@ -559,6 +572,21 @@ impl<'db> ImprovedTranslator<'db> {
                 let Some(pf) = split_producer_filter(body, &target, &cvars_set) else {
                     return Err(TranslateError::Unrestricted(unrestricted_diag(d)));
                 };
+                // Range passing (DESIGN.md §7.7): when two or more
+                // producers each share a variable with the context, built on
+                // their own they would join without the context's keys
+                // (Proposition 4 case 1: `lecture ⋈ enrolled`, every student
+                // with every lecture of their department). The correlated
+                // plan joins them under the context's range instead, as
+                // case 2b does.
+                if pf.producers.len() > 1
+                    && pf
+                        .producers
+                        .iter()
+                        .all(|p| !p.free_vars().is_disjoint(&cvars_set))
+                {
+                    return Ok(None);
+                }
                 match self.translate_block(&pf.producers, &pf.filters, &cvars_set)? {
                     Some((blay, bexpr)) => {
                         if !blay.contains_all(cvars_set.iter()) {
@@ -570,7 +598,7 @@ impl<'db> ImprovedTranslator<'db> {
                         })?;
                         Ok(Some(Test::Membership {
                             cvars,
-                            expr: bexpr.project(positions),
+                            expr: project(bexpr, positions, blay.arity()),
                             positive: true,
                         }))
                     }
@@ -600,7 +628,7 @@ impl<'db> ImprovedTranslator<'db> {
                 let positions = mlay
                     .positions_of(lay.columns().iter())
                     .ok_or_else(|| TranslateError::internal("context columns preserved"))?;
-                Ok(Some((lay, mexpr.project(positions))))
+                Ok(Some((lay, project(mexpr, positions, mlay.arity()))))
             }
             Formula::Not(inner) => match &**inner {
                 Formula::Exists(zs, body) => {
@@ -617,7 +645,7 @@ impl<'db> ImprovedTranslator<'db> {
                     let positions = mlay
                         .positions_of(lay.columns().iter())
                         .ok_or_else(|| TranslateError::internal("context columns preserved"))?;
-                    let violators = mexpr.project(positions);
+                    let violators = project(mexpr, positions, mlay.arity());
                     // E ⊼ (rows with a witness) on all columns.
                     let on: Vec<(usize, usize)> = (0..lay.arity()).map(|i| (i, i)).collect();
                     Ok(Some((lay, expr.complement_join(violators, on))))
@@ -629,7 +657,10 @@ impl<'db> ImprovedTranslator<'db> {
     }
 
     /// The rows of `ctx ⋈ producers(body)` satisfying the body's filters —
-    /// the correlated-join engine behind Proposition 4 case 2b.
+    /// the correlated-join engine behind Proposition 4 case 2b and range
+    /// passing (DESIGN.md §7.7). A producer all of whose variables are
+    /// already bound adds no column, so it is a semi-join: a probe stops at
+    /// the first witness.
     fn correlated_matches(
         &self,
         ctx: Typed,
@@ -648,7 +679,12 @@ impl<'db> ImprovedTranslator<'db> {
         for p in &pf.producers {
             let vars: BTreeSet<Var> = p.free_vars().difference(&ctx_outer).cloned().collect();
             let t = self.translate_range(p, &vars, &ctx_outer)?;
-            acc = join_natural(acc, t);
+            acc = if acc.0.contains_all(t.0.columns()) {
+                let on = acc.0.shared_pairs(&t.0);
+                (acc.0, acc.1.semi_join(t.1, on))
+            } else {
+                join_natural(acc, t)
+            };
         }
         for filt in &pf.filters {
             match self.apply_filter(acc, filt, &ctx_outer)? {
@@ -711,6 +747,8 @@ impl<'db> ImprovedTranslator<'db> {
         let Some(dpos) = dlay.positions_of(zs.iter()) else {
             return Ok(None);
         };
+        // Always a π, even an identity one: `divisor_arity_of` reads the
+        // z̄ column count off it.
         let divisor = dexpr.project(dpos);
         let (glay, gexpr) = self.translate_atom(g_atom)?;
         let aligned: Vec<Var> = cvars.iter().chain(zs.iter()).cloned().collect();
@@ -719,7 +757,7 @@ impl<'db> ImprovedTranslator<'db> {
             .ok_or_else(|| TranslateError::internal("g carries C and z̄"))?;
         Ok(Some(Test::Division {
             cvars,
-            g_aligned: gexpr.project(gpos),
+            g_aligned: project(gexpr, gpos, glay.arity()),
             divisor,
         }))
     }
@@ -823,7 +861,7 @@ impl<'db> ImprovedTranslator<'db> {
         debug_assert!(!sigma.is_empty(), "a disjunctive filter has disjuncts");
         let filtered = chained.select(Predicate::or_all(sigma));
         let back: Vec<usize> = (0..p).collect();
-        Ok(Some((lay, filtered.project(back))))
+        Ok(Some((lay, project(filtered, back, p + probe_index))))
     }
 
     /// Correct (but union-building) fallback for disjunctive filters whose
@@ -862,6 +900,49 @@ fn join_natural(a: Typed, b: Typed) -> Typed {
         ea.join(eb, pairs)
     };
     (lay, expr)
+}
+
+/// `π[positions]` over an input of `arity` columns. Every algebra result is
+/// a set, so an identity projection is the input itself; a projection of a
+/// projection is one projection (`π[p](π[q](e)) = π[q∘p](e)`). Either way
+/// the executor's dedup pass for the dropped π is saved.
+fn project(expr: AlgebraExpr, positions: Vec<usize>, arity: usize) -> AlgebraExpr {
+    if positions.iter().copied().eq(0..arity) {
+        return expr;
+    }
+    match expr {
+        AlgebraExpr::Project {
+            input,
+            positions: inner,
+        } => input.project(positions.iter().map(|&p| inner[p]).collect()),
+        expr => expr.project(positions),
+    }
+}
+
+/// Split a block's producers into those to join and the ∃-ranges to apply
+/// as filters because the others already produce all their variables
+/// (DESIGN.md §7.5). At least one producer is always kept.
+fn split_covered_ranges(producers: &[Formula]) -> (Vec<&Formula>, Vec<&Formula>) {
+    let mut kept: Vec<&Formula> = producers.iter().collect();
+    let mut covered = Vec::new();
+    let mut i = 0;
+    while i < kept.len() {
+        let is_covered = kept.len() > 1 && matches!(kept[i], Formula::Exists(..)) && {
+            let others: BTreeSet<Var> = kept
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .flat_map(|(_, p)| p.free_vars())
+                .collect();
+            kept[i].free_vars().is_subset(&others)
+        };
+        if is_covered {
+            covered.push(kept.remove(i));
+        } else {
+            i += 1;
+        }
+    }
+    (kept, covered)
 }
 
 /// Apply a standalone test to a context.
@@ -904,7 +985,7 @@ fn apply_test(ctx: Typed, test: Test, mode: DivisionMode) -> Result<Typed, Trans
                 DivisionMode::Divide => {
                     // quotient = π_C(g ÷ divisor); divide the z̄ columns
                     // (which sit after the C columns in g_aligned).
-                    let dz: Vec<(usize, usize)> = (0..divisor_arity_of(&divisor, c))
+                    let dz: Vec<(usize, usize)> = (0..divisor_arity_of(&divisor))
                         .map(|i| (c + i, i))
                         .collect();
                     let quotient = g_aligned.divide(divisor.clone(), dz);
@@ -916,8 +997,8 @@ fn apply_test(ctx: Typed, test: Test, mode: DivisionMode) -> Result<Typed, Trans
                 }
                 DivisionMode::ComplementJoin => {
                     // violators = (π_C(E) × D) ⊼ G; E ⊼_C π_C(violators).
-                    let zn = divisor_arity_of(&divisor, c);
-                    let candidates = expr.clone().project(lpos).product(divisor);
+                    let zn = divisor_arity_of(&divisor);
+                    let candidates = project(expr.clone(), lpos, lay.arity()).product(divisor);
                     let all: Vec<(usize, usize)> = (0..c + zn).map(|i| (i, i)).collect();
                     let violators = candidates
                         .complement_join(g_aligned, all)
@@ -929,12 +1010,10 @@ fn apply_test(ctx: Typed, test: Test, mode: DivisionMode) -> Result<Typed, Trans
     })
 }
 
-/// The arity of a divisor expression (z̄ column count). Derivable from the
-/// aligned g (total − C), avoiding a catalog lookup.
-fn divisor_arity_of(_divisor: &AlgebraExpr, _c: usize) -> usize {
-    // The divisor is always built as π_z̄(block), so its arity equals the
-    // projection length; recover it structurally.
-    match _divisor {
+/// The arity of a divisor expression (z̄ column count), read off the
+/// `π_z̄(block)` it is always built as — no catalog lookup.
+fn divisor_arity_of(divisor: &AlgebraExpr) -> usize {
+    match divisor {
         AlgebraExpr::Project { positions, .. } => positions.len(),
         _ => unreachable!("divisor is always a projection"),
     }

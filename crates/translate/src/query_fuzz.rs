@@ -5,8 +5,10 @@
 //!
 //! This extends the fixed query pool of `equivalence_tests` to a
 //! combinatorially larger space: nested quantifiers, mixed negation,
-//! disjunctive filters and producers, comparisons, and ∀-forms, composed
-//! recursively.
+//! disjunctive filters and producers, comparisons, ∀-forms, and subqueries
+//! whose producers are each correlated with a different context variable
+//! (range passing, DESIGN.md §7.7), composed recursively. A release build
+//! runs four times the seeds of a debug one.
 
 use crate::{ClassicalTranslator, ImprovedTranslator};
 use gq_algebra::Evaluator;
@@ -63,10 +65,28 @@ fn gen_atom(rng: &mut StdRng, vars: &[Var], scale: usize) -> Formula {
     Formula::atom(name, terms.into_iter().map(Option::unwrap).collect())
 }
 
+/// `∃z a(v,z) ∧ b(w,z)`: a subquery with two producers, one correlated
+/// with `v` and one with `w`. As a filter it is translated under the
+/// context's range; as a conjunct beside a producer of `v` and `w` it is a
+/// covered range, applied as a filter too (DESIGN.md §7.7).
+fn gen_two_producer_exists(
+    rng: &mut StdRng,
+    v: &Var,
+    w: &Var,
+    fresh: &mut usize,
+    scale: usize,
+) -> Formula {
+    let z = Var::new(format!("z{}", *fresh));
+    *fresh += 1;
+    let a = gen_atom(rng, &[v.clone(), z.clone()], scale);
+    let b = gen_atom(rng, &[w.clone(), z.clone()], scale);
+    Formula::exists(vec![z], Formula::and(a, b))
+}
+
 /// A filter formula over (a subset of) `avail`, with recursion budget
 /// `depth`. Filters may be atoms, negated atoms, comparisons, quantified
-/// subqueries (∃/∀ with fresh inner variables), or disjunctions of the
-/// above.
+/// subqueries (∃/∀ with fresh inner variables, ∃ with two correlated
+/// producers), or disjunctions of the above.
 fn gen_filter(
     rng: &mut StdRng,
     avail: &[Var],
@@ -74,11 +94,12 @@ fn gen_filter(
     fresh: &mut usize,
     scale: usize,
 ) -> Formula {
-    let v = avail[rng.gen_range(0..avail.len())].clone();
+    let vi = rng.gen_range(0..avail.len());
+    let v = avail[vi].clone();
     let choice = if depth == 0 {
         rng.gen_range(0..4)
     } else {
-        rng.gen_range(0..7)
+        rng.gen_range(0..8)
     };
     match choice {
         0 => gen_atom(rng, &[v], scale),
@@ -128,6 +149,16 @@ fn gen_filter(
             let inner = gen_filter(rng, &[v, z.clone()], depth - 1, fresh, scale);
             Formula::not(Formula::exists(vec![z], Formula::and(producer, inner)))
         }
+        7 if avail.len() > 1 => {
+            // (¬)∃z a(v,z) ∧ b(w,z) with w ≠ v
+            let w = &avail[(vi + rng.gen_range(1..avail.len())) % avail.len()];
+            let sub = gen_two_producer_exists(rng, &v, w, fresh, scale);
+            if rng.gen_bool(0.3) {
+                Formula::not(sub)
+            } else {
+                sub
+            }
+        }
         _ => {
             // ∀ subquery: ∀z range(z) ⇒ test(v,z)
             let z = Var::new(format!("z{}", *fresh));
@@ -160,6 +191,12 @@ pub fn gen_query(seed: u64, scale: usize) -> (Formula, Database) {
         let filt = gen_filter(&mut rng, &vars, 2, &mut fresh, scale);
         f = Formula::and(f, filt);
     }
+    // Sometimes a range conjunct the producer covers.
+    if rng.gen_bool(0.3) {
+        let (v, w) = (&vars[0], &vars[vars.len() - 1]);
+        let covered = gen_two_producer_exists(&mut rng, v, w, &mut fresh, scale);
+        f = Formula::and(f, covered);
+    }
     // Occasionally close the query.
     if rng.gen_bool(0.3) {
         f = Formula::exists(vars, f);
@@ -173,6 +210,17 @@ pub fn gen_query(seed: u64, scale: usize) -> (Formula, Database) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
+
+    /// `count` seeds from `start`, four times as many in a release build.
+    fn seeds(start: u64, count: u64) -> Range<u64> {
+        let count = if cfg!(debug_assertions) {
+            count
+        } else {
+            count * 4
+        };
+        start..start + count
+    }
 
     fn check(seed: u64) {
         let (f, db) = gen_query(seed, 8);
@@ -227,21 +275,21 @@ mod tests {
 
     #[test]
     fn fuzz_batch_1() {
-        for seed in 0..120 {
+        for seed in seeds(0, 120) {
             check(seed);
         }
     }
 
     #[test]
     fn fuzz_batch_2() {
-        for seed in 1000..1120 {
+        for seed in seeds(1000, 120) {
             check(seed);
         }
     }
 
     #[test]
     fn fuzz_batch_3_larger_db() {
-        for seed in 2000..2060 {
+        for seed in seeds(2000, 60) {
             let (f, db) = gen_query(seed, 15);
             let canonical = canonicalize(&f).unwrap();
             // improved vs nested-loop only (classical explodes at scale)

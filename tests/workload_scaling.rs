@@ -32,6 +32,40 @@ fn improved_reads_scale_linearly() {
     }
 }
 
+/// The intermediates of the improved plan grow at most ~linearly too.
+/// Proposition 4 case 1 is the query that broke it: its inner block, built
+/// on its own as `lecture ⋈ enrolled`, grew with students × lectures per
+/// department (14.7× here, while departments grow 3.7×); translated under
+/// the `attends` range that binds it (DESIGN.md §7.7), no intermediate
+/// outgrows `attends` and the peak grows with the database (7.9×).
+#[test]
+fn improved_intermediates_scale_linearly() {
+    let text = "exists y. attends(x,y) & (exists d. lecture(y,d) & enrolled(x,d))";
+    let (small_n, big_n) = (200usize, 1600);
+    let small = QueryEngine::new(university(&UniversityScale::of_size(small_n)));
+    let big = QueryEngine::new(university(&UniversityScale::of_size(big_n)));
+    let scale = big_n as f64 / small_n as f64; // 8×
+    for engine in [&small, &big] {
+        let r = engine.query_with(text, Strategy::Improved).unwrap();
+        let attends = engine.query("attends(x,y)").unwrap().len();
+        assert!(
+            r.stats.max_intermediate <= attends,
+            "`{text}`: an intermediate of {} rows outgrows attends ({attends})",
+            r.stats.max_intermediate
+        );
+    }
+    let rs = small.query_with(text, Strategy::Improved).unwrap();
+    let rb = big.query_with(text, Strategy::Improved).unwrap();
+    let growth =
+        rb.stats.peak_intermediate_tuples as f64 / rs.stats.peak_intermediate_tuples as f64;
+    assert!(
+        growth < scale * 1.5,
+        "`{text}`: peak intermediate grew {growth:.1}× for a {scale:.0}× database ({} → {})",
+        rs.stats.peak_intermediate_tuples,
+        rb.stats.peak_intermediate_tuples
+    );
+}
+
 /// The classical translation's tuple-comparison count grows super-linearly
 /// (quadratically here: the two-variable product — which our pipelined
 /// evaluator streams rather than materializes, so the blow-up shows up in
