@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gq_algebra::Evaluator;
 use gq_bench::quel_all_d0_plan;
 use gq_calculus::parse;
-use gq_core::{EngineOptions, QueryEngine, Strategy};
+use gq_core::{EngineOptions, QueryEngine, Request, Strategy};
 use gq_rewrite::canonicalize;
 use gq_translate::{DivisionMode, ImprovedTranslator};
 use gq_workload::{university, UniversityScale};
@@ -69,9 +69,14 @@ fn bench_optimizer(c: &mut Criterion) {
                 &options,
                 |b, options| {
                     b.iter(|| {
-                        e.query_with_options(FORALL_QUERY, strategy, *options)
-                            .unwrap()
-                            .len()
+                        e.run(
+                            &Request::text(FORALL_QUERY)
+                                .with_strategy(strategy)
+                                .with_options(*options),
+                        )
+                        .unwrap()
+                        .result
+                        .len()
                     })
                 },
             );
@@ -90,8 +95,9 @@ fn bench_sharing(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new(label, "forall"), &options, |b, options| {
             b.iter(|| {
-                e.query_with_options(FORALL_QUERY, Strategy::Improved, *options)
+                e.run(&Request::text(FORALL_QUERY).with_options(*options))
                     .unwrap()
+                    .result
                     .len()
             })
         });
@@ -109,15 +115,15 @@ fn bench_base_indexes(c: &mut Criterion) {
             ..EngineOptions::default()
         };
         // warm the cache outside the measurement
-        e.query_with_options(text, Strategy::Improved, options)
-            .unwrap();
+        e.run(&Request::text(text).with_options(options)).unwrap();
         group.bench_with_input(
             BenchmarkId::new(label, "neg-subquery"),
             &options,
             |b, options| {
                 b.iter(|| {
-                    e.query_with_options(text, Strategy::Improved, *options)
+                    e.run(&Request::text(text).with_options(*options))
                         .unwrap()
+                        .result
                         .len()
                 })
             },

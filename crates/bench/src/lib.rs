@@ -7,8 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
-
 use gq_algebra::{AlgebraExpr, Constraint, Predicate};
 use gq_calculus::CompareOp;
 
@@ -123,68 +121,6 @@ pub fn outer_join_disjunctive_filter(n: usize) -> AlgebraExpr {
     }
     let sigma = Predicate::or_all((1..=n).map(Predicate::NotNull).collect());
     expr.select(sigma).project(vec![0])
-}
-
-/// Flight-recorder overhead on the §2.3 producer/filter query: median
-/// per-query wall time with the journal disabled vs enabled.
-#[derive(Debug, Clone, Copy)]
-pub struct FlightRecorderOverhead {
-    /// Median query time with the journal's runtime switch off.
-    pub off_median_ns: u64,
-    /// Median query time with the journal recording.
-    pub on_median_ns: u64,
-    /// Journal events one query appends (start/end, governor, cache …).
-    pub events_per_query: u64,
-}
-
-impl FlightRecorderOverhead {
-    /// `on/off` ratio; 1.0 means the recorder is free.
-    pub fn ratio(&self) -> f64 {
-        self.on_median_ns as f64 / self.off_median_ns.max(1) as f64
-    }
-}
-
-/// Measure [`FlightRecorderOverhead`] over a university workload of
-/// `size` students, `samples` runs per configuration (median reported).
-///
-/// The disabled path must be indistinguishable from noise: with the
-/// journal off the engine takes no timestamps and the producer/filter
-/// pipeline never calls into the recorder beyond one relaxed atomic
-/// load per would-be event.
-pub fn flight_recorder_overhead(size: usize, samples: usize) -> FlightRecorderOverhead {
-    use gq_core::QueryEngine;
-    use gq_workload::{university, UniversityScale};
-
-    let query = "((student(x) & makes(x,\"PhD\")) | prof(x)) \
-                 & (speaks(x,\"lang0\") | speaks(x,\"lang1\"))";
-    let mut scale = UniversityScale::of_size(size);
-    scale.completionist_rate = 0.1;
-    let engine = QueryEngine::new(university(&scale));
-    let median = |mut v: Vec<u64>| -> u64 {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let run = |count: usize| -> Vec<u64> {
-        (0..count)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                let _ = engine.query(query);
-                t0.elapsed().as_nanos() as u64
-            })
-            .collect()
-    };
-    let _ = engine.query(query); // warm caches before either side is timed
-    engine.journal().disable();
-    let off = run(samples.max(1));
-    engine.journal().enable();
-    let appends_before = engine.journal().appends();
-    let on = run(samples.max(1));
-    let events_per_query = (engine.journal().appends() - appends_before) / samples.max(1) as u64;
-    FlightRecorderOverhead {
-        off_median_ns: median(off),
-        on_median_ns: median(on),
-        events_per_query,
-    }
 }
 
 /// The calculus text of the n-ary disjunctive filter query.

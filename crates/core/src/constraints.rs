@@ -8,7 +8,7 @@
 //! violated universal constraint `∀x̄ R ⇒ F` the checker also reports the
 //! *witnesses* — the answers of the open query `R ∧ ¬F`.
 
-use crate::{EngineError, QueryEngine, Strategy};
+use crate::{EngineError, QueryEngine, Request};
 use gq_calculus::{parse, Formula, Var};
 use gq_storage::Relation;
 
@@ -88,7 +88,7 @@ impl ConstraintSet {
 }
 
 fn check_one(c: &Constraint, engine: &QueryEngine) -> Result<ConstraintReport, EngineError> {
-    let result = engine.eval_formula(&c.formula, Strategy::Improved)?;
+    let result = engine.run(&Request::formula(&c.formula))?.result;
     let satisfied = result.is_true();
     let witnesses = if satisfied {
         None
@@ -126,7 +126,7 @@ fn violation_witnesses(
     match witness_query {
         None => Ok(None),
         Some(q) => {
-            let result = engine.eval_formula(&q, Strategy::Improved)?;
+            let result = engine.run(&Request::formula(&q))?.result;
             Ok(Some((result.vars, result.answers)))
         }
     }

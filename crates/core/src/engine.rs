@@ -1,7 +1,10 @@
 //! The query engine: parse → normalize → translate → evaluate, with a
-//! prepared-query plan cache skipping the first three phases on repeats.
+//! prepared-query plan cache skipping the middle phases on repeats.
+//! Every query enters through [`QueryEngine::run`] and one private
+//! driver that owns its whole lifecycle.
 
 use crate::plan_cache::{CompiledKind, CompiledPlan, PlanCache, PlanCacheStats, PlanKey};
+use crate::request::{Input, PreparedQuery, Request, Response};
 use crate::EngineError;
 use gq_algebra::{Evaluator, ExecConfig, ExecStats, PipelineEvent, PipelineHook, PlanProfiler};
 use gq_calculus::{alpha_canonical, parse, parse_program, Formula, RecursiveDef, Var};
@@ -18,7 +21,7 @@ use gq_storage::{
     CheckpointStats, Database, DurabilityStats, DurableDatabase, MutationDelta, RecoveryStats,
     Relation, Schema, StorageError, Tuple,
 };
-use gq_translate::{ClassicalTranslator, ImprovedTranslator, PlanShape};
+use gq_translate::{ClassicalTranslator, ImprovedTranslator, PlanShape, TranslateError};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
@@ -142,6 +145,45 @@ impl Store {
             Store::Durable(d) => d.db_mut_volatile(),
         }
     }
+
+    /// The WAL's counters; `None` for a plain store.
+    fn stats(&self) -> Option<DurabilityStats> {
+        match self {
+            Store::Plain(_) => None,
+            Store::Durable(d) => Some(d.stats()),
+        }
+    }
+
+    fn create_relation(&mut self, name: String, schema: Schema) -> Result<(), StorageError> {
+        match self {
+            Store::Plain(db) => db.create_relation(name, schema),
+            Store::Durable(d) => d.create_relation(name, schema),
+        }
+    }
+
+    fn insert(&mut self, relation: &str, t: Tuple) -> Result<bool, StorageError> {
+        match self {
+            Store::Plain(db) => db.insert(relation, t),
+            Store::Durable(d) => d.insert(relation, t),
+        }
+    }
+
+    fn remove(&mut self, relation: &str, t: &Tuple) -> Result<bool, StorageError> {
+        match self {
+            Store::Plain(db) => db.remove(relation, t),
+            Store::Durable(d) => d.remove(relation, t),
+        }
+    }
+
+    fn replace_relation(&mut self, relation: Relation) -> Result<(), StorageError> {
+        match self {
+            Store::Plain(db) => {
+                db.replace_relation(relation);
+                Ok(())
+            }
+            Store::Durable(d) => d.replace_relation(relation),
+        }
+    }
 }
 
 /// An immutable, epoch-stamped view of the catalog, pinned at the start
@@ -227,8 +269,8 @@ pub struct QueryEngine {
     cancel: CancelToken,
     /// Compiled plans of prepared queries, keyed by α-canonical formula,
     /// strategy, options, catalog epoch and view generation. Consulted
-    /// only by the prepared-query entry points ([`QueryEngine::prepare`] /
-    /// [`QueryEngine::execute`]); ad-hoc queries always compile fresh.
+    /// only by [`QueryEngine::prepare`] and prepared [`Request`]s; every
+    /// other request compiles fresh.
     plan_cache: PlanCache,
     /// The flight recorder: a bounded ring of lifecycle events (query
     /// start/end, plan-cache hit/miss, governor trips, WAL/checkpoint
@@ -245,37 +287,6 @@ pub struct QueryEngine {
 /// Window size (completed queries) for
 /// [`QueryEngine::metrics_snapshot`]'s rolling aggregates.
 const METRICS_WINDOW: usize = 128;
-
-/// A parsed query bound to a strategy and options, executable repeatedly
-/// via [`QueryEngine::execute`] through the engine's plan cache.
-///
-/// Holds no borrow of the engine, so the database can be mutated between
-/// executions — the catalog epoch in the cache key makes the next
-/// execution recompile against the new catalog automatically.
-#[derive(Debug, Clone)]
-pub struct PreparedQuery {
-    text: String,
-    formula: Formula,
-    strategy: Strategy,
-    options: EngineOptions,
-}
-
-impl PreparedQuery {
-    /// The original query text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// The strategy this query was prepared for.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// The options this query was prepared with.
-    pub fn options(&self) -> EngineOptions {
-        self.options
-    }
-}
 
 impl QueryEngine {
     /// Wrap a database. Execution defaults to [`ExecConfig::default`]:
@@ -340,13 +351,6 @@ impl QueryEngine {
     /// Builder-style plan-cache capacity override (entries, min 1).
     pub fn with_plan_cache_capacity(mut self, capacity: usize) -> Self {
         self.plan_cache = PlanCache::with_capacity(capacity);
-        self
-    }
-
-    /// Builder-style [`QueryLimits`] override: every subsequent query
-    /// runs under these budgets.
-    pub fn with_limits(mut self, limits: QueryLimits) -> Self {
-        self.limits = limits;
         self
     }
 
@@ -488,7 +492,7 @@ impl QueryEngine {
         if expanded.is_closed() {
             return Err(EngineError::View(crate::views::ViewError::ClosedBody(name)));
         }
-        let governor = self.start_governor(0);
+        let governor = self.start_governor(0, None, None, None);
         let (vars, plan, mut extent) = {
             let db = store.db();
             let canonical = self.normalize(&expanded, &governor, None)?;
@@ -532,18 +536,8 @@ impl QueryEngine {
     /// rounds are governor-checked against the engine's
     /// [`QueryLimits`], so a runaway recursion trips cleanly with
     /// [`EngineError::ResourceExhausted`] instead of hanging — and
-    /// nothing is registered.
+    /// nothing is registered. The views are maintained incrementally.
     pub fn define_recursive(&self, defs: &[RecursiveDef]) -> Result<(), EngineError> {
-        self.define_recursive_with(defs, crate::ivm::MaintenanceStrategy::Incremental)
-    }
-
-    /// [`QueryEngine::define_recursive`] with an explicit maintenance
-    /// strategy for the defined views.
-    pub fn define_recursive_with(
-        &self,
-        defs: &[RecursiveDef],
-        strategy: crate::ivm::MaintenanceStrategy,
-    ) -> Result<(), EngineError> {
         use crate::views::ViewError;
         if defs.is_empty() {
             return Ok(());
@@ -589,7 +583,7 @@ impl QueryEngine {
         for def in defs {
             working.add_relation(Relation::named_intermediate(&def.name, def.params.len()))?;
         }
-        let governor = self.start_governor(0);
+        let governor = self.start_governor(0, None, None, None);
         let mut compiled = Vec::with_capacity(defs.len());
         for def in defs {
             let (_, expanded) = self.views.expand_with_generation(&def.body)?;
@@ -632,7 +626,7 @@ impl QueryEngine {
                 vars: def.params.clone(),
                 plan,
                 reads,
-                strategy,
+                strategy: crate::ivm::MaintenanceStrategy::Incremental,
             });
         }
         let units = crate::ivm::stratify(compiled).map_err(EngineError::View)?;
@@ -678,32 +672,6 @@ impl QueryEngine {
         self.matviews.extend(units);
         self.publish(&store);
         Ok(())
-    }
-
-    /// Parse and run a `with recursive` program: `with recursive
-    /// name(params) as (body), … in query`. The definitions are
-    /// registered as recursive materialized views (see
-    /// [`QueryEngine::define_recursive`] — already-defined names error
-    /// with `Duplicate`), then the trailing query runs normally. A plain
-    /// formula without a `with recursive` prelude is just evaluated.
-    pub fn query_program(&self, text: &str) -> Result<QueryResult, EngineError> {
-        self.query_program_with(text, Strategy::Improved, EngineOptions::default())
-    }
-
-    /// [`QueryEngine::query_program`] with an explicit strategy and
-    /// options for the trailing query (definitions always fixpoint under
-    /// the engine's limits).
-    pub fn query_program_with(
-        &self,
-        text: &str,
-        strategy: Strategy,
-        options: EngineOptions,
-    ) -> Result<QueryResult, EngineError> {
-        let program = parse_program(text)?;
-        if !program.defs.is_empty() {
-            self.define_recursive(&program.defs)?;
-        }
-        self.eval_formula_with_options(&program.query, strategy, options)
     }
 
     /// `(name, columns, strategy name, recursive?)` for every registered
@@ -756,7 +724,7 @@ impl QueryEngine {
         }
         let old = self.snapshot();
         let mut working = store.db().clone();
-        let governor = self.start_governor(0);
+        let governor = self.start_governor(0, None, None, None);
         let mut on_round = self.ivm_round_hook();
         let outcomes =
             crate::ivm::maintain(&mut working, &old, deltas, &units, &governor, &mut on_round)?;
@@ -846,12 +814,6 @@ impl QueryEngine {
         ))
     }
 
-    /// The current committed snapshot of the database (see
-    /// [`QueryEngine::snapshot`]; dereferences to [`Database`]).
-    pub fn db(&self) -> Snapshot {
-        self.snapshot()
-    }
-
     /// Exclusive mutable access to the database (inserts, new
     /// relations) through a guard that republishes the read snapshot on
     /// drop, which also drops the cached indexes of the relations it
@@ -877,10 +839,7 @@ impl QueryEngine {
 
     /// Durability counters of the attached durable database, if any.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        match &*self.store_lock() {
-            Store::Plain(_) => None,
-            Store::Durable(d) => Some(d.stats()),
-        }
+        self.store_lock().stats()
     }
 
     /// Take an atomic checkpoint of the attached durable database: the
@@ -916,21 +875,11 @@ impl QueryEngine {
         name: impl Into<String>,
         schema: Schema,
     ) -> Result<(), EngineError> {
-        let mut store = self.store_lock();
-        let out = match &mut *store {
-            Store::Plain(db) => db.create_relation(name, schema).map_err(EngineError::from),
-            Store::Durable(d) => {
-                let before = d.stats();
-                let out = d.create_relation(name, schema);
-                let after = d.stats();
-                self.record_durability("create-relation", before, after);
-                out.map_err(EngineError::from)
-            }
-        };
-        if out.is_ok() {
-            self.publish(&store);
-        }
-        out
+        let name = name.into();
+        self.commit("create-relation", |store| {
+            store.create_relation(name, schema)?;
+            Ok(((), vec![]))
+        })
     }
 
     /// Insert a tuple through the store — WAL-logged when durable. On
@@ -939,36 +888,17 @@ impl QueryEngine {
     /// write moved) are dropped, no others; in-flight queries keep their
     /// pinned snapshots.
     pub fn insert(&self, relation: &str, t: Tuple) -> Result<bool, EngineError> {
-        let mut store = self.store_lock();
-        // Capture the tuple for view maintenance only when views exist —
-        // the clone is off the common path.
-        let captured = if self.matviews.is_empty() {
-            None
-        } else {
-            Some(t.clone())
-        };
-        let out = match &mut *store {
-            Store::Plain(db) => db.insert(relation, t).map_err(EngineError::from),
-            Store::Durable(d) => {
-                let before = d.stats();
-                let out = d.insert(relation, t);
-                let after = d.stats();
-                self.record_durability("insert", before, after);
-                out.map_err(EngineError::from)
-            }
-        };
-        if out.is_ok() {
-            let maintenance = match captured {
-                Some(t) if matches!(out, Ok(true)) => self.maintain_after_mutation(
-                    &mut store,
-                    vec![MutationDelta::inserted_tuple(relation, t)],
-                ),
-                _ => Ok(()),
+        self.commit("insert", |store| {
+            // Capture the tuple for view maintenance only when views
+            // exist — the clone is off the common path.
+            let captured = (!self.matviews.is_empty()).then(|| t.clone());
+            let fresh = store.insert(relation, t)?;
+            let deltas = match captured {
+                Some(t) if fresh => vec![MutationDelta::inserted_tuple(relation, t)],
+                _ => vec![],
             };
-            self.publish(&store);
-            maintenance?;
-        }
-        out
+            Ok((fresh, deltas))
+        })
     }
 
     /// Remove a tuple through the store — WAL-logged when durable. On
@@ -977,30 +907,43 @@ impl QueryEngine {
     /// write moved) are dropped, no others; in-flight queries keep their
     /// pinned snapshots.
     pub fn remove(&self, relation: &str, t: &Tuple) -> Result<bool, EngineError> {
-        let mut store = self.store_lock();
-        let out = match &mut *store {
-            Store::Plain(db) => db.remove(relation, t).map_err(EngineError::from),
-            Store::Durable(d) => {
-                let before = d.stats();
-                let out = d.remove(relation, t);
-                let after = d.stats();
-                self.record_durability("remove", before, after);
-                out.map_err(EngineError::from)
-            }
-        };
-        if out.is_ok() {
-            let maintenance = if matches!(out, Ok(true)) && !self.matviews.is_empty() {
-                self.maintain_after_mutation(
-                    &mut store,
-                    vec![MutationDelta::removed_tuple(relation, t.clone())],
-                )
+        self.commit("remove", |store| {
+            let gone = store.remove(relation, t)?;
+            let deltas = if gone && !self.matviews.is_empty() {
+                vec![MutationDelta::removed_tuple(relation, t.clone())]
             } else {
-                Ok(())
+                vec![]
             };
-            self.publish(&store);
-            maintenance?;
+            Ok((gone, deltas))
+        })
+    }
+
+    /// The mutation lifecycle, written once. Under the store lock: run
+    /// `write` (WAL-logged when durable) and mirror its WAL activity into
+    /// the journal and metrics; if it succeeded, route the deltas it
+    /// returned through the materialized views, republish the catalog for
+    /// readers, and only then surface a maintenance error — the base
+    /// write stays committed either way.
+    fn commit<T>(
+        &self,
+        op: &'static str,
+        write: impl FnOnce(&mut Store) -> Result<(T, Vec<MutationDelta>), StorageError>,
+    ) -> Result<T, EngineError> {
+        let mut store = self.store_lock();
+        let before = store.stats();
+        let out = write(&mut store);
+        if let (Some(before), Some(after)) = (before, store.stats()) {
+            self.record_durability(op, before, after);
         }
-        out
+        let (value, deltas) = out?;
+        let maintenance = if deltas.is_empty() {
+            Ok(())
+        } else {
+            self.maintain_after_mutation(&mut store, deltas)
+        };
+        self.publish(&store);
+        maintenance?;
+        Ok(value)
     }
 
     /// Mirror a durable-stats delta into `durability.*` metrics and
@@ -1009,65 +952,56 @@ impl QueryEngine {
     /// detail. The delta approach keeps gq-storage free of any
     /// observability dependency.
     fn record_durability(&self, op: &'static str, before: DurabilityStats, after: DurabilityStats) {
+        let delta =
+            |field: fn(&DurabilityStats) -> u64| field(&after).saturating_sub(field(&before));
+        let appends = delta(|s| s.wal_appends);
         if self.journal.is_enabled() {
-            if after.wal_appends > before.wal_appends {
+            if appends > 0 {
                 self.journal.record(|| {
                     EventData::new(EventKind::WalAppend, 0, "durable").detail(format!(
-                        "{op}: {} records, {} bytes",
-                        after.wal_appends - before.wal_appends,
-                        after.wal_bytes.saturating_sub(before.wal_bytes),
+                        "{op}: {appends} records, {} bytes",
+                        delta(|s| s.wal_bytes)
                     ))
                 });
             }
-            if after.fsyncs > before.fsyncs {
+            let fsyncs = delta(|s| s.fsyncs);
+            if fsyncs > 0 {
                 self.journal.record(|| {
                     EventData::new(EventKind::WalFsync, 0, "durable")
-                        .detail(format!("{op}: {} fsyncs", after.fsyncs - before.fsyncs))
+                        .detail(format!("{op}: {fsyncs} fsyncs"))
                 });
             }
             // A mutation whose WAL record hit the disk reached its commit
             // point; checkpoints restart the WAL and are not commits.
-            if after.wal_appends > before.wal_appends && op != "checkpoint" {
+            if appends > 0 && op != "checkpoint" {
                 self.journal
                     .record(|| EventData::new(EventKind::WalCommit, 0, "durable").detail(op));
             }
-            if after.checkpoints > before.checkpoints {
+            let checkpoints = delta(|s| s.checkpoints);
+            if checkpoints > 0 {
                 self.journal.record(|| {
-                    EventData::new(EventKind::CheckpointEnd, 0, "durable").detail(format!(
-                        "{} checkpoints",
-                        after.checkpoints - before.checkpoints
-                    ))
+                    EventData::new(EventKind::CheckpointEnd, 0, "durable")
+                        .detail(format!("{checkpoints} checkpoints"))
                 });
             }
         }
         if !self.metrics.is_enabled() {
             return;
         }
-        let deltas = [
-            (
-                "durability.wal_appends",
-                before.wal_appends,
-                after.wal_appends,
-            ),
-            ("durability.wal_bytes", before.wal_bytes, after.wal_bytes),
-            ("durability.fsyncs", before.fsyncs, after.fsyncs),
-            (
-                "durability.checkpoints",
-                before.checkpoints,
-                after.checkpoints,
-            ),
-            ("durability.recoveries", before.recoveries, after.recoveries),
-            (
-                "durability.torn_tail_truncations",
-                before.torn_tail_truncations,
-                after.torn_tail_truncations,
-            ),
-        ];
-        for (name, b, a) in deltas {
-            if a > b {
-                self.metrics.incr(name, a - b);
+        let count = |name: &str, field: fn(&DurabilityStats) -> u64| {
+            let n = delta(field);
+            if n > 0 {
+                self.metrics.incr(name, n);
             }
-        }
+        };
+        count("durability.wal_appends", |s| s.wal_appends);
+        count("durability.wal_bytes", |s| s.wal_bytes);
+        count("durability.fsyncs", |s| s.fsyncs);
+        count("durability.checkpoints", |s| s.checkpoints);
+        count("durability.recoveries", |s| s.recoveries);
+        count("durability.torn_tail_truncations", |s| {
+            s.torn_tail_truncations
+        });
     }
 
     /// (Re)materialize the `dom` view — the unary relation of every value
@@ -1080,197 +1014,84 @@ impl QueryEngine {
     /// other mutation (recovery must reproduce the exact catalog), so the
     /// refresh can fail with an I/O error.
     pub fn refresh_domain_view(&self) -> Result<(), EngineError> {
-        // Hold the store lock across compute + replace so a racing insert
+        // Compute and replace under one store lock so a racing insert
         // cannot slip between reading the domain and publishing `dom`.
-        let mut store = self.store_lock();
-        let dom = store.db().domain();
-        let mut named = gq_storage::Relation::new("dom", gq_storage::Schema::anonymous(1));
-        for t in dom.iter() {
-            // Domain tuples are unary by construction; insert cannot fail.
-            let _ = named.insert(t.clone());
-        }
-        // Capture the refresh as a delta for view maintenance: the exact
-        // symmetric difference against the previous `dom` extent.
-        let delta = if self.matviews.is_empty() {
-            None
-        } else {
-            let empty = gq_storage::Relation::new("dom", gq_storage::Schema::anonymous(1));
-            let old = store.db().relation("dom").unwrap_or(&empty);
-            Some(MutationDelta::replaced("dom", old, &named))
-        };
-        let out = match &mut *store {
-            Store::Plain(db) => {
-                db.replace_relation(named);
-                Ok(())
+        self.commit("replace-relation", |store| {
+            let mut named = Relation::new("dom", Schema::anonymous(1));
+            for t in store.db().domain().iter() {
+                // Domain tuples are unary by construction; insert cannot fail.
+                let _ = named.insert(t.clone());
             }
-            Store::Durable(d) => {
-                let before = d.stats();
-                let out = d.replace_relation(named);
-                let after = d.stats();
-                self.record_durability("replace-relation", before, after);
-                out.map_err(EngineError::from)
-            }
-        };
-        if out.is_ok() {
-            let maintenance = match delta {
-                Some(d) => self.maintain_after_mutation(&mut store, vec![d]),
-                None => Ok(()),
+            // Capture the refresh as a delta for view maintenance: the
+            // exact symmetric difference against the previous `dom` extent.
+            let deltas = if self.matviews.is_empty() {
+                vec![]
+            } else {
+                let empty = Relation::new("dom", Schema::anonymous(1));
+                let old = store.db().relation("dom").unwrap_or(&empty);
+                vec![MutationDelta::replaced("dom", old, &named)]
             };
-            self.publish(&store);
-            maintenance?;
-        }
-        out
+            store.replace_relation(named)?;
+            Ok(((), deltas))
+        })
     }
 
     /// Parse and evaluate a query with the default (improved) strategy.
     pub fn query(&self, text: &str) -> Result<QueryResult, EngineError> {
-        self.query_with(text, Strategy::Improved)
+        Ok(self.run(&Request::text(text))?.result)
     }
 
     /// Parse and evaluate a query with an explicit strategy.
     pub fn query_with(&self, text: &str, strategy: Strategy) -> Result<QueryResult, EngineError> {
-        let formula = parse(text)?;
-        self.eval_formula(&formula, strategy)
+        Ok(self
+            .run(&Request::text(text).with_strategy(strategy))?
+            .result)
     }
 
-    /// Parse and evaluate with explicit strategy and options.
-    pub fn query_with_options(
-        &self,
-        text: &str,
-        strategy: Strategy,
-        options: EngineOptions,
-    ) -> Result<QueryResult, EngineError> {
-        let formula = parse(text)?;
-        self.eval_formula_with_options(&formula, strategy, options)
-    }
-
-    /// Evaluate an already-parsed formula.
-    pub fn eval_formula(
-        &self,
-        formula: &Formula,
-        strategy: Strategy,
-    ) -> Result<QueryResult, EngineError> {
-        self.eval_formula_with_options(formula, strategy, EngineOptions::default())
-    }
-
-    /// Evaluate an already-parsed formula with explicit options.
-    pub fn eval_formula_with_options(
-        &self,
-        formula: &Formula,
-        strategy: Strategy,
-        options: EngineOptions,
-    ) -> Result<QueryResult, EngineError> {
-        self.run(formula, strategy, options, None)
-    }
-
-    /// Parse, execute, and trace a query with the default strategy: the
-    /// result plus a [`QueryTrace`] with phase spans, rewrite/plan-shape
-    /// counters, and the annotated per-node plan tree.
-    pub fn analyze(&self, text: &str) -> Result<(QueryResult, QueryTrace), EngineError> {
-        self.analyze_with_options(text, Strategy::Improved, EngineOptions::default())
-    }
-
-    /// [`QueryEngine::analyze`] with explicit strategy and options.
-    pub fn analyze_with_options(
-        &self,
-        text: &str,
-        strategy: Strategy,
-        options: EngineOptions,
-    ) -> Result<(QueryResult, QueryTrace), EngineError> {
-        let tb = TraceBuilder::new();
-        let parsed = {
-            let _span = tb.span("parse");
-            parse(text)
+    /// Run one query — the engine's only way in. Resolves the request's
+    /// input to a formula (parsing text, registering a program's
+    /// recursive definitions), then hands it to the driver that owns the
+    /// query's lifecycle. A traced request gets every phase under a span,
+    /// rule counts and plan-shape facts, and an annotated per-node plan;
+    /// an untraced one runs no instrumentation code at all.
+    pub fn run(&self, request: &Request<'_>) -> Result<Response, EngineError> {
+        let tb = request.trace.then(TraceBuilder::new);
+        let parsed;
+        let formula = match request.input {
+            Input::Text(text) => {
+                let _span = span(tb.as_ref(), "parse");
+                parsed = parse(text)?;
+                &parsed
+            }
+            Input::Formula(formula) => formula,
+            Input::Prepared(prepared) => &prepared.formula,
+            Input::Program(text) => {
+                let program = {
+                    let _span = span(tb.as_ref(), "parse");
+                    parse_program(text)?
+                };
+                if !program.defs.is_empty() {
+                    self.define_recursive(&program.defs)?;
+                }
+                parsed = program.query;
+                &parsed
+            }
         };
-        let result = self.run(&parsed?, strategy, options, Some(&tb))?;
-        Ok((result, tb.finish(text, strategy.name())))
+        self.drive(request, formula, tb)
     }
 
-    /// EXPLAIN ANALYZE: execute the query (default strategy) and render
-    /// the phase timings and the annotated plan tree — per node: actual
-    /// rows, comparisons, probes, elapsed time and its share of the total.
-    pub fn explain_analyze(&self, text: &str) -> Result<String, EngineError> {
-        self.explain_analyze_with_options(text, Strategy::Improved, EngineOptions::default())
-    }
-
-    /// [`QueryEngine::explain_analyze`] with explicit strategy and options.
-    pub fn explain_analyze_with_options(
+    /// The query lifecycle, written once. In order: pin ONE snapshot
+    /// (view expansion, plan-cache keying, translation and evaluation
+    /// all see this committed state, whatever writers do meanwhile),
+    /// allocate the query id, journal the start, start the governor, arm
+    /// slow-log tracing, run the phases, journal the end and record
+    /// metrics.
+    fn drive(
         &self,
-        text: &str,
-        strategy: Strategy,
-        options: EngineOptions,
-    ) -> Result<String, EngineError> {
-        let (result, trace) = self.analyze_with_options(text, strategy, options)?;
-        let mut out = trace.render();
-        out.push_str(&format!(
-            "\n== totals ==\n  {} answers, {}\n",
-            result.len(),
-            result.stats
-        ));
-        Ok(out)
-    }
-
-    /// The evaluation pipeline behind both the plain and the analyzing
-    /// entry points. With a [`TraceBuilder`] attached, every phase runs
-    /// under a span, the normalize/translate phases record rule counts and
-    /// plan-shape facts, and evaluation runs with a per-node profiler
-    /// whose annotated tree is attached to the trace. Without one, no
-    /// instrumentation code runs at all.
-    fn run(
-        &self,
+        request: &Request<'_>,
         formula: &Formula,
-        strategy: Strategy,
-        options: EngineOptions,
-        tb: Option<&TraceBuilder>,
-    ) -> Result<QueryResult, EngineError> {
-        self.run_session(
-            formula,
-            strategy,
-            options,
-            tb,
-            self.limits,
-            self.cancel.clone(),
-            None,
-        )
-    }
-
-    /// Parse and evaluate a query under *session-scoped* controls: its
-    /// own [`QueryLimits`], its own [`CancelToken`] (so one connection's
-    /// cancel or timeout never aborts another's query), and optionally a
-    /// process-wide [`SharedBudget`] that aggregates the query's live
-    /// intermediate bytes for admission control. This is the entry point
-    /// `gq-server` drives; the engine-level limits and cancel token are
-    /// bypassed entirely.
-    pub fn query_session(
-        &self,
-        text: &str,
-        strategy: Strategy,
-        options: EngineOptions,
-        limits: QueryLimits,
-        cancel: CancelToken,
-        shared: Option<SharedBudget>,
-    ) -> Result<QueryResult, EngineError> {
-        let formula = parse(text)?;
-        self.run_session(&formula, strategy, options, None, limits, cancel, shared)
-    }
-
-    /// The evaluation driver behind both the engine-default and the
-    /// per-session entry points: pins ONE snapshot, allocates the query
-    /// id, journals start/end, runs the phases under a fresh governor.
-    #[allow(clippy::too_many_arguments)]
-    fn run_session(
-        &self,
-        formula: &Formula,
-        strategy: Strategy,
-        options: EngineOptions,
-        tb: Option<&TraceBuilder>,
-        limits: QueryLimits,
-        cancel: CancelToken,
-        shared: Option<SharedBudget>,
-    ) -> Result<QueryResult, EngineError> {
-        // Pin the snapshot FIRST: every later phase (view expansion,
-        // translation, evaluation, plan-cache keying) sees this one
-        // committed catalog state, whatever writers do meanwhile.
+        tb: Option<TraceBuilder>,
+    ) -> Result<Response, EngineError> {
         let snap = self.snapshot();
         // The query id is always allocated (one relaxed fetch_add) so ids
         // stay monotone across journal enable/disable flips.
@@ -1278,52 +1099,78 @@ impl QueryEngine {
         let timer =
             (self.metrics.is_enabled() || self.journal.is_enabled() || self.slow_log.is_armed())
                 .then(Instant::now);
+        let strategy = request.strategy;
+        let label = request.label(formula);
         self.journal.record(|| {
             EventData::new(EventKind::QueryStart, query_id, "parse")
-                .detail(format!("[{}] {formula}", strategy.name()))
+                .detail(format!("[{}] {label}", strategy.name()))
         });
-        let governor = self.start_governor_with(query_id, limits, cancel, shared);
-        // When the slow log is armed and the caller is not already
-        // tracing, trace on its behalf — the trace is kept only if the
-        // query breaches a threshold.
-        let slow_tb = (self.slow_log.is_armed() && tb.is_none()).then(TraceBuilder::new);
-        let result = self.run_phases(
-            &snap,
-            formula,
-            strategy,
-            options,
-            slow_tb.as_ref().or(tb),
-            &governor,
+        let governor = self.start_governor(
             query_id,
+            request.limits,
+            request.cancel.clone(),
+            request.budget.clone(),
         );
-        self.finish_query(
-            query_id,
-            timer,
-            &governor,
-            slow_tb.map(|t| (t, strategy)),
-            || formula.to_string(),
-            &result,
-        );
+        // When the slow log is armed, trace on the query's behalf — the
+        // trace is kept only if the query breaches a threshold.
+        let tb = tb.or_else(|| self.slow_log.is_armed().then(TraceBuilder::new));
+        let result = self.run_phases(&snap, formula, request, &governor, tb.as_ref(), query_id);
+        let trace = self.finish_query(query_id, timer, &governor, tb, request, label, &result);
         self.record_query_metrics(strategy, timer, &result);
-        result
+        Ok(Response {
+            result: result?,
+            trace,
+        })
     }
 
-    /// Snapshot the limits into a per-query governor whose trip hook
-    /// journals every budget trip / cancellation / contained worker panic
-    /// with this query's id and the phase that tripped — satellite
-    /// attribution for `EngineError::{Cancelled, ResourceExhausted,
-    /// WorkerPanic}`. No hook is installed while the journal is off.
-    fn start_governor(&self, query_id: u64) -> Governor {
-        self.start_governor_with(query_id, self.limits, self.cancel.clone(), None)
+    /// The phases between governor start and journal end: preprocess,
+    /// compile — through the plan cache for a prepared request, fresh for
+    /// every other kind (the one thing the request kind decides) — and
+    /// execute.
+    fn run_phases(
+        &self,
+        snap: &Snapshot,
+        formula: &Formula,
+        request: &Request<'_>,
+        governor: &Governor,
+        tb: Option<&TraceBuilder>,
+        query_id: u64,
+    ) -> Result<QueryResult, EngineError> {
+        let (strategy, options) = (request.strategy, request.options);
+        let (views_generation, expanded) = self.preprocess(snap, formula, options, governor, tb)?;
+        let cached;
+        let fresh;
+        let compiled: &CompiledPlan = if let Input::Prepared(_) = request.input {
+            cached = self.lookup_or_compile(
+                snap,
+                &expanded,
+                views_generation,
+                strategy,
+                options,
+                governor,
+                tb,
+                query_id,
+            )?;
+            &cached
+        } else {
+            fresh = self.compile(snap, &expanded, strategy, options, governor, tb)?;
+            &fresh
+        };
+        self.execute_compiled(snap, compiled, options, governor, tb, query_id)
     }
 
-    /// [`QueryEngine::start_governor`] with explicit per-session limits,
-    /// cancel token and optional shared admission budget.
-    fn start_governor_with(
+    /// A governor over the request's limits, cancel token and shared
+    /// admission budget — the engine's limits and token where it sets
+    /// none. Its trip hook journals every budget trip / cancellation /
+    /// contained worker panic with this query's id and the phase that
+    /// tripped, so every `EngineError::{Cancelled, ResourceExhausted,
+    /// WorkerPanic}` is attributable. No hook is installed while the
+    /// journal is off.
+    fn start_governor(
         &self,
         query_id: u64,
-        limits: QueryLimits,
-        cancel: CancelToken,
+        limits: Option<QueryLimits>,
+        cancel: Option<CancelToken>,
         shared: Option<SharedBudget>,
     ) -> Governor {
         let hook: Option<TripHook> = if self.journal.is_enabled() {
@@ -1339,21 +1186,29 @@ impl QueryEngine {
         } else {
             None
         };
-        Governor::start_shared(limits, cancel, hook, shared)
+        Governor::start_shared(
+            limits.unwrap_or(self.limits),
+            cancel.unwrap_or_else(|| self.cancel.clone()),
+            hook,
+            shared,
+        )
     }
 
-    /// Journal the query's end event and retain it in the slow log when
-    /// it breached an armed threshold. `query_text` is rendered lazily —
-    /// never on the fast path.
+    /// Journal the query's end event, and finish its trace when the
+    /// request asked for one or the query breached an armed slow-log
+    /// threshold — retaining it in the slow log in the second case. The
+    /// label is rendered lazily, never on the fast path.
+    #[allow(clippy::too_many_arguments)]
     fn finish_query(
         &self,
         query_id: u64,
         timer: Option<Instant>,
         governor: &Governor,
-        slow_tb: Option<(TraceBuilder, Strategy)>,
-        query_text: impl FnOnce() -> String,
+        tb: Option<TraceBuilder>,
+        request: &Request<'_>,
+        label: impl std::fmt::Display,
         result: &Result<QueryResult, EngineError>,
-    ) {
+    ) -> Option<QueryTrace> {
         let elapsed_ns = timer.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
         if self.journal.is_enabled() {
             match result {
@@ -1380,100 +1235,83 @@ impl QueryEngine {
                 }
             }
         }
-        if let Some((tb, strategy)) = slow_tb {
-            let peak_tuples = governor.intermediate_tuples();
-            if let Some(reason) = self.slow_log.breach(elapsed_ns, peak_tuples) {
-                self.slow_log.push(SlowLogEntry {
-                    query_id,
-                    trace: tb.finish(query_text(), strategy.name()),
-                    peak_intermediate_tuples: peak_tuples,
-                    peak_memory_bytes: governor.peak_memory_bytes(),
-                    answers: result.as_ref().map(|r| r.len() as u64).unwrap_or(0),
-                    reason,
-                });
-            }
+        let tb = tb?;
+        let peak_tuples = governor.intermediate_tuples();
+        let breach = self.slow_log.breach(elapsed_ns, peak_tuples);
+        if breach.is_none() && !request.trace {
+            return None;
         }
+        let trace = tb.finish(label.to_string(), request.strategy.name());
+        let Some(reason) = breach else {
+            return Some(trace);
+        };
+        let kept = request.trace.then(|| trace.clone());
+        self.slow_log.push(SlowLogEntry {
+            query_id,
+            trace,
+            peak_intermediate_tuples: peak_tuples,
+            peak_memory_bytes: governor.peak_memory_bytes(),
+            answers: result.as_ref().map(|r| r.len() as u64).unwrap_or(0),
+            reason,
+        });
+        kept
     }
 
     /// Engine-lifetime counters/latency for one query outcome (no-op
-    /// unless metrics were enabled before the query started).
+    /// unless metrics are enabled).
     fn record_query_metrics(
         &self,
         strategy: Strategy,
         timer: Option<Instant>,
         result: &Result<QueryResult, EngineError>,
     ) {
-        if let Some(start) = timer {
-            self.metrics
-                .incr(&format!("query.count.{}", strategy.name()), 1);
-            self.metrics.observe(
-                &format!("query.latency.{}", strategy.name()),
-                start.elapsed(),
-            );
-            if let Err(e) = &result {
-                self.metrics.incr("query.errors", 1);
-                match e {
-                    EngineError::Cancelled { .. } => self.metrics.incr("governor.cancelled", 1),
-                    EngineError::ResourceExhausted { .. } => {
-                        self.metrics.incr("governor.exhausted", 1)
-                    }
-                    EngineError::WorkerPanic { .. } => {
-                        self.metrics.incr("governor.worker_panic", 1)
-                    }
-                    _ => {}
-                }
+        let Some(start) = timer.filter(|_| self.metrics.is_enabled()) else {
+            return;
+        };
+        self.metrics
+            .incr(&format!("query.count.{}", strategy.name()), 1);
+        self.metrics.observe(
+            &format!("query.latency.{}", strategy.name()),
+            start.elapsed(),
+        );
+        if let Err(e) = &result {
+            self.metrics.incr("query.errors", 1);
+            match e {
+                EngineError::Cancelled { .. } => self.metrics.incr("governor.cancelled", 1),
+                EngineError::ResourceExhausted { .. } => self.metrics.incr("governor.exhausted", 1),
+                EngineError::WorkerPanic { .. } => self.metrics.incr("governor.worker_panic", 1),
+                _ => {}
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_phases(
-        &self,
-        snap: &Snapshot,
-        formula: &Formula,
-        strategy: Strategy,
-        options: EngineOptions,
-        tb: Option<&TraceBuilder>,
-        governor: &Governor,
-        query_id: u64,
-    ) -> Result<QueryResult, EngineError> {
-        let (_views_generation, formula) = self.preprocess(snap, formula, options, tb)?;
-        // Depth guard on the fully view-expanded formula — expansion can
-        // deepen a query well past what the user typed.
-        governor.check_depth("parse", Resource::FormulaDepth, formula.depth() as u64)?;
-        let compiled = self.compile(snap, &formula, strategy, options, governor, tb)?;
-        self.execute_compiled(snap, &compiled, options, governor, tb, query_id)
-    }
-
-    /// Phase 0: view expansion and (optional) Domain Closure completion.
-    /// Returns the view-registry generation the expansion ran against
-    /// (observed under the registry's lock, so generation and expansion
-    /// are consistent — the prepared path keys its plan-cache entries on
-    /// exactly this value) alongside the expanded formula.
+    /// Phase 0: view expansion, (optional) Domain Closure completion, and
+    /// the formula-depth guard on the result — expansion can deepen a
+    /// query well past what the user typed. Returns the view-registry
+    /// generation the expansion ran against (observed under the
+    /// registry's lock, so generation and expansion are consistent — the
+    /// plan cache keys its entries on exactly this value) alongside the
+    /// expanded formula.
     fn preprocess(
         &self,
         snap: &Snapshot,
         formula: &Formula,
         options: EngineOptions,
+        governor: &Governor,
         tb: Option<&TraceBuilder>,
     ) -> Result<(u64, Formula), EngineError> {
         let _span = span(tb, "view-expand");
-        let (views_generation, expanded) = self.views.expand_with_generation(formula)?;
+        let (views_generation, mut expanded) = self.views.expand_with_generation(formula)?;
         if options.domain_closure {
             if !snap.has_relation("dom") {
-                return Err(EngineError::Storage(
-                    gq_storage::StorageError::UnknownRelation(
-                        "dom (call refresh_domain_view first)".into(),
-                    ),
-                ));
+                return Err(EngineError::Storage(StorageError::UnknownRelation(
+                    "dom (call refresh_domain_view first)".into(),
+                )));
             }
-            Ok((
-                views_generation,
-                gq_rewrite::restrict_with_domain(&expanded, "dom"),
-            ))
-        } else {
-            Ok((views_generation, expanded))
+            expanded = gq_rewrite::restrict_with_domain(&expanded, "dom");
         }
+        governor.check_depth("parse", Resource::FormulaDepth, expanded.depth() as u64)?;
+        Ok((views_generation, expanded))
     }
 
     /// Phases 1–3 — normalize, translate, optimize — producing the
@@ -1488,73 +1326,31 @@ impl QueryEngine {
         tb: Option<&TraceBuilder>,
     ) -> Result<CompiledPlan, EngineError> {
         let closed = formula.is_closed();
-        let tune = |plan: gq_algebra::AlgebraExpr| {
-            if options.optimize {
-                gq_algebra::optimize(&plan)
-            } else {
-                plan
-            }
-        };
-        let tune_bool = |plan: gq_algebra::BoolExpr| {
-            if options.optimize {
-                optimize_bool(&plan)
-            } else {
-                plan
-            }
-        };
         let kind = match strategy {
             Strategy::Improved => {
                 let canonical = self.normalize(formula, governor, tb)?;
                 let tr = ImprovedTranslator::new(snap)
                     .with_cost_ordering(options.optimize)
                     .with_governor(governor.clone());
-                if closed {
-                    let plan = {
-                        let _span = span(tb, "translate");
-                        tr.translate_closed(&canonical)?
-                    };
-                    let plan = {
-                        let _span = span(tb, "optimize");
-                        tune_bool(plan)
-                    };
-                    CompiledKind::Boolean { plan }
-                } else {
-                    let (vars, plan) = {
-                        let _span = span(tb, "translate");
-                        tr.translate_open(&canonical)?
-                    };
-                    let plan = {
-                        let _span = span(tb, "optimize");
-                        tune(plan)
-                    };
-                    CompiledKind::Algebra { vars, plan }
-                }
+                translate_and_tune(
+                    closed,
+                    options.optimize,
+                    tb,
+                    || tr.translate_closed(&canonical),
+                    || tr.translate_open(&canonical),
+                )?
             }
             Strategy::Classical => {
                 // The classical translator runs on the *raw* query, as the
                 // classical methods do.
                 let tr = ClassicalTranslator::new(snap).with_governor(governor.clone());
-                if closed {
-                    let plan = {
-                        let _span = span(tb, "translate");
-                        tr.translate_closed(formula)?
-                    };
-                    let plan = {
-                        let _span = span(tb, "optimize");
-                        tune_bool(plan)
-                    };
-                    CompiledKind::Boolean { plan }
-                } else {
-                    let (vars, plan) = {
-                        let _span = span(tb, "translate");
-                        tr.translate_open(formula)?
-                    };
-                    let plan = {
-                        let _span = span(tb, "optimize");
-                        tune(plan)
-                    };
-                    CompiledKind::Algebra { vars, plan }
-                }
+                translate_and_tune(
+                    closed,
+                    options.optimize,
+                    tb,
+                    || tr.translate_closed(formula),
+                    || tr.translate_open(formula),
+                )?
             }
             Strategy::NestedLoop => {
                 // No plan: the canonical formula (the rewrite's output,
@@ -1565,16 +1361,11 @@ impl QueryEngine {
         };
         // The CSE analysis is part of compilation: the shared-subplan set
         // is a pure function of the plan, so cache hits reuse it too.
-        let cse_shared = if options.cse {
-            match &kind {
-                CompiledKind::Algebra { plan, .. } => gq_algebra::shared_subplans(&[plan]),
-                CompiledKind::Boolean { plan } => {
-                    gq_algebra::shared_subplans(&plan.algebra_exprs())
-                }
-                CompiledKind::Loop { .. } => Default::default(),
-            }
-        } else {
-            Default::default()
+        let cse_shared = match &kind {
+            _ if !options.cse => Default::default(),
+            CompiledKind::Algebra { plan, .. } => gq_algebra::shared_subplans(&[plan]),
+            CompiledKind::Boolean { plan } => gq_algebra::shared_subplans(&plan.algebra_exprs()),
+            CompiledKind::Loop { .. } => Default::default(),
         };
         Ok(CompiledPlan { kind, cse_shared })
     }
@@ -1713,35 +1504,28 @@ impl QueryEngine {
         }
     }
 
-    /// Prepare a query with the default (improved) strategy and options.
-    pub fn prepare(&self, text: &str) -> Result<PreparedQuery, EngineError> {
-        self.prepare_with(text, Strategy::Improved, EngineOptions::default())
-    }
-
     /// Parse a query and warm the plan cache for it: the query compiles
-    /// now (normalize + translate + optimize), so every subsequent
-    /// [`QueryEngine::execute`] — until a catalog mutation — skips
-    /// straight to evaluation.
-    pub fn prepare_with(
+    /// now (normalize + translate + optimize) under the engine's limits,
+    /// so every run of it as [`Request::prepared`] — until a write to a
+    /// relation it reads — skips straight to evaluation.
+    pub fn prepare(
         &self,
         text: &str,
         strategy: Strategy,
         options: EngineOptions,
     ) -> Result<PreparedQuery, EngineError> {
-        let formula = parse(text)?;
         let prepared = PreparedQuery {
             text: text.to_string(),
-            formula,
+            formula: parse(text)?,
             strategy,
             options,
         };
         let snap = self.snapshot();
-        let (views_generation, expanded) =
-            self.preprocess(&snap, &prepared.formula, options, None)?;
         // Preparation is not a query: journal events it produces
         // (plan-cache miss, governor trips) carry query id 0.
-        let governor = self.start_governor(0);
-        governor.check_depth("parse", Resource::FormulaDepth, expanded.depth() as u64)?;
+        let governor = self.start_governor(0, None, None, None);
+        let (views_generation, expanded) =
+            self.preprocess(&snap, &prepared.formula, options, &governor, None)?;
         self.lookup_or_compile(
             &snap,
             &expanded,
@@ -1753,83 +1537,6 @@ impl QueryEngine {
             0,
         )?;
         Ok(prepared)
-    }
-
-    /// Execute a prepared query through the plan cache. A hit skips the
-    /// normalize/translate/optimize phases entirely; a miss (first
-    /// execution, or the catalog changed since) compiles and caches.
-    /// Results are bit-identical to [`QueryEngine::query_with_options`].
-    pub fn execute(&self, prepared: &PreparedQuery) -> Result<QueryResult, EngineError> {
-        let timer = self.metrics.is_enabled().then(Instant::now);
-        let result = self.execute_prepared(prepared, None);
-        self.record_query_metrics(prepared.strategy, timer, &result);
-        result
-    }
-
-    /// [`QueryEngine::execute`] with a full [`QueryTrace`]: on a cache hit
-    /// the trace shows *no* normalize/translate/optimize spans — the
-    /// observable proof that the cache skipped those phases.
-    pub fn analyze_prepared(
-        &self,
-        prepared: &PreparedQuery,
-    ) -> Result<(QueryResult, QueryTrace), EngineError> {
-        let tb = TraceBuilder::new();
-        let result = self.execute_prepared(prepared, Some(&tb))?;
-        Ok((result, tb.finish(&prepared.text, prepared.strategy.name())))
-    }
-
-    fn execute_prepared(
-        &self,
-        prepared: &PreparedQuery,
-        tb: Option<&TraceBuilder>,
-    ) -> Result<QueryResult, EngineError> {
-        // One snapshot for the whole execution: the cache lookup's epoch,
-        // a possible recompile, and evaluation all see the same catalog.
-        let snap = self.snapshot();
-        let query_id = self.journal.next_query_id();
-        let timer = (self.journal.is_enabled() || self.slow_log.is_armed()).then(Instant::now);
-        self.journal.record(|| {
-            EventData::new(EventKind::QueryStart, query_id, "parse").detail(format!(
-                "[{}] {}",
-                prepared.strategy.name(),
-                prepared.text
-            ))
-        });
-        let governor = self.start_governor(query_id);
-        let slow_tb = (self.slow_log.is_armed() && tb.is_none()).then(TraceBuilder::new);
-        let trace = slow_tb.as_ref().or(tb);
-        let result = (|| {
-            let (views_generation, expanded) =
-                self.preprocess(&snap, &prepared.formula, prepared.options, trace)?;
-            governor.check_depth("parse", Resource::FormulaDepth, expanded.depth() as u64)?;
-            let compiled = self.lookup_or_compile(
-                &snap,
-                &expanded,
-                views_generation,
-                prepared.strategy,
-                prepared.options,
-                &governor,
-                trace,
-                query_id,
-            )?;
-            self.execute_compiled(
-                &snap,
-                &compiled,
-                prepared.options,
-                &governor,
-                trace,
-                query_id,
-            )
-        })();
-        self.finish_query(
-            query_id,
-            timer,
-            &governor,
-            slow_tb.map(|t| (t, prepared.strategy)),
-            || prepared.text.clone(),
-            &result,
-        );
-        result
     }
 
     /// The plan-cache gate: answer from the cache when every compilation
@@ -1965,6 +1672,39 @@ fn attach_pipelines(tb: Option<&TraceBuilder>, ev: &Evaluator<'_>) {
         .collect();
     if !spans.is_empty() {
         t.set_pipelines(spans);
+    }
+}
+
+/// Translate under a `translate` span, then optimize (when asked) under
+/// an `optimize` span: a boolean plan for a closed formula, an algebra
+/// plan and its answer variables for an open one.
+fn translate_and_tune(
+    closed: bool,
+    optimize: bool,
+    tb: Option<&TraceBuilder>,
+    translate_closed: impl FnOnce() -> Result<gq_algebra::BoolExpr, TranslateError>,
+    translate_open: impl FnOnce() -> Result<(Vec<Var>, gq_algebra::AlgebraExpr), TranslateError>,
+) -> Result<CompiledKind, EngineError> {
+    if closed {
+        let plan = {
+            let _span = span(tb, "translate");
+            translate_closed()?
+        };
+        let _span = span(tb, "optimize");
+        let plan = if optimize { optimize_bool(&plan) } else { plan };
+        Ok(CompiledKind::Boolean { plan })
+    } else {
+        let (vars, plan) = {
+            let _span = span(tb, "translate");
+            translate_open()?
+        };
+        let _span = span(tb, "optimize");
+        let plan = if optimize {
+            gq_algebra::optimize(&plan)
+        } else {
+            plan
+        };
+        Ok(CompiledKind::Algebra { vars, plan })
     }
 }
 
@@ -2194,7 +1934,14 @@ mod option_tests {
                         ..EngineOptions::default()
                     };
                     for strategy in [Strategy::Improved, Strategy::Classical] {
-                        let r = e.query_with_options(text, strategy, options).unwrap();
+                        let r = e
+                            .run(
+                                &Request::text(text)
+                                    .with_strategy(strategy)
+                                    .with_options(options),
+                            )
+                            .unwrap()
+                            .result;
                         assert!(
                             baseline.answers.set_eq(&r.answers),
                             "`{text}` with {options:?} under {}",
@@ -2211,18 +1958,20 @@ mod option_tests {
         let e = engine();
         let text = "p(x) & (exists y. r(x,y) & q(y))";
         let raw = e
-            .query_with_options(text, Strategy::Classical, EngineOptions::default())
-            .unwrap();
+            .run(&Request::text(text).with_strategy(Strategy::Classical))
+            .unwrap()
+            .result;
         let opt = e
-            .query_with_options(
-                text,
-                Strategy::Classical,
-                EngineOptions {
-                    optimize: true,
-                    ..EngineOptions::default()
-                },
+            .run(
+                &Request::text(text)
+                    .with_strategy(Strategy::Classical)
+                    .with_options(EngineOptions {
+                        optimize: true,
+                        ..EngineOptions::default()
+                    }),
             )
-            .unwrap();
+            .unwrap()
+            .result;
         assert!(raw.answers.set_eq(&opt.answers));
         assert!(
             opt.stats.max_intermediate <= raw.stats.max_intermediate,
@@ -2242,11 +1991,11 @@ mod option_tests {
             ..EngineOptions::default()
         };
         // warm the cache, then measure
-        e.query_with_options(text, Strategy::Improved, opts)
-            .unwrap();
+        e.run(&Request::text(text).with_options(opts)).unwrap();
         let cached = e
-            .query_with_options(text, Strategy::Improved, opts)
-            .unwrap();
+            .run(&Request::text(text).with_options(opts))
+            .unwrap()
+            .result;
         assert!(plain.answers.set_eq(&cached.answers));
         assert!(
             cached.stats.base_tuples_read < plain.stats.base_tuples_read,
@@ -2265,12 +2014,14 @@ mod option_tests {
             ..EngineOptions::default()
         };
         let before = e
-            .query_with_options("p(x) & q(x)", Strategy::Improved, opts)
-            .unwrap();
+            .run(&Request::text("p(x) & q(x)").with_options(opts))
+            .unwrap()
+            .result;
         e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
         let after = e
-            .query_with_options("p(x) & q(x)", Strategy::Improved, opts)
-            .unwrap();
+            .run(&Request::text("p(x) & q(x)").with_options(opts))
+            .unwrap()
+            .result;
         assert_eq!(after.len(), before.len() + 1, "stale index not invalidated");
     }
 
@@ -2318,20 +2069,23 @@ mod option_tests {
         // ¬q(x) alone is unrestricted; under domain closure it ranges over
         // every database value (§2.1).
         let r = e
-            .query_with_options("!q(x)", Strategy::Improved, options)
-            .unwrap();
+            .run(&Request::text("!q(x)").with_options(options))
+            .unwrap()
+            .result;
         // domain = {0..9}; q holds of evens → odds are the answers
         assert_eq!(r.len(), 5);
         // ∀x p(x) (no range) also works under closure: p holds of every
         // value 0..9, which is exactly the database domain here → true.
         let all_p = e
-            .query_with_options("forall x. p(x)", Strategy::Improved, options)
-            .unwrap();
+            .run(&Request::text("forall x. p(x)").with_options(options))
+            .unwrap()
+            .result;
         assert!(all_p.is_true());
         // A universal that genuinely fails: q only holds of the evens.
         let all_q = e
-            .query_with_options("forall x. q(x)", Strategy::Improved, options)
-            .unwrap();
+            .run(&Request::text("forall x. q(x)").with_options(options))
+            .unwrap()
+            .result;
         assert!(!all_q.is_true());
     }
 
@@ -2343,7 +2097,7 @@ mod option_tests {
             ..EngineOptions::default()
         };
         assert!(e
-            .query_with_options("!q(x)", Strategy::Improved, options)
+            .run(&Request::text("!q(x)").with_options(options))
             .is_err());
     }
 
@@ -2352,15 +2106,12 @@ mod option_tests {
         let e = engine();
         let text = "p(x) & (forall y. q(y) -> r(x,y))";
         let r = e
-            .query_with_options(
-                text,
-                Strategy::Improved,
-                EngineOptions {
-                    share_subplans: true,
-                    ..EngineOptions::default()
-                },
-            )
-            .unwrap();
+            .run(&Request::text(text).with_options(EngineOptions {
+                share_subplans: true,
+                ..EngineOptions::default()
+            }))
+            .unwrap()
+            .result;
         // The division plan materializes π(q) twice (divisor + vacuous
         // guard); with sharing the second is a cache hit.
         assert!(r.stats.memo_hits >= 1, "stats: {}", r.stats);
@@ -2376,7 +2127,14 @@ mod option_tests {
         for text in QUERIES {
             let baseline = e.query(text).unwrap();
             for strategy in [Strategy::Improved, Strategy::Classical] {
-                let r = e.query_with_options(text, strategy, options).unwrap();
+                let r = e
+                    .run(
+                        &Request::text(text)
+                            .with_strategy(strategy)
+                            .with_options(options),
+                    )
+                    .unwrap()
+                    .result;
                 assert!(
                     baseline.answers.set_eq(&r.answers),
                     "`{text}` with CSE under {}",
@@ -2416,12 +2174,14 @@ mod prepared_tests {
         let e = engine();
         let text = "p(x) & (forall y. q(y) -> r(x,y))";
         let adhoc = e.query(text).unwrap();
-        let prepared = e.prepare(text).unwrap();
+        let prepared = e
+            .prepare(text, Strategy::Improved, EngineOptions::default())
+            .unwrap();
         // prepare() compiled once: one miss, no hits yet.
         let s = e.plan_cache_stats();
         assert_eq!((s.misses, s.hits, s.entries), (1, 0, 1));
         for _ in 0..3 {
-            let r = e.execute(&prepared).unwrap();
+            let r = e.run(&Request::prepared(&prepared)).unwrap().result;
             assert!(adhoc.answers.set_eq(&r.answers));
             assert_eq!(adhoc.vars, r.vars);
         }
@@ -2433,14 +2193,16 @@ mod prepared_tests {
     fn unrelated_mutation_keeps_cached_plans_hot() {
         let e = engine();
         // The plan reads p and q only — r is not in its read set.
-        let prepared = e.prepare("p(x) & !q(x)").unwrap();
-        e.execute(&prepared).unwrap();
+        let prepared = e
+            .prepare("p(x) & !q(x)", Strategy::Improved, EngineOptions::default())
+            .unwrap();
+        e.run(&Request::prepared(&prepared)).unwrap();
         let s = e.plan_cache_stats();
         assert_eq!((s.misses, s.hits), (1, 1));
         // Mutating r must NOT invalidate the plan (the old global-epoch
         // key evicted on any mutation anywhere — this pins the fix).
         e.insert("r", tuple![100, 200]).unwrap();
-        e.execute(&prepared).unwrap();
+        e.run(&Request::prepared(&prepared)).unwrap();
         let s = e.plan_cache_stats();
         assert_eq!(
             (s.misses, s.hits),
@@ -2449,7 +2211,7 @@ mod prepared_tests {
         );
         // Mutating a relation the plan DOES read recompiles exactly once.
         e.insert("q", tuple![7]).unwrap();
-        e.execute(&prepared).unwrap();
+        e.run(&Request::prepared(&prepared)).unwrap();
         let s = e.plan_cache_stats();
         assert_eq!((s.misses, s.hits), (2, 2));
     }
@@ -2457,8 +2219,14 @@ mod prepared_tests {
     #[test]
     fn cache_hit_skips_compilation_phases() {
         let e = engine();
-        let prepared = e.prepare("p(x) & !q(x)").unwrap();
-        let (_, trace) = e.analyze_prepared(&prepared).unwrap();
+        let prepared = e
+            .prepare("p(x) & !q(x)", Strategy::Improved, EngineOptions::default())
+            .unwrap();
+        let trace = e
+            .run(&Request::prepared(&prepared).with_trace())
+            .unwrap()
+            .trace
+            .unwrap();
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
         // The hit goes straight to evaluation: no normalize / translate /
         // optimize spans appear in the trace.
@@ -2480,10 +2248,12 @@ mod prepared_tests {
     #[test]
     fn catalog_mutation_invalidates_cached_plans() {
         let mut e = engine();
-        let prepared = e.prepare("p(x) & q(x)").unwrap();
-        let before = e.execute(&prepared).unwrap();
+        let prepared = e
+            .prepare("p(x) & q(x)", Strategy::Improved, EngineOptions::default())
+            .unwrap();
+        let before = e.run(&Request::prepared(&prepared)).unwrap().result;
         e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
-        let after = e.execute(&prepared).unwrap();
+        let after = e.run(&Request::prepared(&prepared)).unwrap().result;
         assert_eq!(after.len(), before.len() + 1, "stale plan served");
         let s = e.plan_cache_stats();
         // prepare + post-mutation execute each missed; the in-between
@@ -2495,12 +2265,24 @@ mod prepared_tests {
     fn view_redefinition_invalidates_cached_plans() {
         let e = engine();
         e.define_view("evens", "q(v)").unwrap();
-        let prepared = e.prepare("p(x) & evens(x)").unwrap();
-        assert_eq!(e.execute(&prepared).unwrap().len(), 4);
+        let prepared = e
+            .prepare(
+                "p(x) & evens(x)",
+                Strategy::Improved,
+                EngineOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(
+            e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+            4
+        );
         // A *new* view definition bumps the registry generation; cached
         // plans for unrelated queries must not survive either.
         e.define_view("odds", "p(v) & !q(v)").unwrap();
-        assert_eq!(e.execute(&prepared).unwrap().len(), 4);
+        assert_eq!(
+            e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+            4
+        );
         let s = e.plan_cache_stats();
         assert_eq!((s.misses, s.hits), (2, 1), "stats: {s:?}");
     }
@@ -2508,26 +2290,39 @@ mod prepared_tests {
     #[test]
     fn alpha_equivalent_queries_share_one_entry() {
         let e = engine();
-        let a = e.prepare("p(x) & (exists y. r(x,y) & q(y))").unwrap();
-        let b = e.prepare("p(x) & (exists z. r(x,z) & q(z))").unwrap();
+        let a = e
+            .prepare(
+                "p(x) & (exists y. r(x,y) & q(y))",
+                Strategy::Improved,
+                EngineOptions::default(),
+            )
+            .unwrap();
+        let b = e
+            .prepare(
+                "p(x) & (exists z. r(x,z) & q(z))",
+                Strategy::Improved,
+                EngineOptions::default(),
+            )
+            .unwrap();
         let s = e.plan_cache_stats();
         assert_eq!((s.entries, s.misses, s.hits), (1, 1, 1), "stats: {s:?}");
         assert!(e
-            .execute(&a)
+            .run(&Request::prepared(&a))
             .unwrap()
+            .result
             .answers
-            .set_eq(&e.execute(&b).unwrap().answers));
+            .set_eq(&e.run(&Request::prepared(&b)).unwrap().result.answers));
     }
 
     #[test]
     fn strategies_and_options_partition_the_cache() {
         let e = engine();
         let text = "p(x) & !q(x)";
-        e.prepare_with(text, Strategy::Improved, EngineOptions::default())
+        e.prepare(text, Strategy::Improved, EngineOptions::default())
             .unwrap();
-        e.prepare_with(text, Strategy::Classical, EngineOptions::default())
+        e.prepare(text, Strategy::Classical, EngineOptions::default())
             .unwrap();
-        e.prepare_with(
+        e.prepare(
             text,
             Strategy::Improved,
             EngineOptions {
@@ -2545,10 +2340,10 @@ mod prepared_tests {
         let text = "exists x. p(x) & !(exists y. r(x,y) & !q(y))";
         for s in Strategy::ALL {
             let adhoc = e.query_with(text, s).unwrap();
-            let prepared = e.prepare_with(text, s, EngineOptions::default()).unwrap();
+            let prepared = e.prepare(text, s, EngineOptions::default()).unwrap();
             // twice: once compiling (prepare warmed it), once from cache
             for _ in 0..2 {
-                let r = e.execute(&prepared).unwrap();
+                let r = e.run(&Request::prepared(&prepared)).unwrap().result;
                 assert_eq!(r.is_true(), adhoc.is_true(), "strategy {}", s.name());
             }
         }
@@ -2558,7 +2353,8 @@ mod prepared_tests {
     fn capacity_bound_is_respected() {
         let e = engine().with_plan_cache_capacity(2);
         for text in ["p(x)", "q(x)", "p(x) & q(x)"] {
-            e.prepare(text).unwrap();
+            e.prepare(text, Strategy::Improved, EngineOptions::default())
+                .unwrap();
         }
         let s = e.plan_cache_stats();
         assert_eq!((s.entries, s.capacity, s.evictions), (2, 2, 1));
@@ -2574,9 +2370,9 @@ mod prepared_tests {
         };
         let text = "p(x) & (forall y. q(y) -> r(x,y))";
         let adhoc = e.query(text).unwrap();
-        let prepared = e.prepare_with(text, Strategy::Improved, options).unwrap();
-        let r1 = e.execute(&prepared).unwrap();
-        let r2 = e.execute(&prepared).unwrap();
+        let prepared = e.prepare(text, Strategy::Improved, options).unwrap();
+        let r1 = e.run(&Request::prepared(&prepared)).unwrap().result;
+        let r2 = e.run(&Request::prepared(&prepared)).unwrap().result;
         assert!(adhoc.answers.set_eq(&r1.answers));
         assert_eq!(r1.answers.sorted_tuples(), r2.answers.sorted_tuples());
         assert_eq!(e.plan_cache_stats().hits, 2);
@@ -2585,8 +2381,12 @@ mod prepared_tests {
     #[test]
     fn failed_prepare_caches_nothing() {
         let e = engine();
-        assert!(e.prepare("!p(x)").is_err()); // unrestricted
-        assert!(e.prepare("p(x").is_err()); // parse error
+        assert!(e
+            .prepare("!p(x)", Strategy::Improved, EngineOptions::default())
+            .is_err()); // unrestricted
+        assert!(e
+            .prepare("p(x", Strategy::Improved, EngineOptions::default())
+            .is_err()); // parse error
         let s = e.plan_cache_stats();
         assert_eq!(s.entries, 0, "failed compiles must not be cached");
     }
@@ -2668,15 +2468,24 @@ mod durable_tests {
             let (e, _) = QueryEngine::open_durable(&dir).unwrap();
             e.create_relation("p", Schema::anonymous(1)).unwrap();
             e.insert("p", tuple![1]).unwrap();
-            epoch_before = e.db().epoch();
+            epoch_before = e.snapshot().epoch();
         }
         let (e, rec) = QueryEngine::open_durable(&dir).unwrap();
         assert_eq!(rec.recovered_epoch, epoch_before);
-        let prepared = e.prepare("p(x)").unwrap();
-        assert_eq!(e.execute(&prepared).unwrap().len(), 1);
+        let prepared = e
+            .prepare("p(x)", Strategy::Improved, EngineOptions::default())
+            .unwrap();
+        assert_eq!(
+            e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+            1
+        );
         e.insert("p", tuple![2]).unwrap();
-        assert!(e.db().epoch() > epoch_before);
-        assert_eq!(e.execute(&prepared).unwrap().len(), 2, "stale plan served");
+        assert!(e.snapshot().epoch() > epoch_before);
+        assert_eq!(
+            e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+            2,
+            "stale plan served"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2710,8 +2519,8 @@ mod durable_tests {
         }
         let (e, _) = QueryEngine::open_durable(&dir).unwrap();
         // The dom view survived the reopen via its WAL Replace record.
-        assert!(e.db().has_relation("dom"));
-        assert_eq!(e.db().relation("dom").unwrap().len(), 2);
+        assert!(e.snapshot().has_relation("dom"));
+        assert_eq!(e.snapshot().relation("dom").unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

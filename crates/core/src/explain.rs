@@ -1,9 +1,23 @@
-//! EXPLAIN: render the full processing pipeline of a query.
+//! EXPLAIN: render the full processing pipeline of a query; EXPLAIN
+//! ANALYZE: render what a traced run actually did.
 
-use crate::{EngineError, QueryEngine};
+use crate::{EngineError, QueryEngine, QueryResult};
 use gq_calculus::parse;
+use gq_obs::QueryTrace;
 use gq_rewrite::{canonicalize_traced, is_miniscope};
 use gq_translate::{ClassicalTranslator, ImprovedTranslator};
+
+/// EXPLAIN ANALYZE: the phase timings and the annotated plan tree of a
+/// traced run (per node: actual rows, comparisons, probes, elapsed time
+/// and its share of the total), then the run's totals.
+pub fn explain_analyze(result: &QueryResult, trace: &QueryTrace) -> String {
+    format!(
+        "{}\n== totals ==\n  {} answers, {}\n",
+        trace.render(),
+        result.len(),
+        result.stats
+    )
+}
 
 impl QueryEngine {
     /// Render the two-phase processing of a query: the canonical form with

@@ -4,11 +4,14 @@
 //! canonical form (gq-rewrite, §2) → translate (gq-translate, §3) →
 //! evaluate (gq-algebra / gq-pipeline).
 //!
-//! * [`QueryEngine`] evaluates text queries under a chosen [`Strategy`]
+//! * [`QueryEngine`] evaluates queries under a chosen [`Strategy`]
 //!   (the paper's improved method, the classical Codd-style baseline, or
 //!   the Fig. 1 nested-loop baseline) and reports [`QueryResult`]s with
-//!   operation counts.
-//! * [`QueryEngine::explain`] renders both processing phases for a query.
+//!   operation counts. Every query — text, formula, prepared handle or
+//!   `with recursive` program, traced or not, under the engine's limits
+//!   or a session's — is one [`Request`] to [`QueryEngine::run`].
+//! * [`QueryEngine::explain`] renders both processing phases for a query;
+//!   [`explain_analyze`] renders what a traced run did.
 //! * [`ConstraintSet`] checks general integrity constraints — the paper's
 //!   motivating application — reporting violation witnesses.
 //!
@@ -52,17 +55,20 @@ mod error;
 mod explain;
 mod ivm;
 mod plan_cache;
+mod request;
 mod views;
 
 pub use constraints::{Constraint, ConstraintReport, ConstraintSet};
-pub use engine::{
-    DbMut, EngineOptions, PreparedQuery, QueryEngine, QueryResult, Snapshot, Strategy,
-};
+pub use engine::{DbMut, EngineOptions, QueryEngine, QueryResult, Snapshot, Strategy};
 pub use error::EngineError;
+pub use explain::explain_analyze;
 pub use gq_algebra::ExecConfig;
 pub use gq_calculus::{parse_program, Program, RecursiveDef};
 pub use gq_governor::{CancelToken, GovernorError, QueryLimits, Resource, SharedBudget};
-pub use gq_obs::{Event, EventKind, Journal, MetricsSnapshot, SlowLog, SlowLogEntry, WindowStats};
+pub use gq_obs::{
+    Event, EventKind, Journal, MetricsSnapshot, QueryTrace, SlowLog, SlowLogEntry, WindowStats,
+};
 pub use ivm::MaintenanceStrategy;
 pub use plan_cache::{PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
+pub use request::{PreparedQuery, Request, Response};
 pub use views::{View, ViewError, ViewRegistry};

@@ -12,8 +12,13 @@
 //! Codes map engine failures onto a small stable vocabulary so clients
 //! can branch without parsing prose: `parse`, `budget`, `cancelled`,
 //! `panic`, `overloaded`, `proto`, `error`.
+//!
+//! The argument grammar of the `.relation`, `.insert` and `.remove`
+//! commands ([`parse_signature`], [`parse_value`]) lives here too, so a
+//! wire session and the REPL accept identical syntax.
 
 use gq_core::EngineError;
+use gq_storage::Value;
 
 /// Stable error codes carried in the `err <code>:` position.
 pub mod code {
@@ -59,6 +64,36 @@ pub fn code_for(e: &EngineError) -> &'static str {
         EngineError::Cancelled { .. } => code::CANCELLED,
         EngineError::WorkerPanic { .. } => code::PANIC,
         _ => code::ERROR,
+    }
+}
+
+/// Parse a command argument `name(a, b, c)` into the name and the
+/// comma-separated parts. The error is a message each front end renders
+/// in its own form.
+pub fn parse_signature(text: &str) -> Result<(String, Vec<String>), &'static str> {
+    let text = text.trim();
+    let open = text.find('(').ok_or("expected `name(…)`")?;
+    let inner = text[open + 1..]
+        .strip_suffix(')')
+        .ok_or("expected closing `)`")?;
+    let parts = if inner.trim().is_empty() {
+        vec![]
+    } else {
+        inner.split(',').map(|s| s.trim().to_string()).collect()
+    };
+    Ok((text[..open].trim().to_string(), parts))
+}
+
+/// One tuple field: `"quoted"` → string, an `i64` literal → integer,
+/// a bare word → string.
+pub fn parse_value(text: &str) -> Value {
+    let t = text.trim();
+    if let Some(stripped) = t.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
+        Value::str(stripped)
+    } else if let Ok(n) = t.parse::<i64>() {
+        Value::Int(n)
+    } else {
+        Value::str(t)
     }
 }
 
@@ -150,6 +185,35 @@ mod tests {
         assert_eq!(r.code, "overloaded");
         assert_eq!(r.retry_after_ms, Some(250));
         assert_eq!(r.body, "session limit reached");
+    }
+
+    #[test]
+    fn signatures_split_name_and_parts() {
+        assert_eq!(
+            parse_signature(" student ( name , \"ann\" ) "),
+            Ok(("student".into(), vec!["name".into(), "\"ann\"".into()]))
+        );
+        assert_eq!(parse_signature("p()"), Ok(("p".into(), vec![])));
+        assert_eq!(parse_signature("p(  )"), Ok(("p".into(), vec![])));
+        assert_eq!(parse_signature("p(a"), Err("expected closing `)`"));
+        assert_eq!(parse_signature("p"), Err("expected `name(…)`"));
+    }
+
+    #[test]
+    fn values_are_quoted_strings_integers_or_words() {
+        assert_eq!(parse_value("\"ann\""), Value::str("ann"));
+        assert_eq!(parse_value(" \"a b\" "), Value::str("a b"));
+        // Quoting keeps digits a string.
+        assert_eq!(parse_value("\"42\""), Value::str("42"));
+        assert_eq!(parse_value("42"), Value::Int(42));
+        assert_eq!(parse_value(&i64::MIN.to_string()), Value::Int(i64::MIN));
+        assert_eq!(parse_value(&i64::MAX.to_string()), Value::Int(i64::MAX));
+        // One past i64::MAX is not an integer literal.
+        assert_eq!(
+            parse_value("9223372036854775808"),
+            Value::str("9223372036854775808")
+        );
+        assert_eq!(parse_value("db"), Value::str("db"));
     }
 
     #[test]

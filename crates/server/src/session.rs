@@ -14,12 +14,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use gq_core::{EngineOptions, QueryEngine, Strategy};
+use gq_core::{QueryEngine, Request, Strategy};
 use gq_governor::{CancelToken, QueryLimits, SharedBudget};
-use gq_storage::{Schema, Tuple, Value};
+use gq_storage::{Schema, Tuple};
 
 use crate::admission::Admission;
-use crate::protocol::{self, code};
+use crate::protocol::{self, code, parse_signature, parse_value};
 
 /// Outcome of dispatching one request frame.
 pub enum Outcome {
@@ -59,9 +59,7 @@ impl SessionState {
     ) -> Outcome {
         let line = match std::str::from_utf8(request) {
             Ok(l) => l.trim(),
-            Err(_) => {
-                return Outcome::Reply(protocol::err(code::PROTO, "request was not valid UTF-8"))
-            }
+            Err(_) => return Outcome::Reply(proto_err("request was not valid UTF-8")),
         };
         if line == ".close" {
             return Outcome::Close(protocol::ok("bye"));
@@ -100,10 +98,10 @@ impl SessionState {
             return Ok("pong".into());
         }
         if line == ".epoch" {
-            return Ok(engine.db().epoch().to_string());
+            return Ok(engine.snapshot().epoch().to_string());
         }
         if line == ".relations" {
-            let db = engine.db();
+            let db = engine.snapshot();
             let mut out = String::new();
             for r in db.relations() {
                 out.push_str(&format!(
@@ -116,7 +114,7 @@ impl SessionState {
             return Ok(out);
         }
         if let Some(rest) = line.strip_prefix(".relation ") {
-            let (name, attrs) = parse_signature(rest)?;
+            let (name, attrs) = parse_signature(rest).map_err(proto_err)?;
             let schema = Schema::new(attrs).map_err(|e| engine_err(&e.into()))?;
             engine
                 .create_relation(name, schema)
@@ -124,8 +122,8 @@ impl SessionState {
             return Ok("ok".into());
         }
         if let Some(rest) = line.strip_prefix(".insert ") {
-            let (name, values) = parse_signature(rest)?;
-            let tuple: Tuple = values.into_iter().map(parse_value).collect();
+            let (name, values) = parse_signature(rest).map_err(proto_err)?;
+            let tuple: Tuple = values.iter().map(|v| parse_value(v)).collect();
             let fresh = engine.insert(&name, tuple).map_err(|e| engine_err(&e))?;
             return Ok(if fresh {
                 "inserted"
@@ -135,15 +133,15 @@ impl SessionState {
             .into());
         }
         if let Some(rest) = line.strip_prefix(".remove ") {
-            let (name, values) = parse_signature(rest)?;
-            let tuple: Tuple = values.into_iter().map(parse_value).collect();
+            let (name, values) = parse_signature(rest).map_err(proto_err)?;
+            let tuple: Tuple = values.iter().map(|v| parse_value(v)).collect();
             let gone = engine.remove(&name, &tuple).map_err(|e| engine_err(&e))?;
             return Ok(if gone { "removed" } else { "not present" }.into());
         }
         if let Some(rest) = line.strip_prefix(".view ") {
             let rest = rest.trim();
             let Some((name, query)) = rest.split_once(' ') else {
-                return Err(protocol::err(code::PROTO, "usage: .view name <query>"));
+                return Err(proto_err("usage: .view name <query>"));
             };
             engine
                 .define_view(name, query.trim())
@@ -163,12 +161,7 @@ impl SessionState {
                 "improved" => Strategy::Improved,
                 "classical" => Strategy::Classical,
                 "nested-loop" => Strategy::NestedLoop,
-                other => {
-                    return Err(protocol::err(
-                        code::PROTO,
-                        &format!("unknown strategy `{other}`"),
-                    ))
-                }
+                other => return Err(proto_err(&format!("unknown strategy `{other}`"))),
             };
             return Ok(format!("strategy: {}", self.strategy.name()));
         }
@@ -181,31 +174,24 @@ impl SessionState {
                 self.limits.deadline = None;
                 return Ok("timeout: off".into());
             }
-            let ms: u64 = rest.parse().map_err(|_| {
-                protocol::err(
-                    code::PROTO,
-                    &format!("usage: .timeout <ms|off> (got `{rest}`)"),
-                )
-            })?;
+            let ms: u64 = rest
+                .parse()
+                .map_err(|_| proto_err(&format!("usage: .timeout <ms|off> (got `{rest}`)")))?;
             self.limits.deadline = Some(Duration::from_millis(ms));
             return Ok(format!("timeout: {ms}ms per query"));
         }
         if let Some(rest) = line.strip_prefix(".limits ") {
             let parts: Vec<&str> = rest.split_whitespace().collect();
             let [which, value] = parts.as_slice() else {
-                return Err(protocol::err(
-                    code::PROTO,
-                    "usage: .limits <output|rows|bytes> <n|off>",
-                ));
+                return Err(proto_err("usage: .limits <output|rows|bytes> <n|off>"));
             };
             let parsed = if *value == "off" {
                 None
             } else {
                 Some(value.parse::<u64>().map_err(|_| {
-                    protocol::err(
-                        code::PROTO,
-                        &format!("usage: .limits <output|rows|bytes> <n|off> (got `{value}`)"),
-                    )
+                    proto_err(&format!(
+                        "usage: .limits <output|rows|bytes> <n|off> (got `{value}`)"
+                    ))
                 })?)
             };
             match *which {
@@ -213,10 +199,9 @@ impl SessionState {
                 "rows" => self.limits.max_intermediate_tuples = parsed,
                 "bytes" => self.limits.max_memory_bytes = parsed,
                 other => {
-                    return Err(protocol::err(
-                        code::PROTO,
-                        &format!("unknown limit `{other}` (output | rows | bytes)"),
-                    ))
+                    return Err(proto_err(&format!(
+                        "unknown limit `{other}` (output | rows | bytes)"
+                    )))
                 }
             }
             return Ok("ok".into());
@@ -225,23 +210,16 @@ impl SessionState {
             return engine.explain(rest).map_err(|e| engine_err(&e));
         }
         if line.starts_with('.') {
-            return Err(protocol::err(
-                code::PROTO,
-                &format!("unknown command `{line}`"),
-            ));
+            return Err(proto_err(&format!("unknown command `{line}`")));
         }
         // Anything else: a calculus query on this session's snapshot,
         // under this session's limits, charging the shared budget.
-        let result = engine
-            .query_session(
-                line,
-                self.strategy,
-                EngineOptions::default(),
-                self.limits,
-                self.cancel.clone(),
-                Some(self.budget.clone()),
-            )
-            .map_err(|e| engine_err(&e))?;
+        let request = Request::text(line)
+            .with_strategy(self.strategy)
+            .with_limits(self.limits)
+            .with_cancel(self.cancel.clone())
+            .with_budget(self.budget.clone());
+        let result = engine.run(&request).map_err(|e| engine_err(&e))?.result;
         if result.vars.is_empty() {
             return Ok(result.is_true().to_string());
         }
@@ -265,6 +243,10 @@ fn engine_err(e: &gq_core::EngineError) -> Vec<u8> {
     protocol::err(protocol::code_for(e), &e.to_string())
 }
 
+fn proto_err(message: &str) -> Vec<u8> {
+    protocol::err(code::PROTO, message)
+}
+
 fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
@@ -272,39 +254,6 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
-}
-
-/// Parse `name(a, b, c)` into the name and comma-separated parts
-/// (mirrors the REPL's grammar so wire sessions and local sessions
-/// accept identical syntax).
-fn parse_signature(text: &str) -> Result<(String, Vec<String>), Vec<u8>> {
-    let text = text.trim();
-    let Some(open) = text.find('(') else {
-        return Err(protocol::err(code::PROTO, "expected `name(…)`"));
-    };
-    if !text.ends_with(')') {
-        return Err(protocol::err(code::PROTO, "expected closing `)`"));
-    }
-    let name = text[..open].trim().to_string();
-    let inner = &text[open + 1..text.len() - 1];
-    let parts: Vec<String> = if inner.trim().is_empty() {
-        vec![]
-    } else {
-        inner.split(',').map(|s| s.trim().to_string()).collect()
-    };
-    Ok((name, parts))
-}
-
-/// `"quoted"` → string, digits → integer, bare word → string.
-fn parse_value(text: String) -> Value {
-    let t = text.trim();
-    if let Some(stripped) = t.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
-        Value::str(stripped)
-    } else if let Ok(n) = t.parse::<i64>() {
-        Value::Int(n)
-    } else {
-        Value::str(t)
     }
 }
 

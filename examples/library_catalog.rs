@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example library_catalog`
 
-use gq_core::{ConstraintSet, EngineOptions, QueryEngine, Strategy};
+use gq_core::{ConstraintSet, EngineOptions, QueryEngine, Request};
 use gq_storage::{tuple, Database, Schema};
 
 fn build() -> Result<QueryEngine, Box<dyn std::error::Error>> {
@@ -102,16 +102,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     // "which database values are not book titles?" — pure negation, only
     // answerable under the Domain Closure Assumption.
-    let r = engine.query_with_options("!(exists g. book(x,g))", Strategy::Improved, options)?;
+    let r = engine
+        .run(&Request::text("!(exists g. book(x,g))").with_options(options))?
+        .result;
     println!(
         "\nvalues that are not book titles (domain closure): {} of {}",
         r.len(),
-        engine.db().relation("dom")?.len()
+        engine.snapshot().relation("dom")?.len()
     );
 
     // --- Persistence ----------------------------------------------------
     let path = std::env::temp_dir().join("library_catalog.gq");
-    gq_storage::save(&engine.db(), &path)?;
+    gq_storage::save(&engine.snapshot(), &path)?;
     let reloaded = QueryEngine::new(gq_storage::load(&path)?);
     let check = reloaded.query("member(x) & (exists t. loan(x,t))")?;
     println!(

@@ -16,10 +16,10 @@
 //! ```
 //!
 //! Commands: `.relation name(attr, …)`, `.insert name(value, …)`,
-//! `.relations`, `.view name <query>`, `.views`,
+//! `.remove name(value, …)`, `.relations`, `.view name <query>`, `.views`,
 //! `.strategy improved|classical|nested-loop`,
 //! `.timeout <ms|off>` (per-query deadline),
-//! `.limits [output|rows <n|off>]` (show / set resource budgets),
+//! `.limits [output|rows|bytes <n|off>]` (show / set resource budgets),
 //! `.prepare name <query>` / `.exec name` (prepared queries through the
 //! plan cache), `.prepared`, `.cache [clear]` (plan-cache statistics),
 //! `.explain <query>`,
@@ -40,9 +40,12 @@
 //! `with recursive name(params) as (body), … in query` program defines
 //! recursive materialized views and runs the trailing query.
 
-use gq_core::{EngineOptions, PreparedQuery, QueryEngine, QueryLimits, Strategy};
+use gq_core::{
+    explain_analyze, EngineOptions, PreparedQuery, QueryEngine, QueryLimits, Request, Strategy,
+};
+use gq_server::protocol::{parse_signature, parse_value};
 use gq_server::Client;
-use gq_storage::{Database, Schema, Tuple, Value};
+use gq_storage::{Database, Schema, Tuple};
 use gq_workload::{university, UniversityScale};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
@@ -147,7 +150,7 @@ impl Repl {
             println!("ok");
         } else if let Some(rest) = line.strip_prefix(".insert ") {
             let (name, values) = parse_signature(rest)?;
-            let tuple: Tuple = values.into_iter().map(parse_value).collect();
+            let tuple: Tuple = values.iter().map(|v| parse_value(v)).collect();
             let fresh = self.engine.insert(&name, tuple)?;
             println!(
                 "{}",
@@ -157,6 +160,11 @@ impl Repl {
                     "duplicate (ignored)"
                 }
             );
+        } else if let Some(rest) = line.strip_prefix(".remove ") {
+            let (name, values) = parse_signature(rest)?;
+            let tuple: Tuple = values.iter().map(|v| parse_value(v)).collect();
+            let gone = self.engine.remove(&name, &tuple)?;
+            println!("{}", if gone { "removed" } else { "not present" });
         } else if let Some(rest) = line.strip_prefix(".open ") {
             let dir = std::path::PathBuf::from(rest.trim());
             let (engine, recovery) = QueryEngine::open_durable(&dir)?;
@@ -166,8 +174,8 @@ impl Repl {
             println!(
                 "durable database at {} ({} relations, {} tuples)",
                 dir.display(),
-                self.engine.db().relation_names().count(),
-                self.engine.db().total_tuples()
+                self.engine.snapshot().relation_names().count(),
+                self.engine.snapshot().total_tuples()
             );
         } else if line == ".checkpoint" {
             let ck = self.engine.checkpoint()?;
@@ -206,14 +214,14 @@ impl Repl {
                 println!("{}({}) ≡ {}", v.name, params.join(", "), v.body);
             }
         } else if let Some(rest) = line.strip_prefix(".save ") {
-            gq_storage::save(&self.engine.db(), std::path::Path::new(rest.trim()))?;
+            gq_storage::save(&self.engine.snapshot(), std::path::Path::new(rest.trim()))?;
             println!("saved");
         } else if let Some(rest) = line.strip_prefix(".load ") {
             let db = gq_storage::load(std::path::Path::new(rest.trim()))?;
             println!("loaded {} tuples", db.total_tuples());
             self.engine = QueryEngine::new(db);
         } else if line == ".relations" {
-            for r in self.engine.db().relations() {
+            for r in self.engine.snapshot().relations() {
                 println!("{}{} — {} tuples", r.name(), r.schema(), r.len());
             }
         } else if let Some(rest) = line.strip_prefix(".strategy ") {
@@ -275,29 +283,32 @@ impl Repl {
                         None
                     } else {
                         Some(value.parse::<u64>().map_err(|_| {
-                            format!("usage: .limits <output|rows> <n|off> (got `{value}`)")
+                            format!("usage: .limits <output|rows|bytes> <n|off> (got `{value}`)")
                         })?)
                     };
                     match *which {
                         "output" => limits.max_output_tuples = parsed,
                         "rows" => limits.max_intermediate_tuples = parsed,
+                        "bytes" => limits.max_memory_bytes = parsed,
                         other => {
-                            return Err(format!("unknown limit `{other}` (output | rows)").into())
+                            return Err(
+                                format!("unknown limit `{other}` (output | rows | bytes)").into()
+                            )
                         }
                     }
                     self.engine.set_limits(limits);
                     print_limits(&self.engine.limits());
                 }
-                _ => return Err("usage: .limits [output|rows <n|off>]".into()),
+                _ => return Err("usage: .limits [output|rows|bytes <n|off>]".into()),
             }
         } else if let Some(rest) = line.strip_prefix(".prepare ") {
             let rest = rest.trim();
             let Some((name, query)) = rest.split_once(' ') else {
                 return Err("usage: .prepare name <query>".into());
             };
-            let p =
-                self.engine
-                    .prepare_with(query.trim(), self.strategy, EngineOptions::default())?;
+            let p = self
+                .engine
+                .prepare(query.trim(), self.strategy, EngineOptions::default())?;
             println!("prepared `{name}` ({})", p.strategy().name());
             self.prepared.insert(name.to_string(), p);
         } else if let Some(rest) = line.strip_prefix(".exec ") {
@@ -305,7 +316,7 @@ impl Repl {
             let Some(p) = self.prepared.get(name) else {
                 return Err(format!("no prepared query `{name}` (.prepare name <query>)").into());
             };
-            let result = self.engine.execute(p)?;
+            let result = self.engine.run(&Request::prepared(p))?.result;
             if result.vars.is_empty() {
                 println!("{}", result.is_true());
             } else {
@@ -348,14 +359,13 @@ impl Repl {
             .strip_prefix(":analyze ")
             .or_else(|| line.strip_prefix(".analyze "))
         {
-            println!(
-                "{}",
-                self.engine.explain_analyze_with_options(
-                    rest.trim(),
-                    self.strategy,
-                    EngineOptions::default()
-                )?
-            );
+            let request = Request::text(rest.trim())
+                .with_strategy(self.strategy)
+                .with_trace();
+            let response = self.engine.run(&request)?;
+            if let Some(trace) = &response.trace {
+                println!("{}", explain_analyze(&response.result, trace));
+            }
         } else if line == ":events" || line.starts_with(":events ") {
             let arg = line[":events".len()..].trim();
             let j = self.engine.journal();
@@ -466,7 +476,7 @@ impl Repl {
             println!(
                 "loaded university with {} students ({} tuples)",
                 n,
-                self.engine.db().total_tuples()
+                self.engine.snapshot().total_tuples()
             );
         } else if line == ".help" {
             println!(
@@ -478,12 +488,13 @@ impl Repl {
                  .checkpoint               atomic snapshot; the WAL restarts empty\n\
                  .wal                      durability counters (appends, fsyncs, recoveries)\n\
                  .insert name(value, …)    insert a tuple (strings quoted, ints bare)\n\
+                 .remove name(value, …)    remove a tuple\n\
                  .relations                list relations\n\
                  .strategy s               improved | classical | nested-loop\n\
                  .threads n                worker threads (1 = sequential)\n\
                  .morsel n                 tuples per morsel (default 1024)\n\
                  .timeout <ms|off>         per-query deadline\n\
-                 .limits [output|rows <n|off>]  show / set resource budgets\n\
+                 .limits [output|rows|bytes <n|off>]  show / set resource budgets\n\
                  .prepare name <query>     compile once, cache the plan\n\
                  .exec name                run a prepared query (cache hit)\n\
                  .prepared                 list prepared queries\n\
@@ -510,13 +521,15 @@ impl Repl {
             // A `with recursive` prelude routes through the program
             // surface, which registers the definitions as recursive
             // materialized views before running the trailing query.
-            let result = if line.starts_with("with recursive") {
-                self.engine
-                    .query_program_with(line, self.strategy, EngineOptions::default())?
+            let request = if line.starts_with("with recursive") {
+                Request::program(line)
             } else {
-                self.engine
-                    .query_with_options(line, self.strategy, EngineOptions::default())?
+                Request::text(line)
             };
+            let result = self
+                .engine
+                .run(&request.with_strategy(self.strategy))?
+                .result;
             if result.vars.is_empty() {
                 println!("{}", result.is_true());
             } else {
@@ -552,33 +565,4 @@ fn print_limits(l: &QueryLimits) {
     println!("rewrite steps: {}", show(l.max_rewrite_steps));
     println!("formula depth: {}", show(l.max_formula_depth));
     println!("plan depth: {}", show(l.max_plan_depth));
-}
-
-/// Parse `name(a, b, c)` into the name and the comma-separated parts.
-fn parse_signature(text: &str) -> Result<(String, Vec<String>), Box<dyn std::error::Error>> {
-    let text = text.trim();
-    let open = text.find('(').ok_or("expected `name(…)`")?;
-    if !text.ends_with(')') {
-        return Err("expected closing `)`".into());
-    }
-    let name = text[..open].trim().to_string();
-    let inner = &text[open + 1..text.len() - 1];
-    let parts: Vec<String> = if inner.trim().is_empty() {
-        vec![]
-    } else {
-        inner.split(',').map(|s| s.trim().to_string()).collect()
-    };
-    Ok((name, parts))
-}
-
-/// `"quoted"` → string, digits → integer, bare word → string.
-fn parse_value(text: String) -> Value {
-    let t = text.trim();
-    if let Some(stripped) = t.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
-        Value::str(stripped)
-    } else if let Ok(n) = t.parse::<i64>() {
-        Value::Int(n)
-    } else {
-        Value::str(t)
-    }
 }

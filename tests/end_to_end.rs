@@ -57,7 +57,7 @@ fn c2_no_cartesian_product() {
     ];
     for text in queries {
         let canonical = canonicalize(&parse(text).unwrap()).unwrap();
-        let (_, improved) = ImprovedTranslator::new(&e.db())
+        let (_, improved) = ImprovedTranslator::new(&e.snapshot())
             .translate_open(&canonical)
             .unwrap();
         assert!(
@@ -72,7 +72,7 @@ fn c2_no_cartesian_product() {
         "student(x) & (forall y. lecture(y,\"d0\") -> attends(x,y))",
         "exists y. attends(x,y) & (exists d. lecture(y,d) & !enrolled(x,d))",
     ] {
-        let (_, classical) = ClassicalTranslator::new(&e.db())
+        let (_, classical) = ClassicalTranslator::new(&e.snapshot())
             .translate_open(&parse(text).unwrap())
             .unwrap();
         assert!(
@@ -95,7 +95,7 @@ fn c3_division_only_in_case5() {
     ];
     for text in no_division {
         let canonical = canonicalize(&parse(text).unwrap()).unwrap();
-        let (_, plan) = ImprovedTranslator::new(&e.db())
+        let (_, plan) = ImprovedTranslator::new(&e.snapshot())
             .translate_open(&canonical)
             .unwrap();
         assert!(!plan.uses_division(), "`{text}`: {plan}");
@@ -103,7 +103,7 @@ fn c3_division_only_in_case5() {
     let canonical =
         canonicalize(&parse("student(x) & (forall y. lecture(y,\"d0\") -> attends(x,y))").unwrap())
             .unwrap();
-    let (_, plan) = ImprovedTranslator::new(&e.db())
+    let (_, plan) = ImprovedTranslator::new(&e.snapshot())
         .translate_open(&canonical)
         .unwrap();
     assert!(plan.uses_division(), "case 5 must divide: {plan}");
@@ -120,7 +120,7 @@ fn c5_miniscope_reduces_work() {
     // NestedLoop canonicalizes first (miniscope), so compare against the
     // pipeline run on the RAW formula.
     let raw = parse(q1).unwrap();
-    let db = e.db();
+    let db = e.snapshot();
     let pipeline_raw = gq_pipeline::PipelineEvaluator::new(&db);
     let v_raw = pipeline_raw.eval_closed(&raw).unwrap();
     let canonical = canonicalize(&raw).unwrap();

@@ -16,7 +16,7 @@
 //!   watermarks for exactly the queries that breached a threshold.
 
 use gq_bench::E2E_SUITE;
-use gq_core::{EventKind, QueryEngine, QueryLimits, Strategy};
+use gq_core::{EngineOptions, EventKind, QueryEngine, QueryLimits, Request, Strategy};
 use gq_obs::Json;
 use gq_storage::{tuple, Database, Schema};
 use gq_workload::{university, UniversityScale};
@@ -161,9 +161,15 @@ fn governor_trip_and_error_events_share_the_query_id() {
 fn plan_cache_hits_and_misses_are_distinct_kinds() {
     for threads in thread_counts() {
         let e = engine(40, threads);
-        let p = e.prepare("member(x,z) & !skill(x,\"db\")").unwrap();
-        e.execute(&p).unwrap();
-        e.execute(&p).unwrap();
+        let p = e
+            .prepare(
+                "member(x,z) & !skill(x,\"db\")",
+                Strategy::Improved,
+                EngineOptions::default(),
+            )
+            .unwrap();
+        e.run(&Request::prepared(&p)).unwrap();
+        e.run(&Request::prepared(&p)).unwrap();
         let events = e.journal().events();
         let kinds: Vec<EventKind> = events.iter().map(|ev| ev.kind).collect();
         assert!(
@@ -344,11 +350,13 @@ fn slow_log_retains_trace_and_watermarks_for_breaching_queries_only() {
 fn window_stats_join_the_metrics_snapshot() {
     for threads in thread_counts() {
         let e = engine(40, threads);
-        let p = e.prepare("student(x)").unwrap();
+        let p = e
+            .prepare("student(x)", Strategy::Improved, EngineOptions::default())
+            .unwrap();
         for (_, text) in E2E_SUITE.iter().take(5) {
             e.query(text).unwrap();
         }
-        e.execute(&p).unwrap();
+        e.run(&Request::prepared(&p)).unwrap();
         let snap = e.metrics_snapshot();
         let w = snap
             .window

@@ -8,8 +8,8 @@
 //! read `GQ_CHAOS_SEED`.
 
 use gq_core::{
-    EngineError, EventKind, ExecConfig, MaintenanceStrategy, QueryEngine, QueryLimits, Resource,
-    ViewError,
+    EngineError, EngineOptions, EventKind, ExecConfig, MaintenanceStrategy, QueryEngine,
+    QueryLimits, Request, Resource, Strategy, ViewError,
 };
 use gq_storage::{tuple, Database, Schema, Tuple};
 
@@ -239,11 +239,12 @@ fn transitive_closure_is_maintained_incrementally() {
     }
     let e = QueryEngine::new(db).with_exec_config(ExecConfig::with_threads(2));
     let result = e
-        .query_program(
+        .run(&Request::program(
             "with recursive path(x,y) as \
              (edge(x,y) | (exists z. edge(x,z) & path(z,y))) in path(x,y)",
-        )
-        .unwrap();
+        ))
+        .unwrap()
+        .result;
 
     let closure = |edges: &[(i64, i64)]| -> Vec<Tuple> {
         let mut reach: std::collections::BTreeSet<(i64, i64)> = edges.iter().copied().collect();
@@ -305,12 +306,12 @@ fn mutual_recursion_forms_one_group() {
     let e = QueryEngine::new(db);
     // even(x,y): path of even length (incl. via odd+1), odd(x,y): odd
     // length — classic mutual recursion, monotone.
-    e.query_program(
+    e.run(&Request::program(
         "with recursive \
          odd(x,y) as (edge(x,y) | (exists z. edge(x,z) & even(z,y))), \
          even(x,y) as (exists z. edge(x,z) & odd(z,y)) \
          in odd(x,y)",
-    )
+    ))
     .unwrap();
     let described = e.materialized_views();
     assert!(described.iter().all(|(_, _, _, recursive)| *recursive));
@@ -335,7 +336,9 @@ fn mutual_recursion_forms_one_group() {
 fn recursion_through_negation_is_rejected() {
     let e = engine_with(1);
     let err = e
-        .query_program("with recursive w(x) as (p(x) & !w(x)) in w(x)")
+        .run(&Request::program(
+            "with recursive w(x) as (p(x) & !w(x)) in w(x)",
+        ))
         .unwrap_err();
     assert!(
         matches!(
@@ -364,10 +367,10 @@ fn runaway_fixpoint_trips_governor_instead_of_hanging() {
     let mut e = QueryEngine::new(db);
     e.set_limits(QueryLimits::UNLIMITED.with_max_intermediate_tuples(500));
     let err = e
-        .query_program(
+        .run(&Request::program(
             "with recursive path(x,y) as \
              (edge(x,y) | (exists z. edge(x,z) & path(z,y))) in path(x,y)",
-        )
+        ))
         .unwrap_err();
     match err {
         EngineError::ResourceExhausted { resource, .. } => {
@@ -380,11 +383,12 @@ fn runaway_fixpoint_trips_governor_instead_of_hanging() {
     assert!(e.materialized_views().is_empty());
     e.set_limits(QueryLimits::UNLIMITED);
     let n = e
-        .query_program(
+        .run(&Request::program(
             "with recursive path(x,y) as \
              (edge(x,y) | (exists z. edge(x,z) & path(z,y))) in path(x,y)",
-        )
+        ))
         .unwrap()
+        .result
         .len();
     assert_eq!(n, (121 * 120) / 2);
 }
@@ -413,16 +417,27 @@ fn prepared_plans_refresh_when_extents_move() {
     let e = engine_with(1);
     e.insert("p", tuple![1]).unwrap();
     e.define_materialized_view("mv", "p(x) & !q(x)").unwrap();
-    let prepared = e.prepare("mv(x)").unwrap();
-    assert_eq!(e.execute(&prepared).unwrap().len(), 1);
+    let prepared = e
+        .prepare("mv(x)", Strategy::Improved, EngineOptions::default())
+        .unwrap();
+    assert_eq!(
+        e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+        1
+    );
     let warm = e.plan_cache_stats();
     // Re-execute without mutations: still hot.
-    assert_eq!(e.execute(&prepared).unwrap().len(), 1);
+    assert_eq!(
+        e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+        1
+    );
     assert_eq!(e.plan_cache_stats().hits, warm.hits + 1);
     // A base insert patches the extent → its version stamp moves → the
     // cached plan is stale and recompiles, observing the new extent.
     e.insert("p", tuple![2]).unwrap();
-    assert_eq!(e.execute(&prepared).unwrap().len(), 2);
+    assert_eq!(
+        e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+        2
+    );
     assert_eq!(e.plan_cache_stats().misses, warm.misses + 1);
 }
 
@@ -442,9 +457,12 @@ fn a_maintenance_that_changes_nothing_leaves_the_view_untouched() {
         e.define_materialized_view_with(view, "p(x) & r(x,y)", strategy)
             .unwrap();
     }
-    let prepared = ["inc(x,y)", "rec(x,y)"].map(|q| e.prepare(q).unwrap());
+    let prepared = ["inc(x,y)", "rec(x,y)"].map(|q| {
+        e.prepare(q, Strategy::Improved, EngineOptions::default())
+            .unwrap()
+    });
     for p in &prepared {
-        assert_eq!(e.execute(p).unwrap().len(), 1);
+        assert_eq!(e.run(&Request::prepared(p)).unwrap().result.len(), 1);
     }
     let versions = |e: &QueryEngine| {
         let snap = e.snapshot();
@@ -463,7 +481,7 @@ fn a_maintenance_that_changes_nothing_leaves_the_view_untouched() {
         assert_eq!(versions(&e), before, "insert={insert}");
         assert_eq!(e.snapshot().epoch(), epoch + 1, "insert={insert}");
         for p in &prepared {
-            assert_eq!(e.execute(p).unwrap().len(), 1);
+            assert_eq!(e.run(&Request::prepared(p)).unwrap().result.len(), 1);
         }
         let stats = e.plan_cache_stats();
         assert_eq!(

@@ -17,10 +17,16 @@
 //!   the improved strategy's per-operator profile contains neither a
 //!   division nor a cartesian product, while the classical strategy's
 //!   contains both (claims C2/C3, now visible in the observability
-//!   output rather than only in plan inspection).
+//!   output rather than only in plan inspection);
+//! * **one lifecycle** — every kind of [`Request`] leaves the same
+//!   journal, metrics and slow-log record, and trips a budget at the
+//!   same point.
 
 use gq_bench::E2E_SUITE;
-use gq_core::{EngineOptions, ExecConfig, QueryEngine, QueryLimits, Strategy};
+use gq_core::{
+    explain_analyze, EngineError, EngineOptions, ExecConfig, QueryEngine, QueryLimits, QueryResult,
+    QueryTrace, Request, Strategy,
+};
 use gq_obs::{EventKind, PlanNodeTrace};
 use gq_workload::{university, UniversityScale};
 
@@ -43,6 +49,18 @@ fn engine_at(n: usize, threads: usize) -> QueryEngine {
 
 fn engine() -> QueryEngine {
     engine_at(60, 2)
+}
+
+/// Run `request` traced: the result and its trace.
+fn analyze(
+    e: &QueryEngine,
+    request: Request<'_>,
+) -> Result<(QueryResult, QueryTrace), EngineError> {
+    let response = e.run(&request.with_trace())?;
+    Ok((
+        response.result,
+        response.trace.expect("a traced run returns its trace"),
+    ))
 }
 
 /// The annotated tree with its one schedule-dependent field zeroed.
@@ -70,9 +88,11 @@ fn node_totals_sum_to_query_stats_across_strategies() {
         for strategy in Strategy::ALL {
             let mut across_threads: Option<PlanNodeTrace> = None;
             for threads in thread_counts() {
-                let (result, trace) = engine_at(300, threads)
-                    .analyze_with_options(query, strategy, EngineOptions::default())
-                    .unwrap();
+                let (result, trace) = analyze(
+                    &engine_at(300, threads),
+                    Request::text(query).with_strategy(strategy),
+                )
+                .unwrap();
                 let plan = trace.plan.as_ref().expect("annotated plan attached");
                 let totals = plan.totals();
                 let tag = format!("`{query}` under {} at {threads} threads", strategy.name());
@@ -133,8 +153,11 @@ fn node_totals_sum_under_options() {
                 ),
             ] {
                 // Warm the index cache, then measure the instrumented run.
-                e.query_with_options(query, strategy, options).unwrap();
-                let (result, trace) = e.analyze_with_options(query, strategy, options).unwrap();
+                let request = Request::text(query)
+                    .with_strategy(strategy)
+                    .with_options(options);
+                e.run(&request).unwrap();
+                let (result, trace) = analyze(&e, request).unwrap();
                 let plan = trace.plan.as_ref().unwrap();
                 let totals = plan.totals();
                 let tag = format!("`{query}` under {} with {options:?}", strategy.name());
@@ -188,7 +211,7 @@ fn analyze_lists_the_breakers_a_plain_query_journals() {
                 .filter(|ev| ev.kind == EventKind::PipelineBreak)
                 .map(|ev| ev.detail.clone())
                 .collect();
-            let (_, trace) = e.analyze(text).unwrap();
+            let (_, trace) = analyze(&e, Request::text(text)).unwrap();
             let listed: Vec<String> = trace
                 .pipelines
                 .iter()
@@ -196,7 +219,8 @@ fn analyze_lists_the_breakers_a_plain_query_journals() {
                 .collect();
             assert_eq!(listed, journaled, "{label} at {threads} threads");
             if !listed.is_empty() {
-                let out = e.explain_analyze(text).unwrap();
+                let (result, trace) = analyze(&e, Request::text(text)).unwrap();
+                let out = explain_analyze(&result, &trace);
                 assert!(out.contains("== pipelines =="), "{label}:\n{out}");
                 assert!(out.contains("busy time"), "{label}: legend missing\n{out}");
             }
@@ -217,7 +241,7 @@ fn observers_do_not_change_the_outcome() {
             let tag = format!("{label} at {threads} threads");
             let mut e = engine_at(300, threads);
             let plain = e.query(text).unwrap();
-            let (analyzed, _) = e.analyze(text).unwrap();
+            let (analyzed, _) = analyze(&e, Request::text(text)).unwrap();
             assert_eq!(
                 analyzed.answers.iter().collect::<Vec<_>>(),
                 plain.answers.iter().collect::<Vec<_>>(),
@@ -241,8 +265,7 @@ fn observers_do_not_change_the_outcome() {
                 "{tag}"
             );
             assert_eq!(armed.stats, plain.stats, "{tag}: armed vs plain query");
-            let (analyzed, _) = e
-                .analyze(text)
+            let (analyzed, _) = analyze(&e, Request::text(text))
                 .unwrap_or_else(|err| panic!("{tag}: analyze tripped the budget: {err}"));
             assert_eq!(analyzed.stats, plain.stats, "{tag}: budgeted analyze");
 
@@ -280,9 +303,7 @@ fn improved_profile_has_no_division_or_product_where_classical_does() {
     // cartesian product of ranges).
     let query = "student(x) & !(exists y. attends(x,y) & !lecture(y,\"d0\"))";
 
-    let (_, improved) = e
-        .analyze_with_options(query, Strategy::Improved, EngineOptions::default())
-        .unwrap();
+    let (_, improved) = analyze(&e, Request::text(query)).unwrap();
     let mut improved_ops = Vec::new();
     labels(improved.plan.as_ref().unwrap(), &mut improved_ops);
     assert!(
@@ -302,9 +323,8 @@ fn improved_profile_has_no_division_or_product_where_classical_does() {
         improved.facts
     );
 
-    let (_, classical) = e
-        .analyze_with_options(query, Strategy::Classical, EngineOptions::default())
-        .unwrap();
+    let (_, classical) =
+        analyze(&e, Request::text(query).with_strategy(Strategy::Classical)).unwrap();
     let mut classical_ops = Vec::new();
     labels(classical.plan.as_ref().unwrap(), &mut classical_ops);
     assert!(
@@ -320,7 +340,8 @@ fn improved_profile_has_no_division_or_product_where_classical_does() {
 #[test]
 fn explain_analyze_renders_annotated_tree() {
     let e = engine();
-    let out = e.explain_analyze("member(x,z) & !skill(x,\"db\")").unwrap();
+    let (result, trace) = analyze(&e, Request::text("member(x,z) & !skill(x,\"db\")")).unwrap();
+    let out = explain_analyze(&result, &trace);
     for needle in [
         "== phases ==",
         "evaluate",
@@ -336,13 +357,12 @@ fn explain_analyze_renders_annotated_tree() {
 #[test]
 fn nested_loop_trace_reports_iterations() {
     let e = engine();
-    let (_, trace) = e
-        .analyze_with_options(
-            "student(x) & !(exists y. attends(x,y) & !lecture(y,\"d0\"))",
-            Strategy::NestedLoop,
-            EngineOptions::default(),
-        )
-        .unwrap();
+    let (_, trace) = analyze(
+        &e,
+        Request::text("student(x) & !(exists y. attends(x,y) & !lecture(y,\"d0\"))")
+            .with_strategy(Strategy::NestedLoop),
+    )
+    .unwrap();
     let plan = trace.plan.as_ref().unwrap();
     assert_eq!(plan.label, "fig1 interpreter");
     assert!(!plan.children.is_empty(), "quantifier loops recorded");
@@ -373,4 +393,118 @@ fn metrics_registry_counts_queries_when_enabled() {
     assert_eq!(snap.counters["query.count.improved"], 1);
     assert_eq!(snap.counters["query.count.nested-loop"], 1);
     assert_eq!(snap.histograms["query.latency.improved"].count(), 1);
+}
+
+/// Conformance: every kind of request runs the one lifecycle. With
+/// metrics on and the slow log armed at 0 ms, each leaves exactly one
+/// `QueryStart`/`QueryEnd` pair under one query id, moves
+/// `query.count.improved` and `query.latency.improved` by exactly one,
+/// and adds exactly one slow-log entry under that id; under an output
+/// budget of one tuple each trips where a plain `query` trips.
+#[test]
+fn every_request_kind_runs_the_one_lifecycle() {
+    const TEXT: &str = "member(x,z) & !skill(x,\"db\")";
+    let output_one = QueryLimits::UNLIMITED.with_max_output_tuples(1);
+    for threads in thread_counts() {
+        let mut e = engine_at(60, threads);
+        let formula = gq_calculus::parse(TEXT).unwrap();
+        let prepared = e
+            .prepare(TEXT, Strategy::Improved, EngineOptions::default())
+            .unwrap();
+        // (kind, traced, the request under session limits `limits`)
+        type Row<'a> = (&'a str, bool, Box<dyn Fn(QueryLimits) -> Request<'a> + 'a>);
+        let rows: Vec<Row> = vec![
+            ("text", false, Box::new(|_| Request::text(TEXT))),
+            ("formula", false, Box::new(|_| Request::formula(&formula))),
+            ("program", false, Box::new(|_| Request::program(TEXT))),
+            (
+                "prepared",
+                false,
+                Box::new(|_| Request::prepared(&prepared)),
+            ),
+            (
+                "prepared + trace",
+                true,
+                Box::new(|_| Request::prepared(&prepared).with_trace()),
+            ),
+            (
+                "text + trace",
+                true,
+                Box::new(|_| Request::text(TEXT).with_trace()),
+            ),
+            (
+                "session limits",
+                false,
+                Box::new(|limits| {
+                    Request::text(TEXT)
+                        .with_limits(limits)
+                        .with_cancel(gq_core::CancelToken::new())
+                }),
+            ),
+        ];
+
+        e.metrics().enable();
+        e.slow_log()
+            .set_latency_threshold(Some(std::time::Duration::ZERO));
+        for (kind, traced, request) in &rows {
+            let tag = format!("{kind} at {threads} threads");
+            let events_before = e.journal().events().len();
+            let metrics_before = e.metrics().snapshot();
+            let recorded_before = e.slow_log().recorded();
+            let response = e.run(&request(QueryLimits::UNLIMITED)).unwrap();
+            assert_eq!(response.trace.is_some(), *traced, "{tag}: trace returned");
+
+            let events = e.journal().events();
+            let of_kind = |kind: EventKind| -> Vec<u64> {
+                events[events_before..]
+                    .iter()
+                    .filter(|ev| ev.kind == kind)
+                    .map(|ev| ev.query_id)
+                    .collect()
+            };
+            let starts = of_kind(EventKind::QueryStart);
+            assert_eq!(starts.len(), 1, "{tag}: one query_start");
+            assert_eq!(of_kind(EventKind::QueryEnd), starts, "{tag}: one query_end");
+            let query_id = starts[0];
+
+            let metrics = e.metrics().snapshot();
+            let count = |m: &gq_core::MetricsSnapshot| {
+                m.counters.get("query.count.improved").copied().unwrap_or(0)
+            };
+            let latencies = |m: &gq_core::MetricsSnapshot| {
+                m.histograms
+                    .get("query.latency.improved")
+                    .map_or(0, |h| h.count())
+            };
+            assert_eq!(count(&metrics), count(&metrics_before) + 1, "{tag}: count");
+            assert_eq!(
+                latencies(&metrics),
+                latencies(&metrics_before) + 1,
+                "{tag}: latency"
+            );
+
+            assert_eq!(
+                e.slow_log().recorded(),
+                recorded_before + 1,
+                "{tag}: one slow-log entry"
+            );
+            let entries = e.slow_log().entries();
+            let entry = entries.last().expect("threshold 0 retains every query");
+            assert_eq!(entry.query_id, query_id, "{tag}: slow-log query id");
+        }
+
+        e.set_limits(output_one);
+        let used = |err: EngineError| match err {
+            EngineError::ResourceExhausted { used, .. } => used,
+            other => panic!("expected an output-budget trip, got {other:?}"),
+        };
+        let expected = used(e.query(TEXT).unwrap_err());
+        for (kind, _, request) in &rows {
+            let err = e.run(&request(output_one)).unwrap_err();
+            assert_eq!(used(err), expected, "{kind} at {threads} threads: trip");
+        }
+        // The session's own limits, not the engine's, govern its requests.
+        let session = &rows.last().unwrap().2;
+        e.run(&session(QueryLimits::UNLIMITED)).unwrap();
+    }
 }

@@ -15,7 +15,7 @@
 
 use gq_algebra::{AlgebraExpr, Constraint, Evaluator};
 use gq_bench::E2E_SUITE;
-use gq_core::{EngineOptions, ExecConfig, QueryEngine, Strategy};
+use gq_core::{EngineOptions, ExecConfig, QueryEngine, Request, Strategy};
 use gq_storage::{tuple, Database, Schema};
 use gq_workload::{university, UniversityScale};
 use std::sync::{RwLock, RwLockReadGuard};
@@ -91,8 +91,9 @@ fn engine_options_are_thread_count_invariant() {
             // A fresh engine per run keeps the index cache cold, so the
             // build charges are comparable across thread counts.
             let r = engine(threads)
-                .query_with_options(text, Strategy::Improved, options)
-                .unwrap();
+                .run(&Request::text(text).with_options(options))
+                .unwrap()
+                .result;
             match &baseline {
                 None => baseline = Some(r),
                 Some(b) => {

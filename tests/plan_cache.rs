@@ -8,7 +8,7 @@
 //! view generations are the invalidation mechanism, so the property test
 //! deliberately interleaves mutations with executions.
 
-use gq_core::{EngineOptions, ExecConfig, QueryEngine, Strategy};
+use gq_core::{EngineOptions, ExecConfig, QueryEngine, Request, Strategy};
 use gq_storage::{tuple, Database, Schema};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -77,18 +77,25 @@ fn prepared_equals_fresh_across_mutations_strategies_and_threads() {
             let options = EngineOptions::default();
             let prepared: Vec<_> = QUERIES
                 .iter()
-                .map(|text| e.prepare_with(text, strategy, options).unwrap())
+                .map(|text| e.prepare(text, strategy, options).unwrap())
                 .collect();
             let mut rng = StdRng::seed_from_u64(0xCA05E + threads as u64);
             for _step in 0..8 {
                 mutate(&mut e.db_mut(), &mut rng);
                 for (text, p) in QUERIES.iter().zip(&prepared) {
-                    let fresh = e.query_with_options(text, strategy, options).unwrap();
+                    let fresh = e
+                        .run(
+                            &Request::text(text)
+                                .with_strategy(strategy)
+                                .with_options(options),
+                        )
+                        .unwrap()
+                        .result;
                     // Twice: the first recompiles (epoch moved), the
                     // second is a genuine cache hit — both must agree
                     // with the fresh compilation.
                     for round in ["recompile", "hit"] {
-                        let cached = e.execute(p).unwrap();
+                        let cached = e.run(&Request::prepared(p)).unwrap().result;
                         assert_eq!(fresh.vars, cached.vars, "`{text}` at {threads} threads");
                         assert_eq!(
                             fresh.answers.sorted_tuples(),
@@ -122,13 +129,16 @@ fn prepared_cse_stats_are_thread_count_invariant() {
     let text = "p(x) & (forall y. q(y) -> r(x,y))";
     let base_engine = engine(1);
     let base_prepared = base_engine
-        .prepare_with(text, Strategy::Improved, options)
+        .prepare(text, Strategy::Improved, options)
         .unwrap();
-    let baseline = base_engine.execute(&base_prepared).unwrap();
+    let baseline = base_engine
+        .run(&Request::prepared(&base_prepared))
+        .unwrap()
+        .result;
     for threads in THREAD_COUNTS {
         let e = engine(threads);
-        let p = e.prepare_with(text, Strategy::Improved, options).unwrap();
-        let r = e.execute(&p).unwrap();
+        let p = e.prepare(text, Strategy::Improved, options).unwrap();
+        let r = e.run(&Request::prepared(&p)).unwrap().result;
         assert_eq!(
             baseline.answers.sorted_tuples(),
             r.answers.sorted_tuples(),
@@ -148,10 +158,12 @@ fn prepared_cse_stats_are_thread_count_invariant() {
 #[test]
 fn epoch_invalidation_is_observable_through_results() {
     let mut e = engine(1);
-    let p = e.prepare("p(x) & q(x)").unwrap();
-    let before = e.execute(&p).unwrap().len();
+    let p = e
+        .prepare("p(x) & q(x)", Strategy::Improved, EngineOptions::default())
+        .unwrap();
+    let before = e.run(&Request::prepared(&p)).unwrap().result.len();
     e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
-    let after = e.execute(&p).unwrap().len();
+    let after = e.run(&Request::prepared(&p)).unwrap().result.len();
     assert_eq!(after, before + 1, "stale cached plan served");
     let s = e.plan_cache_stats();
     assert_eq!((s.misses, s.hits), (2, 1), "stats: {s:?}");
@@ -164,16 +176,21 @@ fn epoch_invalidation_is_observable_through_results() {
 #[test]
 fn failed_evaluation_does_not_poison_the_cache() {
     let mut e = engine(1);
-    let p = e.prepare("p(x)").unwrap();
-    let expected = e.execute(&p).unwrap().len();
+    let p = e
+        .prepare("p(x)", Strategy::Improved, EngineOptions::default())
+        .unwrap();
+    let expected = e.run(&Request::prepared(&p)).unwrap().result.len();
     let mut strangled = e.limits();
     strangled.max_output_tuples = Some(1);
     e.set_limits(strangled);
-    assert!(e.execute(&p).is_err(), "limit of 1 tuple must trip");
+    assert!(
+        e.run(&Request::prepared(&p)).is_err(),
+        "limit of 1 tuple must trip"
+    );
     let mut relaxed = e.limits();
     relaxed.max_output_tuples = None;
     e.set_limits(relaxed);
-    let r = e.execute(&p).unwrap();
+    let r = e.run(&Request::prepared(&p)).unwrap().result;
     assert_eq!(r.len(), expected, "cache poisoned by failed evaluation");
     // The strangled run still *hit* the cache — the plan was valid, only
     // its evaluation failed.
@@ -209,16 +226,23 @@ mod chaos {
     fn scan_faults_never_poison_cached_plans() {
         let _l = lock();
         let e = engine(1);
-        let p = e.prepare("p(x) & !q(x)").unwrap();
-        let expected = e.execute(&p).unwrap().answers.sorted_tuples();
+        let p = e
+            .prepare("p(x) & !q(x)", Strategy::Improved, EngineOptions::default())
+            .unwrap();
+        let expected = e
+            .run(&Request::prepared(&p))
+            .unwrap()
+            .result
+            .answers
+            .sorted_tuples();
         {
             let _g = gq_chaos::install(ChaosConfig::with_seed(seed()).scan_error(0.5));
             // Under a 50% per-scan fault rate each execution either fails
             // cleanly or returns exactly the right answers — never a
             // partial result, and never a corrupted cache entry.
             for _ in 0..16 {
-                match e.execute(&p) {
-                    Ok(r) => assert_eq!(r.answers.sorted_tuples(), expected),
+                match e.run(&Request::prepared(&p)) {
+                    Ok(r) => assert_eq!(r.result.answers.sorted_tuples(), expected),
                     Err(err) => assert!(
                         err.to_string().contains("chaos"),
                         "unexpected error class: {err:?}"
@@ -227,7 +251,7 @@ mod chaos {
             }
         }
         // Fault source removed → the same prepared query works from cache.
-        let r = e.execute(&p).unwrap();
+        let r = e.run(&Request::prepared(&p)).unwrap().result;
         assert_eq!(r.answers.sorted_tuples(), expected);
         let s = e.plan_cache_stats();
         assert_eq!(s.misses, 1, "chaos must not force recompiles: {s:?}");

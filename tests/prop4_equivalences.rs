@@ -4,7 +4,7 @@
 //! case is allowed to use.
 
 use gq_calculus::parse;
-use gq_core::{EngineOptions, QueryEngine, Strategy};
+use gq_core::{EngineOptions, QueryEngine, Request, Strategy};
 use gq_rewrite::canonicalize;
 use gq_translate::{DivisionMode, ImprovedTranslator};
 use gq_workload::generic;
@@ -33,7 +33,14 @@ fn all_cases_agree_across_strategies_and_options() {
                             share_subplans: share,
                             ..EngineOptions::default()
                         };
-                        let r = engine.query_with_options(text, strategy, options).unwrap();
+                        let r = engine
+                            .run(
+                                &Request::text(text)
+                                    .with_strategy(strategy)
+                                    .with_options(options),
+                            )
+                            .unwrap()
+                            .result;
                         assert!(
                             reference.answers.set_eq(&r.answers),
                             "{label} (seed {seed}) with {} / {options:?}",

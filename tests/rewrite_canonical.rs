@@ -3,7 +3,7 @@
 //! semantic-preservation check (normal forms evaluate identically).
 
 use gq_calculus::parse;
-use gq_core::{QueryEngine, Strategy};
+use gq_core::{QueryEngine, Request, Strategy};
 use gq_rewrite::{canonicalize, canonicalize_random, is_canonical, is_miniscope};
 use gq_workload::{university, UniversityScale};
 
@@ -44,14 +44,20 @@ fn random_orders_agree_semantically() {
     for text in CORPUS {
         let f = parse(text).unwrap();
         let det = canonicalize(&f).unwrap();
-        let reference = engine.eval_formula(&det, Strategy::NestedLoop).unwrap();
+        let reference = engine
+            .run(&Request::formula(&det).with_strategy(Strategy::NestedLoop))
+            .unwrap()
+            .result;
         for seed in 0..8u64 {
             let rnd = canonicalize_random(&f, seed).unwrap();
             if det.alpha_eq(&rnd) {
                 continue; // syntactically confluent on this input
             }
             // Otherwise the forms must still be logically equivalent.
-            let alt = engine.eval_formula(&rnd, Strategy::NestedLoop).unwrap();
+            let alt = engine
+                .run(&Request::formula(&rnd).with_strategy(Strategy::NestedLoop))
+                .unwrap()
+                .result;
             assert!(
                 reference.answers.set_eq(&alt.answers),
                 "seed {seed} on `{text}`:\ndet: {det}\nrnd: {rnd}"

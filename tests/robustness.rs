@@ -320,6 +320,7 @@ fn engine_reusable_after_every_error_kind() {
 mod chaos {
     use super::*;
     use gq_chaos::ChaosConfig;
+    use gq_core::Request;
     use std::sync::{Mutex, MutexGuard, OnceLock};
     use std::time::Instant;
 
@@ -377,7 +378,7 @@ mod chaos {
             ..Default::default()
         };
         let err = e
-            .query_with_options("p(x) & r(x,y)", Strategy::Improved, opts)
+            .run(&Request::text("p(x) & r(x,y)").with_options(opts))
             .unwrap_err();
         assert!(
             err.to_string().contains("chaos"),
@@ -385,8 +386,9 @@ mod chaos {
         );
         drop(_g);
         assert_eq!(
-            e.query_with_options("p(x) & r(x,y)", Strategy::Improved, opts)
+            e.run(&Request::text("p(x) & r(x,y)").with_options(opts))
                 .unwrap()
+                .result
                 .len(),
             200
         );

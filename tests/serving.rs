@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use gq_core::{CancelToken, EngineOptions, ExecConfig, QueryEngine, QueryLimits, Strategy};
+use gq_core::{CancelToken, ExecConfig, QueryEngine, QueryLimits, Request};
 use gq_server::{AdmissionConfig, Client, ClientError, Server, ServerConfig};
 use gq_storage::{tuple, Database, Schema};
 
@@ -155,16 +155,10 @@ fn snapshot_isolation_readers_see_committed_prefixes() {
                 std::thread::spawn(move || {
                     let mut observed = Vec::new();
                     while !done.load(Ordering::Acquire) {
-                        let result = engine
-                            .query_session(
-                                "r(x)",
-                                Strategy::Improved,
-                                EngineOptions::default(),
-                                QueryLimits::UNLIMITED,
-                                CancelToken::new(),
-                                None,
-                            )
-                            .expect("reader query");
+                        let request = Request::text("r(x)")
+                            .with_limits(QueryLimits::UNLIMITED)
+                            .with_cancel(CancelToken::new());
+                        let result = engine.run(&request).expect("reader query").result;
                         let seen: Vec<i64> = result
                             .answers
                             .sorted_tuples()
