@@ -18,9 +18,9 @@
 
 use crate::parallel::ExecConfig;
 use crate::profile::PlanProfiler;
-use crate::{AlgebraError, AlgebraExpr, ExecStats, IndexCache, Operand, Predicate};
+use crate::{AlgebraError, AlgebraExpr, ExecStats, Operand, Predicate};
 use gq_governor::Governor;
-use gq_storage::{Database, HashIndex, Relation, Tuple, Value};
+use gq_storage::{Database, Relation, Tuple, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -125,8 +125,8 @@ pub type TupleIter<'e> = Box<dyn Iterator<Item = Tuple> + 'e>;
 ///
 /// All variants of the paper's join family default to hashing; sort-merge
 /// is provided as the classical alternative (and compared by the ablation
-/// bench). Semi-, complement- and marker-joins always probe (hash or
-/// cached index) — their build side is a key set either way.
+/// bench). Semi-, complement- and marker-joins always probe a hash key
+/// set built from their right side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinAlgorithm {
     /// Build a hash index on the right side, stream the left (default).
@@ -283,15 +283,6 @@ fn check_on(
 pub struct Evaluator<'db> {
     pub(crate) db: &'db Database,
     pub(crate) stats: Rc<RefCell<ExecStats>>,
-    /// Shared-subplan cache (§2.2: "answers to common subexpressions …
-    /// can be shared procedurally"): materialized results keyed by a
-    /// structural fingerprint. `None` disables sharing. Entries are
-    /// `Arc`s so the parallel kernels can hand materialized build sides
-    /// to worker threads without copying.
-    pub(crate) memo: Option<RefCell<HashMap<String, Arc<Vec<Tuple>>>>>,
-    /// Cross-query base-relation index cache (probe side of join-family
-    /// operators whose build side is a plain relation scan).
-    pub(crate) index_cache: Option<&'db IndexCache>,
     /// Physical algorithm for the full equi-join.
     pub(crate) join_algorithm: JoinAlgorithm,
     /// Per-node runtime attribution (EXPLAIN ANALYZE). `None` — the
@@ -304,11 +295,6 @@ pub struct Evaluator<'db> {
     /// polled cooperatively at drain-loop and morsel boundaries. `None`
     /// (the default) keeps the hot paths check-free.
     pub(crate) governor: Option<Governor>,
-    /// Common-subexpression elimination state (see [`crate::cse`]):
-    /// the compile-time set of shared subplan fingerprints plus the
-    /// run-time cache of their materialized results. `None` (the default)
-    /// keeps every dispatch gate a single branch.
-    pub(crate) cse: Option<CseState>,
     /// Live intermediate tuple/byte counters (coordinator-side), feeding
     /// the `peak_intermediate_*` watermarks.
     pub(crate) live: Rc<LiveCell>,
@@ -324,30 +310,16 @@ pub struct Evaluator<'db> {
     pub(crate) pipeline_hook: Option<PipelineHook>,
 }
 
-/// Run-time state of the CSE pass: which subplans the analysis marked
-/// shared, and the materialized operands produced so far. Lives on the
-/// coordinating thread only (a `RefCell`, like the memo), which is what
-/// keeps the CSE counters independent of the worker count.
-pub(crate) struct CseState {
-    /// Fingerprints (canonical `Display` renderings) of shared subplans.
-    pub(crate) shared: HashSet<String>,
-    /// Materialized operands, keyed by fingerprint.
-    pub(crate) cache: RefCell<HashMap<String, Arc<Vec<Tuple>>>>,
-}
-
 impl<'db> Evaluator<'db> {
-    /// Create an evaluator over a database (no subplan sharing).
+    /// Create an evaluator over a database.
     pub fn new(db: &'db Database) -> Self {
         Evaluator {
             db,
             stats: Rc::new(RefCell::new(ExecStats::new())),
-            memo: None,
-            index_cache: None,
             join_algorithm: JoinAlgorithm::default(),
             profiler: None,
             exec: ExecConfig::sequential(),
             governor: None,
-            cse: None,
             live: Rc::new(LiveCell::default()),
             live_stash: RefCell::new(Vec::new()),
             pipeline_next: Cell::new(0),
@@ -402,59 +374,6 @@ impl<'db> Evaluator<'db> {
     /// performs no timing syscalls.
     pub fn with_profiler(mut self, profiler: Rc<PlanProfiler>) -> Self {
         self.profiler = Some(profiler);
-        self
-    }
-
-    /// Attach a persistent base-relation index cache: semi-joins,
-    /// complement-joins and constrained outer-joins whose build side is a
-    /// direct relation scan probe the cached
-    /// [`HashIndex`](gq_storage::HashIndex) instead of rebuilding a key
-    /// set. Entries are keyed by relation version, so a cache shared
-    /// across mutations never serves a stale index (see [`IndexCache`]).
-    pub fn with_index_cache(mut self, cache: &'db IndexCache) -> Self {
-        self.index_cache = Some(cache);
-        self
-    }
-
-    /// Create an evaluator that caches materialized subplans, so a build
-    /// side appearing several times in a plan (e.g. the σ(lecture)
-    /// subplan duplicated by the division guard, or a range shared by the
-    /// disjuncts of Rules 12–14) is evaluated once. Subtrees containing
-    /// inline literal relations are not cached (their rendering is not a
-    /// reliable identity).
-    pub fn with_sharing(db: &'db Database) -> Self {
-        Evaluator {
-            db,
-            stats: Rc::new(RefCell::new(ExecStats::new())),
-            memo: Some(RefCell::new(HashMap::new())),
-            index_cache: None,
-            join_algorithm: JoinAlgorithm::default(),
-            profiler: None,
-            exec: ExecConfig::sequential(),
-            governor: None,
-            cse: None,
-            live: Rc::new(LiveCell::default()),
-            live_stash: RefCell::new(Vec::new()),
-            pipeline_next: Cell::new(0),
-            breaks: RefCell::new(Vec::new()),
-            pipeline_hook: None,
-        }
-    }
-
-    /// Enable common-subexpression elimination with the given set of
-    /// shared subplan fingerprints (from [`crate::cse::shared_subplans`],
-    /// computed once per prepared plan). Each shared subplan is evaluated
-    /// once into an `Arc`-shared materialized operand; later occurrences
-    /// are answered from it. Orthogonal to the memo of
-    /// [`Evaluator::with_sharing`] — the memo dedups *materializations
-    /// that happen*, CSE short-circuits whole subtree evaluations that
-    /// would otherwise re-run — and the two charge separate counters
-    /// (`memo_hits` vs `cse_materialized`/`cse_reused`).
-    pub fn with_cse(mut self, shared: HashSet<String>) -> Self {
-        self.cse = Some(CseState {
-            shared,
-            cache: RefCell::new(HashMap::new()),
-        });
         self
     }
 
@@ -581,63 +500,34 @@ impl<'db> Evaluator<'db> {
     }
 
     /// Materialize a sub-expression (build sides, division inputs),
-    /// recording the intermediate size. With sharing enabled, repeated
-    /// subplans are answered from the cache. The result is an `Arc` so a
-    /// memo hit (and a hand-off to worker threads) costs a refcount bump,
-    /// not a deep copy.
+    /// recording the intermediate size. The result is an `Arc` so a
+    /// hand-off to worker threads costs a refcount bump, not a deep copy.
     ///
     /// `kind` names the pipeline breaker this buffer feeds (`join-build`,
-    /// `probe-build`, …). A *fresh* collection is a pipeline of its own:
-    /// it emits paired start/break events, charges the live intermediate
+    /// `probe-build`, …). Every collection is a pipeline of its own: it
+    /// emits paired start/break events, charges the live intermediate
     /// watermark, and parks a [`LiveGuard`] so the charge is released at
-    /// the next entry point. Memo and CSE hits charge and emit nothing —
-    /// the buffer is already live.
+    /// the next entry point.
     pub(crate) fn materialize(
         &self,
         e: &AlgebraExpr,
         kind: &'static str,
     ) -> Result<Arc<Vec<Tuple>>, AlgebraError> {
         let (tuples, guard) = self.materialize_scoped(e, kind)?;
-        if let Some(g) = guard {
-            self.live_stash.borrow_mut().push(g);
-        }
+        self.live_stash.borrow_mut().push(guard);
         Ok(tuples)
     }
 
-    /// [`Evaluator::materialize`] with caller-scoped release: a fresh
-    /// (non-memo, non-CSE) buffer's [`LiveGuard`] is handed back instead
-    /// of parked, so the push coordinator can drop the charge the moment
-    /// the probe structure it fed unwinds (e.g. at a union branch
-    /// boundary) rather than at query end. Buffers retained by the memo
-    /// or CSE cache genuinely stay live for the whole query, so their
-    /// guards stay parked and `None` is returned.
+    /// [`Evaluator::materialize`] with caller-scoped release: the
+    /// buffer's [`LiveGuard`] is handed back instead of parked, so the
+    /// push coordinator can drop the charge the moment the probe structure
+    /// it fed unwinds (e.g. at a union branch boundary) rather than at
+    /// query end.
     pub(crate) fn materialize_scoped(
         &self,
         e: &AlgebraExpr,
         kind: &'static str,
-    ) -> Result<(Arc<Vec<Tuple>>, Option<LiveGuard>), AlgebraError> {
-        // CSE gate first: a shared subplan is answered from (or evaluated
-        // into) the CSE cache, mirroring the memo's early return.
-        if let Some(shared) = self.cse_get(e)? {
-            return Ok((shared, None));
-        }
-        let key = match &self.memo {
-            Some(memo) if !contains_literal(e) => {
-                let key = e.to_string();
-                if let Some(hit) = memo.borrow().get(&key) {
-                    self.stats.borrow_mut().memo_hits += 1;
-                    // The subtree never streams: the hit is charged to the
-                    // consumer's window, and the node is annotated so the
-                    // zero-metric subtree is explicable in the trace.
-                    if let Some(p) = &self.profiler {
-                        p.annotate(e, "memo-hit");
-                    }
-                    return Ok((Arc::clone(hit), None));
-                }
-                Some(key)
-            }
-            _ => None,
-        };
+    ) -> Result<(Arc<Vec<Tuple>>, LiveGuard), AlgebraError> {
         let id = self.begin_pipeline();
         let tuples = match self.collect_governed(e) {
             Ok(tuples) => tuples,
@@ -649,14 +539,7 @@ impl<'db> Evaluator<'db> {
         let guard = self.live_guard(&tuples);
         self.end_pipeline(id, kind, tuples.len());
         self.stats.borrow_mut().record_intermediate(tuples.len());
-        if let (Some(memo), Some(key)) = (&self.memo, key) {
-            memo.borrow_mut().insert(key, Arc::clone(&tuples));
-            // The memo keeps the buffer alive (and reusable) until query
-            // end, so the charge must outlive any single consumer scope.
-            self.live_stash.borrow_mut().push(guard);
-            return Ok((tuples, None));
-        }
-        Ok((tuples, Some(guard)))
+        Ok((tuples, guard))
     }
 
     /// Charge a freshly materialized buffer to the live watermark and
@@ -676,15 +559,8 @@ impl<'db> Evaluator<'db> {
         }
     }
 
-    /// Charge a freshly materialized buffer and park its guard until the
-    /// next public entry point.
-    fn stash_live(&self, tuples: &Arc<Vec<Tuple>>) {
-        let guard = self.live_guard(tuples);
-        self.live_stash.borrow_mut().push(guard);
-    }
-
-    /// Drain a (CSE-exempt) stream of `e` to an owned vector, under the
-    /// governor's budgets when one is attached.
+    /// Drain a stream of `e` to an owned vector, under the governor's
+    /// budgets when one is attached.
     fn collect_governed(&self, e: &AlgebraExpr) -> Result<Arc<Vec<Tuple>>, AlgebraError> {
         Ok(if let Some(g) = self.governor.clone() {
             // Governed collect: poll cancellation every morsel-size tuples
@@ -692,7 +568,7 @@ impl<'db> Evaluator<'db> {
             // grows — build sides are where a runaway query actually
             // accumulates memory, not the output relation.
             let mut v: Vec<Tuple> = Vec::new();
-            for t in self.stream_profiled(e)? {
+            for t in self.stream(e)? {
                 let bytes = gq_governor::estimate_tuple_bytes(t.arity());
                 g.charge_intermediate("evaluate", 1, bytes)?;
                 v.push(t);
@@ -702,50 +578,8 @@ impl<'db> Evaluator<'db> {
             }
             Arc::new(v)
         } else {
-            Arc::new(self.stream_profiled(e)?.collect())
+            Arc::new(self.stream(e)?.collect())
         })
-    }
-
-    /// The CSE gate: `None` when `e` is not a shared subplan (or CSE is
-    /// off), otherwise the materialized operand — answered from the cache
-    /// on the second and later occurrences, evaluated exactly once (as a
-    /// governed drain through the normal operator dispatch, so every
-    /// counter is charged as usual) on the first.
-    pub(crate) fn cse_get(&self, e: &AlgebraExpr) -> Result<Option<Arc<Vec<Tuple>>>, AlgebraError> {
-        let Some(cse) = &self.cse else {
-            return Ok(None);
-        };
-        if !crate::cse::is_shareable(e) {
-            return Ok(None);
-        }
-        let key = e.to_string();
-        if !cse.shared.contains(&key) {
-            return Ok(None);
-        }
-        if let Some(hit) = cse.cache.borrow().get(&key) {
-            self.stats.borrow_mut().cse_reused += 1;
-            if let Some(p) = &self.profiler {
-                p.annotate(e, "cse-reuse");
-            }
-            return Ok(Some(Arc::clone(hit)));
-        }
-        let id = self.begin_pipeline();
-        let tuples = match self.collect_governed(e) {
-            Ok(tuples) => tuples,
-            Err(err) => {
-                self.end_pipeline(id, "aborted", 0);
-                return Err(err);
-            }
-        };
-        self.stash_live(&tuples);
-        self.end_pipeline(id, "cse-share", tuples.len());
-        {
-            let mut s = self.stats.borrow_mut();
-            s.cse_materialized += 1;
-            s.record_intermediate(tuples.len());
-        }
-        cse.cache.borrow_mut().insert(key, Arc::clone(&tuples));
-        Ok(Some(tuples))
     }
 
     /// Build a tuple stream for an expression. Validation of column
@@ -760,25 +594,6 @@ impl<'db> Evaluator<'db> {
     /// `match None` branch on top of the raw stream: no clones, no
     /// `Instant::now()`.
     pub fn stream<'e>(&'e self, e: &'e AlgebraExpr) -> Result<TupleIter<'e>, AlgebraError> {
-        // CSE gate: a shared subplan streams from its Arc-shared
-        // materialized operand instead of re-running the subtree.
-        if let Some(shared) = self.cse_get(e)? {
-            let mut i = 0usize;
-            return Ok(Box::new(std::iter::from_fn(move || {
-                let t = shared.get(i)?.clone();
-                i += 1;
-                Some(t)
-            })));
-        }
-        self.stream_profiled(e)
-    }
-
-    /// [`Evaluator::stream`] without the CSE gate — the profiler wrapper
-    /// over the raw operator dispatch. The CSE first-materialization
-    /// drain enters here so the shared node itself is evaluated (and
-    /// profiled) normally while its *children* still stream through the
-    /// gated entry point (nested shared subplans keep working).
-    fn stream_profiled<'e>(&'e self, e: &'e AlgebraExpr) -> Result<TupleIter<'e>, AlgebraError> {
         let profiler = match &self.profiler {
             Some(p) if p.tracks(e) => Rc::clone(p),
             _ => return self.stream_inner(e),
@@ -857,20 +672,6 @@ impl<'db> Evaluator<'db> {
                     let lt = unshare(self.materialize(left, "sort-input")?);
                     let rt = unshare(self.materialize(right, "sort-input")?);
                     return Ok(Box::new(self.sort_merge(lt, rt, on).into_iter()));
-                }
-                if let Some(idx) = self.cached_index(right, on)? {
-                    let stats = self.stats.clone();
-                    let left = self.stream(left)?;
-                    let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-                    let mut scratch: Vec<Value> = Vec::new();
-                    return Ok(Box::new(left.flat_map(move |l| {
-                        let mut s = stats.borrow_mut();
-                        s.probes += 1;
-                        let matches = idx.probe_with(&l, &left_cols, &mut scratch);
-                        s.comparisons += matches.len().max(1);
-                        drop(s);
-                        matches.iter().map(|r| l.concat(r)).collect::<Vec<_>>()
-                    })));
                 }
                 let right_tuples = self.materialize(right, "join-build")?;
                 let index = build_index(&right_tuples, on.iter().map(|&(_, r)| r));
@@ -1012,47 +813,17 @@ impl<'db> Evaluator<'db> {
         }
     }
 
-    /// The persistent index over the right-hand columns of `on`, when an
-    /// index cache is attached and `right` is a plain relation scan —
-    /// which is then never evaluated. Built on first use, charging that
-    /// one scan.
-    pub(crate) fn cached_index(
-        &self,
-        right: &AlgebraExpr,
-        on: &[(usize, usize)],
-    ) -> Result<Option<Arc<HashIndex>>, AlgebraError> {
-        let (Some(cache), AlgebraExpr::Relation(name)) = (self.index_cache, right) else {
-            return Ok(None);
-        };
-        if let Some(p) = &self.profiler {
-            p.annotate(right, "cached-index");
-        }
-        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        let idx = cache
-            .get_or_build(self.db, name, &right_cols, |len| {
-                let mut s = self.stats.borrow_mut();
-                s.base_scans += 1;
-                s.base_tuples_read += len;
-            })
-            .map_err(AlgebraError::Storage)?;
-        Ok(Some(idx))
-    }
-
     /// Build the probe structure for the right side of a
-    /// semi/complement/constrained-outer join: a cached [`HashIndex`] when
-    /// the right side is a base relation scan and a cache is attached, a
-    /// freshly materialized key set otherwise.
+    /// semi/complement/constrained-outer join: the key set of the
+    /// materialized right input.
     fn build_probe(
         &self,
         right: &AlgebraExpr,
         on: &[(usize, usize)],
     ) -> Result<ProbeSide, AlgebraError> {
-        if let Some(idx) = self.cached_index(right, on)? {
-            return Ok(ProbeSide::Index(idx));
-        }
         let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let tuples = self.materialize(right, "probe-build")?;
-        Ok(ProbeSide::Keys(
+        Ok(ProbeSide(
             tuples.iter().map(|t| key_of(t, &right_cols)).collect(),
         ))
     }
@@ -1219,13 +990,8 @@ impl Iterator for InstrumentedIter<'_> {
     }
 }
 
-/// The probe structure of a join-family build side.
-pub(crate) enum ProbeSide {
-    /// Freshly materialized key set.
-    Keys(HashSet<Vec<Value>>),
-    /// A cached base-relation index.
-    Index(Arc<HashIndex>),
-}
+/// The probe structure of a join-family build side: its key set.
+pub(crate) struct ProbeSide(HashSet<Vec<Value>>);
 
 impl ProbeSide {
     /// Membership test with a caller-supplied scratch key buffer, so tight
@@ -1237,20 +1003,9 @@ impl ProbeSide {
         probe_cols: &[usize],
         scratch: &mut Vec<Value>,
     ) -> bool {
-        match self {
-            ProbeSide::Keys(keys) => {
-                fill_key(scratch, tuple, probe_cols);
-                keys.contains(scratch.as_slice())
-            }
-            ProbeSide::Index(idx) => idx.contains_key_with(tuple, probe_cols, scratch),
-        }
+        fill_key(scratch, tuple, probe_cols);
+        self.0.contains(scratch.as_slice())
     }
-}
-
-/// Does the plan contain an inline literal relation (whose rendering is
-/// not a reliable cache identity)?
-pub(crate) fn contains_literal(e: &AlgebraExpr) -> bool {
-    matches!(e, AlgebraExpr::Literal(_)) || e.children().iter().any(|c| contains_literal(c))
 }
 
 pub(crate) fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
@@ -1265,7 +1020,7 @@ pub(crate) fn fill_key(scratch: &mut Vec<Value>, t: &Tuple, cols: &[usize]) {
 }
 
 /// Take sole ownership of a materialized result: free when nothing else
-/// (memo, another consumer) holds the `Arc`, a deep copy otherwise.
+/// holds the `Arc`, a deep copy otherwise.
 pub(crate) fn unshare(tuples: Arc<Vec<Tuple>>) -> Vec<Tuple> {
     Arc::try_unwrap(tuples).unwrap_or_else(|shared| shared.as_ref().clone())
 }

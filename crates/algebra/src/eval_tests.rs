@@ -1,7 +1,7 @@
 //! Evaluator tests, including exact reproductions of the paper's
 //! Figures 2, 3 and 4 (§3.3).
 
-use crate::{shared_subplans, AlgebraExpr, Constraint, Evaluator, ExecConfig, Predicate};
+use crate::{AlgebraExpr, Constraint, Evaluator, Predicate};
 use gq_calculus::CompareOp;
 use gq_storage::{tuple, Database, Relation, Schema, Tuple, Value};
 
@@ -577,128 +577,6 @@ fn bool_expr_short_circuits() {
     assert!(b3.eval(&ev).unwrap());
 }
 
-/// Shared-subplan cache: a duplicated build side is materialized once.
-#[test]
-fn sharing_memoizes_repeated_subplans() {
-    let db = fig2_db();
-    let sub = AlgebraExpr::relation("t").select(Predicate::col_const(0, CompareOp::Ne, "e"));
-    // t's filtered version used as build side twice:
-    let plan = AlgebraExpr::relation("p")
-        .semi_join(sub.clone(), vec![(0, 0)])
-        .union(AlgebraExpr::relation("p").complement_join(sub, vec![(0, 0)]));
-    let plain = Evaluator::new(&db);
-    let a = plain.eval(&plan).unwrap();
-    let shared = Evaluator::with_sharing(&db);
-    let b = shared.eval(&plan).unwrap();
-    assert!(a.set_eq(&b));
-    assert_eq!(plain.stats().memo_hits, 0);
-    assert_eq!(shared.stats().memo_hits, 1);
-    // one fewer scan of t
-    assert_eq!(plain.stats().base_scans, shared.stats().base_scans + 1);
-}
-
-/// Literal subplans are not cached (identity caveat) but still evaluate
-/// correctly under a sharing evaluator.
-#[test]
-fn sharing_skips_literals() {
-    let db = fig2_db();
-    let mut lit = Relation::intermediate(1);
-    lit.insert(tuple!["a"]).unwrap();
-    let plan = AlgebraExpr::relation("p")
-        .semi_join(AlgebraExpr::Literal(lit.clone()), vec![(0, 0)])
-        .union(AlgebraExpr::relation("p").semi_join(AlgebraExpr::Literal(lit), vec![(0, 0)]));
-    let shared = Evaluator::with_sharing(&db);
-    let r = shared.eval(&plan).unwrap();
-    assert_eq!(r.len(), 1);
-    assert_eq!(shared.stats().memo_hits, 0);
-}
-
-/// A plan whose filtered `t` subplan occurs twice — once as a semi-join
-/// build side, once as a complement-join build side.
-fn cse_plan() -> AlgebraExpr {
-    let sub = AlgebraExpr::relation("t").select(Predicate::col_const(0, CompareOp::Ne, "e"));
-    AlgebraExpr::relation("p")
-        .semi_join(sub.clone(), vec![(0, 0)])
-        .union(AlgebraExpr::relation("p").complement_join(sub, vec![(0, 0)]))
-}
-
-/// CSE: a duplicated interior subplan is materialized exactly once and
-/// every later occurrence answered from the shared operand, without
-/// changing the result.
-#[test]
-fn cse_materializes_shared_subplan_once() {
-    let db = fig2_db();
-    let plan = cse_plan();
-    let plain = Evaluator::new(&db);
-    let a = plain.eval(&plan).unwrap();
-    let cse = Evaluator::new(&db).with_cse(shared_subplans(&[&plan]));
-    let b = cse.eval(&plan).unwrap();
-    assert!(a.set_eq(&b));
-    assert_eq!(cse.stats().cse_materialized, 1);
-    assert_eq!(cse.stats().cse_reused, 1);
-    // σ(t) ran once instead of twice: one fewer scan of t.
-    assert_eq!(plain.stats().base_scans, cse.stats().base_scans + 1);
-    assert_eq!(plain.stats().cse_materialized, 0);
-    assert_eq!(plain.stats().cse_reused, 0);
-}
-
-/// The CSE counters are plan-dependent, not schedule-dependent: results
-/// and stats (minus the morsel dispatch counter) are bit-identical at 1,
-/// 2 and 8 threads.
-#[test]
-fn cse_stats_identical_across_thread_counts() {
-    let db = fig2_db();
-    let plan = cse_plan();
-    let shared = shared_subplans(&[&plan]);
-    let seq = Evaluator::new(&db).with_cse(shared.clone());
-    let expected = seq.eval(&plan).unwrap();
-    assert_eq!(seq.stats().cse_materialized, 1);
-    for threads in [2, 8] {
-        let par = Evaluator::new(&db)
-            .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(2))
-            .with_cse(shared.clone());
-        let got = par.eval(&plan).unwrap();
-        assert_eq!(
-            got.iter().collect::<Vec<_>>(),
-            expected.iter().collect::<Vec<_>>(),
-            "rows differ at {threads} threads"
-        );
-        assert_eq!(
-            par.stats().without_dispatch_counters(),
-            seq.stats().without_dispatch_counters(),
-            "stats differ at {threads} threads"
-        );
-    }
-}
-
-/// With both the memo and CSE enabled, the CSE gate answers first on
-/// either occurrence, so the memo never double-counts shared subplans.
-#[test]
-fn cse_takes_precedence_over_memo() {
-    let db = fig2_db();
-    let plan = cse_plan();
-    let both = Evaluator::with_sharing(&db).with_cse(shared_subplans(&[&plan]));
-    let r = both.eval(&plan).unwrap();
-    assert!(Evaluator::new(&db).eval(&plan).unwrap().set_eq(&r));
-    assert_eq!(both.stats().cse_materialized, 1);
-    assert_eq!(both.stats().cse_reused, 1);
-    assert_eq!(both.stats().memo_hits, 0);
-}
-
-/// An empty shared set makes `with_cse` a no-op: identical results and
-/// identical stats to a plain evaluator.
-#[test]
-fn cse_with_empty_shared_set_is_inert() {
-    let db = fig2_db();
-    let plan = cse_plan();
-    let plain = Evaluator::new(&db);
-    let a = plain.eval(&plan).unwrap();
-    let inert = Evaluator::new(&db).with_cse(Default::default());
-    let b = inert.eval(&plan).unwrap();
-    assert!(a.set_eq(&b));
-    assert_eq!(plain.stats(), inert.stats());
-}
-
 /// γcount: grouped counting (the Quel-baseline aggregate).
 #[test]
 fn group_count_basics() {
@@ -755,58 +633,4 @@ fn group_count_arity_validation() {
     let ev = Evaluator::new(&db);
     let bad = AlgebraExpr::relation("member").group_count(vec![5]);
     assert!(ev.eval(&bad).is_err());
-}
-
-/// The base-relation index cache: first query builds, repeats probe the
-/// cached index without rescanning the build side.
-#[test]
-fn index_cache_reused_across_queries() {
-    use crate::IndexCache;
-    let db = fig2_db();
-    let cache = IndexCache::new();
-    let plan = AlgebraExpr::relation("p").semi_join(AlgebraExpr::relation("t"), vec![(0, 0)]);
-
-    let ev1 = Evaluator::new(&db).with_index_cache(&cache);
-    let a = ev1.eval(&plan).unwrap();
-    let first_reads = ev1.stats().base_tuples_read;
-
-    let ev2 = Evaluator::new(&db).with_index_cache(&cache);
-    let b = ev2.eval(&plan).unwrap();
-    let second_reads = ev2.stats().base_tuples_read;
-
-    assert!(a.set_eq(&b));
-    // second run scans only p (4 tuples); t's 3 come from the cache
-    assert_eq!(first_reads, 7);
-    assert_eq!(second_reads, 4);
-    assert_eq!(cache.len(), 1);
-
-    // plain evaluation (no cache) matches results
-    let plain = Evaluator::new(&db).eval(&plan).unwrap();
-    assert!(a.set_eq(&plain));
-}
-
-/// Complement-joins and constrained outer-joins use the cache too.
-#[test]
-fn index_cache_used_by_all_probe_operators() {
-    use crate::IndexCache;
-    let db = fig2_db();
-    let cache = IndexCache::new();
-    let anti = AlgebraExpr::relation("p").complement_join(AlgebraExpr::relation("t"), vec![(0, 0)]);
-    let marked = AlgebraExpr::relation("p").constrained_outer_join(
-        AlgebraExpr::relation("t"),
-        vec![(0, 0)],
-        Constraint::none(),
-    );
-    let ev = Evaluator::new(&db).with_index_cache(&cache);
-    let a1 = ev.eval(&anti).unwrap();
-    let a2 = ev.eval(&marked).unwrap();
-    assert_eq!(a1.sorted_tuples(), vec![tuple!["c"], tuple!["d"]]);
-    assert_eq!(a2.len(), 4);
-    // one shared index for (t, [0])
-    assert_eq!(cache.len(), 1);
-
-    // agreement with uncached evaluation
-    let plain = Evaluator::new(&db);
-    assert!(plain.eval(&anti).unwrap().set_eq(&a1));
-    assert!(plain.eval(&marked).unwrap().set_eq(&a2));
 }

@@ -20,14 +20,12 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod boolean;
-mod cse;
 mod delta;
 mod equalities;
 mod error;
 mod estimate;
 mod eval;
 mod expr;
-mod index_cache;
 mod optimize;
 mod parallel;
 mod profile;
@@ -45,7 +43,6 @@ mod outerjoin_laws;
 mod prop3_tests;
 
 pub use boolean::BoolExpr;
-pub use cse::shared_subplans;
 pub use delta::{
     delta_database, delta_database_lazy, delta_plan, materialize_old, minus_name, old_name,
     patch_extent, plus_name, referenced_old_names, rename_old, DeltaPlan,
@@ -57,8 +54,7 @@ pub use eval::{
     TupleIter,
 };
 pub use expr::{AlgebraExpr, Constraint, JoinOn, Operand, Predicate};
-pub use index_cache::IndexCache;
-pub use optimize::optimize;
+pub use optimize::{optimize, optimize_bool};
 pub use parallel::{ExecConfig, DEFAULT_MORSEL_SIZE};
 pub use profile::PlanProfiler;
 pub use stats::{ExecStats, WorkerStats};

@@ -21,7 +21,7 @@
 //! effect (notably on classical plans, where pushdown recovers some of
 //! the product blow-up).
 
-use crate::{AlgebraExpr, Operand, Predicate};
+use crate::{AlgebraExpr, BoolExpr, Operand, Predicate};
 
 /// Optimize a plan by applying the safe rewrites to a fixpoint.
 pub fn optimize(expr: &AlgebraExpr) -> AlgebraExpr {
@@ -29,67 +29,88 @@ pub fn optimize(expr: &AlgebraExpr) -> AlgebraExpr {
     // The rewrites strictly reduce a (selection-height, node-count)-ish
     // measure; a generous bound keeps any unforeseen ping-pong finite.
     for _ in 0..(expr.node_count() * 4 + 16) {
-        let next = pass(&current);
-        if next == current {
+        let mut changed = false;
+        current = pass(current, &mut changed);
+        if !changed {
             break;
         }
-        current = next;
     }
     current
 }
 
-/// One top-down rewriting pass.
-fn pass(e: &AlgebraExpr) -> AlgebraExpr {
-    let e = rewrite_node(e);
+/// [`optimize`] every algebra expression inside a boolean plan.
+pub fn optimize_bool(plan: &BoolExpr) -> BoolExpr {
+    match plan {
+        BoolExpr::NonEmpty(e) => BoolExpr::NonEmpty(optimize(e)),
+        BoolExpr::Empty(e) => BoolExpr::Empty(optimize(e)),
+        BoolExpr::And(a, b) => BoolExpr::and(optimize_bool(a), optimize_bool(b)),
+        BoolExpr::Or(a, b) => BoolExpr::or(optimize_bool(a), optimize_bool(b)),
+        BoolExpr::Not(a) => BoolExpr::not(optimize_bool(a)),
+        BoolExpr::Const(b) => BoolExpr::Const(*b),
+    }
+}
+
+/// One top-down rewriting pass. The plan is taken by value, so a node no
+/// rule applies to is moved into the result, never cloned; `changed` is
+/// set when any rule fired.
+fn pass(e: AlgebraExpr, changed: &mut bool) -> AlgebraExpr {
+    let e = match rewrite_node(&e) {
+        Some(rewritten) => {
+            *changed = true;
+            rewritten
+        }
+        None => e,
+    };
+    let mut down = |child: Box<AlgebraExpr>| Box::new(pass(*child, changed));
     match e {
         AlgebraExpr::Relation(_) | AlgebraExpr::Literal(_) => e,
         AlgebraExpr::Select { input, predicate } => AlgebraExpr::Select {
-            input: Box::new(pass(&input)),
+            input: down(input),
             predicate,
         },
         AlgebraExpr::GroupCount { input, group } => AlgebraExpr::GroupCount {
-            input: Box::new(pass(&input)),
+            input: down(input),
             group,
         },
         AlgebraExpr::Project { input, positions } => AlgebraExpr::Project {
-            input: Box::new(pass(&input)),
+            input: down(input),
             positions,
         },
         AlgebraExpr::Product { left, right } => AlgebraExpr::Product {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
         },
         AlgebraExpr::Join { left, right, on } => AlgebraExpr::Join {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
             on,
         },
         AlgebraExpr::SemiJoin { left, right, on } => AlgebraExpr::SemiJoin {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
             on,
         },
         AlgebraExpr::ComplementJoin { left, right, on } => AlgebraExpr::ComplementJoin {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
             on,
         },
         AlgebraExpr::Division { left, right, on } => AlgebraExpr::Division {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
             on,
         },
         AlgebraExpr::Union { left, right } => AlgebraExpr::Union {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
         },
         AlgebraExpr::Difference { left, right } => AlgebraExpr::Difference {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
         },
         AlgebraExpr::LeftOuterJoin { left, right, on } => AlgebraExpr::LeftOuterJoin {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
             on,
         },
         AlgebraExpr::ConstrainedOuterJoin {
@@ -98,20 +119,20 @@ fn pass(e: &AlgebraExpr) -> AlgebraExpr {
             on,
             constraint,
         } => AlgebraExpr::ConstrainedOuterJoin {
-            left: Box::new(pass(&left)),
-            right: Box::new(pass(&right)),
+            left: down(left),
+            right: down(right),
             on,
             constraint,
         },
     }
 }
 
-/// Rewrites applicable at a single node.
-fn rewrite_node(e: &AlgebraExpr) -> AlgebraExpr {
+/// The rewrite that applies at a single node; `None` when no rule does.
+fn rewrite_node(e: &AlgebraExpr) -> Option<AlgebraExpr> {
     let AlgebraExpr::Select { input, predicate } = e else {
         return fuse_projections(e);
     };
-    match &**input {
+    Some(match &**input {
         // σ[a](σ[b](e)) → σ[a ∧ b](e)
         AlgebraExpr::Select {
             input: inner,
@@ -124,21 +145,18 @@ fn rewrite_node(e: &AlgebraExpr) -> AlgebraExpr {
         AlgebraExpr::Project {
             input: inner,
             positions,
-        } => match remap_predicate(predicate, positions) {
-            Some(remapped) => AlgebraExpr::Project {
-                input: Box::new(AlgebraExpr::Select {
-                    input: inner.clone(),
-                    predicate: remapped,
-                }),
-                positions: positions.clone(),
-            },
-            None => e.clone(),
+        } => AlgebraExpr::Project {
+            input: Box::new(AlgebraExpr::Select {
+                input: inner.clone(),
+                predicate: remap_predicate(predicate, positions)?,
+            }),
+            positions: positions.clone(),
         },
         // σ over × or ⋈: split the conjunction by side; turn cross-side
         // equalities over a product into join conditions.
-        AlgebraExpr::Product { left, right } => push_into_binary(predicate, left, right, None),
+        AlgebraExpr::Product { left, right } => push_into_binary(predicate, left, right, None)?,
         AlgebraExpr::Join { left, right, on } => {
-            push_into_binary(predicate, left, right, Some(on.clone()))
+            push_into_binary(predicate, left, right, Some(on))?
         }
         // σ over ∪: distribute (both sides have the same columns).
         AlgebraExpr::Union { left, right } => AlgebraExpr::Union {
@@ -179,44 +197,39 @@ fn rewrite_node(e: &AlgebraExpr) -> AlgebraExpr {
                 predicate: predicate.clone(),
             }),
         },
-        _ => e.clone(),
-    }
+        _ => return None,
+    })
 }
 
 /// π[p](π[q](e)) → π[q[p]](e).
-fn fuse_projections(e: &AlgebraExpr) -> AlgebraExpr {
+fn fuse_projections(e: &AlgebraExpr) -> Option<AlgebraExpr> {
     let AlgebraExpr::Project { input, positions } = e else {
-        return e.clone();
+        return None;
     };
     let AlgebraExpr::Project {
         input: inner,
         positions: inner_pos,
     } = &**input
     else {
-        return e.clone();
+        return None;
     };
-    AlgebraExpr::Project {
+    Some(AlgebraExpr::Project {
         input: inner.clone(),
         positions: positions.iter().map(|&p| inner_pos[p]).collect(),
-    }
+    })
 }
 
 /// Split the conjuncts of `predicate` over the children of a product/join:
 /// left-only conjuncts go below left, right-only below right (with column
 /// shift), cross-side *equalities over a product* become join conditions,
-/// anything else stays above.
+/// anything else stays above. `None` when nothing moves.
 fn push_into_binary(
     predicate: &Predicate,
     left: &AlgebraExpr,
     right: &AlgebraExpr,
-    join_on: Option<Vec<(usize, usize)>>,
-) -> AlgebraExpr {
-    let left_arity = match static_arity(left) {
-        Some(a) => a,
-        None => {
-            return rebuild_select(predicate, left, right, join_on);
-        }
-    };
+    join_on: Option<&Vec<(usize, usize)>>,
+) -> Option<AlgebraExpr> {
+    let left_arity = static_arity(left)?;
     let mut left_preds = Vec::new();
     let mut right_preds = Vec::new();
     let mut new_on: Vec<(usize, usize)> = Vec::new();
@@ -246,7 +259,7 @@ fn push_into_binary(
         }
     }
     if left_preds.is_empty() && right_preds.is_empty() && new_on.is_empty() {
-        return rebuild_select(predicate, left, right, join_on);
+        return None;
     }
     let wrap = |child: &AlgebraExpr, preds: Vec<Predicate>| -> AlgebraExpr {
         if preds.is_empty() {
@@ -261,28 +274,15 @@ fn push_into_binary(
     let new_left = wrap(left, left_preds);
     let new_right = wrap(right, right_preds);
     let inner = match join_on {
-        Some(on) => new_left.join(new_right, on),
+        Some(on) => new_left.join(new_right, on.clone()),
         None if !new_on.is_empty() => new_left.join(new_right, new_on),
         None => new_left.product(new_right),
     };
-    if keep.is_empty() {
+    Some(if keep.is_empty() {
         inner
     } else {
         inner.select(Predicate::and_all(keep))
-    }
-}
-
-fn rebuild_select(
-    predicate: &Predicate,
-    left: &AlgebraExpr,
-    right: &AlgebraExpr,
-    join_on: Option<Vec<(usize, usize)>>,
-) -> AlgebraExpr {
-    let inner = match join_on {
-        Some(on) => left.clone().join(right.clone(), on),
-        None => left.clone().product(right.clone()),
-    };
-    inner.select(predicate.clone())
+    })
 }
 
 /// Which side of a binary node a predicate's columns reference.

@@ -40,14 +40,14 @@
 use crate::eval::{fill_key, key_of};
 use crate::{AlgebraError, ExecStats};
 use gq_governor::{Governor, GovernorError};
-use gq_storage::{HashIndex, Tuple, Value};
+use gq_storage::{Tuple, Value};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, Mutex, PoisonError};
 use std::thread;
 
 /// Default number of tuples per morsel.
@@ -249,23 +249,14 @@ impl PartIndex {
     }
 }
 
-/// The probe structure of a semi/complement/marker join in a pipeline.
-pub(crate) enum ParProbe {
-    /// Hash-partitioned key sets (one per partition).
-    Parts(Vec<HashSet<Vec<Value>>>),
-    /// A cached base-relation index, shared with workers via `Arc`.
-    Index(Arc<HashIndex>),
-}
+/// The probe structure of a semi/complement/marker join in a pipeline:
+/// hash-partitioned key sets, one per partition.
+pub(crate) struct ParProbe(pub(crate) Vec<HashSet<Vec<Value>>>);
 
 impl ParProbe {
     pub(crate) fn contains(&self, t: &Tuple, cols: &[usize], scratch: &mut Vec<Value>) -> bool {
-        match self {
-            ParProbe::Parts(parts) => {
-                fill_key(scratch, t, cols);
-                parts[partition_of(scratch, parts.len())].contains(scratch.as_slice())
-            }
-            ParProbe::Index(idx) => idx.contains_key_with(t, cols, scratch),
-        }
+        fill_key(scratch, t, cols);
+        self.0[partition_of(scratch, self.0.len())].contains(scratch.as_slice())
     }
 }
 

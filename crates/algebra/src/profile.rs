@@ -73,8 +73,8 @@ impl Window {
 ///
 /// Lives on the coordinating thread, like the evaluator itself.
 pub struct PlanProfiler {
-    /// Node address → exclusive metrics and annotation.
-    slots: RefCell<HashMap<usize, (OpProfile, Option<&'static str>)>>,
+    /// Node address → exclusive metrics.
+    slots: RefCell<HashMap<usize, OpProfile>>,
     /// One entry per open nested window: the stats and time claimed so
     /// far by the windows that closed inside it.
     open: RefCell<Vec<(ExecStats, u64)>>,
@@ -97,7 +97,7 @@ impl PlanProfiler {
     }
 
     fn over<'p>(roots: impl IntoIterator<Item = &'p AlgebraExpr>) -> Self {
-        fn walk(e: &AlgebraExpr, slots: &mut HashMap<usize, (OpProfile, Option<&'static str>)>) {
+        fn walk(e: &AlgebraExpr, slots: &mut HashMap<usize, OpProfile>) {
             slots.insert(addr(e), Default::default());
             for c in e.children() {
                 walk(c, slots);
@@ -144,7 +144,7 @@ impl PlanProfiler {
         // Nested windows observe the same accumulator inside this one's
         // span, so `inner` never exceeds `delta` on the summed counters.
         let own = (delta.diff(&inner), ns.saturating_sub(inner_ns));
-        if let Some((slot, _)) = self.slots.borrow_mut().get_mut(&addr(e)) {
+        if let Some(slot) = self.slots.borrow_mut().get_mut(&addr(e)) {
             slot.add(own, rows);
         }
     }
@@ -152,17 +152,8 @@ impl PlanProfiler {
     /// Credit already-exclusive figures — what a worker accumulated for
     /// a fused operator — to its node.
     pub(crate) fn add(&self, e: &AlgebraExpr, op: &OpProfile) {
-        if let Some((own, _)) = self.slots.borrow_mut().get_mut(&addr(e)) {
+        if let Some(own) = self.slots.borrow_mut().get_mut(&addr(e)) {
             own.merge(op);
-        }
-    }
-
-    /// Annotate a node (e.g. `cached-index` when its scan was answered by
-    /// the persistent index cache, `memo-hit` when the shared-subplan
-    /// cache answered for its subtree).
-    pub(crate) fn annotate(&self, e: &AlgebraExpr, note: &'static str) {
-        if let Some((_, slot)) = self.slots.borrow_mut().get_mut(&addr(e)) {
-            *slot = Some(note);
         }
     }
 
@@ -171,19 +162,17 @@ impl PlanProfiler {
     /// equals the query-level totals accumulated while the profiler was
     /// attached.
     pub fn trace(&self, plan: &AlgebraExpr) -> PlanNodeTrace {
-        let (own, note) = self
+        let own = self
             .slots
             .borrow()
             .get(&addr(plan))
             .cloned()
             .unwrap_or_default();
         let mut trace = PlanNodeTrace::new(plan.label());
-        trace.note = note.map(str::to_string);
         trace.rows_out = own.rows_out;
         trace.base_reads = own.stats.base_tuples_read as u64;
         trace.comparisons = own.stats.comparisons as u64;
         trace.probes = own.stats.probes as u64;
-        trace.memo_hits = own.stats.memo_hits as u64;
         trace.elapsed_ns = own.elapsed_ns;
         trace.children = plan.children().into_iter().map(|c| self.trace(c)).collect();
         trace
@@ -281,14 +270,5 @@ mod tests {
         op.add((ExecStats::new(), 10), 1);
         profiler.add(&other, &op);
         assert_eq!(profiler.trace(&p).totals().elapsed_ns, 0);
-    }
-
-    #[test]
-    fn notes_surface_in_trace() {
-        let p = plan();
-        let profiler = PlanProfiler::new(&p);
-        profiler.annotate(p.children()[1], "cached-index");
-        let t = profiler.trace(&p);
-        assert_eq!(t.children[1].note.as_deref(), Some("cached-index"));
     }
 }

@@ -15,7 +15,6 @@
 //! | group-count input      | `group-input`        |
 //! | division divisor/dividend | `division-divisor` / `division-dividend` |
 //! | sort-merge inputs      | `sort-input`         |
-//! | CSE shared operand     | `cse-share`          |
 //! | the result sink        | `output`             |
 //!
 //! Within a pipeline, tuples flow leaf-to-root in morsel-sized batches
@@ -26,9 +25,9 @@
 //! last order-sensitive operator (dedup) runs on the coordinator, over
 //! batches released in morsel order by a reorder buffer. Only breakers
 //! materialize — by draining the lazy pull stream
-//! (`Evaluator::materialize_scoped`), so memo/CSE gates, governor
-//! charges, live watermark accounting and pipeline events are charged
-//! once, at the coordinator, in structural plan order. That is what makes
+//! (`Evaluator::materialize_scoped`), so governor charges, live
+//! watermark accounting and pipeline events are charged once, at the
+//! coordinator, in structural plan order. That is what makes
 //! answers, row order and `ExecStats::without_dispatch_counters` — peak
 //! watermarks included — bit-identical across 1/2/8 threads.
 //!
@@ -56,7 +55,7 @@ use crate::parallel::{
 use crate::profile::Window;
 use crate::stats::OpProfile;
 use crate::{AlgebraError, AlgebraExpr, Constraint, ExecStats, Predicate, WorkerStats};
-use gq_storage::{HashIndex, Relation, Tuple, Value};
+use gq_storage::{Relation, Tuple, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
@@ -125,11 +124,6 @@ enum WorkOp<'a> {
     HashProbe {
         index: PartIndex,
         right: Arc<Vec<Tuple>>,
-        left_cols: Vec<usize>,
-    },
-    /// Hash-join probe against a cached base-relation index.
-    CachedProbe {
-        idx: Arc<HashIndex>,
         left_cols: Vec<usize>,
     },
     /// Semi-join (`negate: false`) or complement-join (`true`) probe.
@@ -248,12 +242,10 @@ impl<'db> PushExec<'_, 'db> {
         out
     }
 
-    /// Park a scoped build-side guard (if the materialization produced
-    /// one) keyed by the chain depth of the probe op it feeds.
-    fn hold_guard(&self, depth: usize, guard: Option<LiveGuard>) {
-        if let Some(g) = guard {
-            self.guards.borrow_mut().push((depth, g));
-        }
+    /// Park a scoped build-side guard keyed by the chain depth of the
+    /// probe op it feeds.
+    fn hold_guard(&self, depth: usize, guard: LiveGuard) {
+        self.guards.borrow_mut().push((depth, guard));
     }
 
     /// Drop the guards whose probe ops were unwound by
@@ -267,7 +259,7 @@ impl<'db> PushExec<'_, 'db> {
     /// build side (sequentially, charging live watermarks and events)
     /// and fuse a probe/filter op; sources run the completed pipeline.
     ///
-    /// Effect order (CSE gate, operator counting, build-before-probe,
+    /// Effect order (operator counting, build-before-probe,
     /// division right-then-left) mirrors the pull stream's `stream_inner`
     /// arm for arm, so a full drain of `Evaluator::stream` is an
     /// independent reference for every counter.
@@ -280,12 +272,6 @@ impl<'db> PushExec<'_, 'db> {
     where
         'db: 'p,
     {
-        // CSE gate first, before the operator is counted — a shared
-        // subplan becomes a buffer source, exactly like the pull stream's
-        // early return.
-        if let Some(shared) = self.ev.cse_get(e)? {
-            return self.run_pipeline(&[&shared], None, chain, sink);
-        }
         self.ev.check_governor()?;
         self.ev.stats.borrow_mut().operators_evaluated += 1;
         match e {
@@ -347,11 +333,6 @@ impl<'db> PushExec<'_, 'db> {
                     return self.run_pipeline(&[&out], None, chain, sink);
                 }
                 let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-                if let Some(idx) = self.own(e, no_rows, || self.ev.cached_index(right, on))? {
-                    let probe = WorkOp::CachedProbe { idx, left_cols };
-                    chain.push(ChainOp::Work(e, probe));
-                    return self.run_node(left, chain, sink);
-                }
                 let (index, right, guard) =
                     self.own(e, no_rows, || self.build_index(right, on, "join-build"))?;
                 self.hold_guard(chain.len(), guard);
@@ -451,15 +432,14 @@ impl<'db> PushExec<'_, 'db> {
 
     /// Materialize the build side of a hash (`kind` = `join-build`) or
     /// outer (`outer-build`) join and index it on the right-hand columns
-    /// of `on`. The guard (fresh materializations only) carries the
-    /// buffer's watermark charge.
+    /// of `on`. The guard carries the buffer's watermark charge.
     #[allow(clippy::type_complexity)]
     fn build_index(
         &self,
         right: &AlgebraExpr,
         on: &[(usize, usize)],
         kind: &'static str,
-    ) -> Result<(PartIndex, Arc<Vec<Tuple>>, Option<LiveGuard>), AlgebraError> {
+    ) -> Result<(PartIndex, Arc<Vec<Tuple>>, LiveGuard), AlgebraError> {
         let (tuples, guard) = self.ev.materialize_scoped(right, kind)?;
         let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let dispatch = self.dispatch(tuples.len());
@@ -467,25 +447,20 @@ impl<'db> PushExec<'_, 'db> {
         Ok((index, tuples, guard))
     }
 
-    /// Build the probe side of a semi/complement/marker join: the cached
-    /// base-relation index when available (right subtree not evaluated),
-    /// otherwise a drained build side followed by a partitioned key-set
-    /// build. The returned guard (fresh materializations only) carries
-    /// the build side's watermark charge; the caller keys it to the probe
-    /// op so it releases when that op unwinds.
+    /// Build the probe side of a semi/complement/marker join: a drained
+    /// build side followed by a partitioned key-set build. The returned
+    /// guard carries the build side's watermark charge; the caller keys it
+    /// to the probe op so it releases when that op unwinds.
     fn build_probe(
         &self,
         right: &AlgebraExpr,
         on: &[(usize, usize)],
-    ) -> Result<(ParProbe, Option<LiveGuard>), AlgebraError> {
-        if let Some(idx) = self.ev.cached_index(right, on)? {
-            return Ok((ParProbe::Index(idx), None));
-        }
+    ) -> Result<(ParProbe, LiveGuard), AlgebraError> {
         let (tuples, guard) = self.ev.materialize_scoped(right, "probe-build")?;
         let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let dispatch = self.dispatch(tuples.len());
         let parts = build_part_keys(dispatch, &self.ev.stats, &tuples, &right_cols)?;
-        Ok((ParProbe::Parts(parts), guard))
+        Ok((ParProbe(parts), guard))
     }
 
     /// Run one completed pipeline: morselize `input` — contiguous runs of
@@ -498,7 +473,7 @@ impl<'db> PushExec<'_, 'db> {
     /// `scan` is the plan node of a base-relation source, whose tuples
     /// are charged to `base_tuples_read` as workers consume them — the
     /// producer-side counter the termination tests observe; buffer
-    /// sources (a breaker's output, a CSE share) pass `None`.
+    /// sources (a breaker's output) pass `None`.
     fn run_pipeline(
         &self,
         input: &[&[Tuple]],
@@ -804,17 +779,6 @@ fn apply_one(op: &WorkOp<'_>, stats: &mut ExecStats, batch: Vec<Tuple>) -> Vec<T
                 let matches = index.get(&scratch);
                 stats.comparisons += matches.len().max(1);
                 out.extend(matches.iter().map(|&rid| l.concat(&right[rid])));
-            }
-            out
-        }
-        WorkOp::CachedProbe { idx, left_cols } => {
-            let mut scratch: Vec<Value> = Vec::new();
-            let mut out = Vec::new();
-            for l in &batch {
-                stats.probes += 1;
-                let matches = idx.probe_with(l, left_cols, &mut scratch);
-                stats.comparisons += matches.len().max(1);
-                out.extend(matches.iter().map(|r| l.concat(r)));
             }
             out
         }

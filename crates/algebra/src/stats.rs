@@ -40,19 +40,6 @@ pub struct ExecStats {
     pub peak_intermediate_bytes: usize,
     /// Number of operator evaluations.
     pub operators_evaluated: usize,
-    /// Materializations answered from the shared-subplan cache
-    /// (see `Evaluator::with_sharing`).
-    pub memo_hits: usize,
-    /// Shared subplans materialized once by the common-subexpression
-    /// elimination pass (first occurrence; see `Evaluator::with_cse`).
-    /// Plan-dependent, not configuration-dependent: identical across
-    /// thread counts because the CSE cache is consulted only on the
-    /// coordinating thread.
-    pub cse_materialized: usize,
-    /// Subplan evaluations answered from the CSE cache (second and later
-    /// occurrences of a shared subplan). Plan-dependent, like
-    /// `cse_materialized`.
-    pub cse_reused: usize,
     /// Morsels dispatched to parallel kernels (zero on the sequential
     /// path). Unlike every other counter this one depends on the
     /// execution *configuration* (morsel size), not on the plan, so
@@ -113,9 +100,6 @@ impl ExecStats {
                 0
             },
             operators_evaluated: self.operators_evaluated - earlier.operators_evaluated,
-            memo_hits: self.memo_hits - earlier.memo_hits,
-            cse_materialized: self.cse_materialized - earlier.cse_materialized,
-            cse_reused: self.cse_reused - earlier.cse_reused,
             morsels: self.morsels - earlier.morsels,
             workers_spawned: self.workers_spawned - earlier.workers_spawned,
         }
@@ -137,9 +121,6 @@ impl ExecStats {
             .peak_intermediate_bytes
             .max(other.peak_intermediate_bytes);
         self.operators_evaluated += other.operators_evaluated;
-        self.memo_hits += other.memo_hits;
-        self.cse_materialized += other.cse_materialized;
-        self.cse_reused += other.cse_reused;
         self.morsels += other.morsels;
         self.workers_spawned += other.workers_spawned;
     }
@@ -229,7 +210,7 @@ impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scans={} base_reads={} probes={} comparisons={} emitted={} intermediates={} max_intermediate={} peak_tuples={} peak_bytes={} operators={} memo_hits={} cse_materialized={} cse_reused={} morsels={} workers_spawned={}",
+            "scans={} base_reads={} probes={} comparisons={} emitted={} intermediates={} max_intermediate={} peak_tuples={} peak_bytes={} operators={} morsels={} workers_spawned={}",
             self.base_scans,
             self.base_tuples_read,
             self.probes,
@@ -240,9 +221,6 @@ impl fmt::Display for ExecStats {
             self.peak_intermediate_tuples,
             self.peak_intermediate_bytes,
             self.operators_evaluated,
-            self.memo_hits,
-            self.cse_materialized,
-            self.cse_reused,
             self.morsels,
             self.workers_spawned
         )
@@ -293,8 +271,6 @@ mod tests {
             "peak_tuples",
             "peak_bytes",
             "operators",
-            "cse_materialized",
-            "cse_reused",
             "workers_spawned",
         ] {
             assert!(s.contains(key));
@@ -314,9 +290,6 @@ mod tests {
             peak_intermediate_tuples: 4,
             peak_intermediate_bytes: 320,
             operators_evaluated: 2,
-            memo_hits: 0,
-            cse_materialized: 0,
-            cse_reused: 0,
             morsels: 0,
             workers_spawned: 0,
         };
@@ -325,14 +298,12 @@ mod tests {
         later.comparisons += 20;
         later.probes += 1;
         later.operators_evaluated += 3;
-        later.memo_hits += 2;
         let d = later.diff(&earlier);
         assert_eq!(d.base_tuples_read, 7);
         assert_eq!(d.base_scans, 0);
         assert_eq!(d.comparisons, 20);
         assert_eq!(d.probes, 1);
         assert_eq!(d.operators_evaluated, 3);
-        assert_eq!(d.memo_hits, 2);
         assert_eq!(d.max_intermediate, 0, "high-water mark did not move");
         assert_eq!(d.peak_intermediate_tuples, 0, "watermark did not move");
         assert_eq!(d.peak_intermediate_bytes, 0, "watermark did not move");

@@ -6,17 +6,15 @@
 //! * **Plan optimizer on/off** — selection pushdown and product-to-join
 //!   conversion applied to classical plans (where they recover part of the
 //!   cartesian blow-up) and to improved plans (already push-down-shaped,
-//!   so the effect should be ≈0).
-//! * **Shared-subplan cache on/off** — the division plan's duplicated
-//!   σ(lecture) build side.
+//!   so the effect should be ≈0). The engine always optimizes; the raw
+//!   plans come straight from the translators.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gq_algebra::Evaluator;
+use gq_algebra::{optimize, Evaluator};
 use gq_bench::quel_all_d0_plan;
 use gq_calculus::parse;
-use gq_core::{EngineOptions, QueryEngine, Request, Strategy};
 use gq_rewrite::canonicalize;
-use gq_translate::{DivisionMode, ImprovedTranslator};
+use gq_translate::{ClassicalTranslator, DivisionMode, ImprovedTranslator};
 use gq_workload::{university, UniversityScale};
 
 const FORALL_QUERY: &str = "student(x) & (forall y. lecture(y,\"d0\") -> attends(x,y))";
@@ -52,82 +50,32 @@ fn bench_division_modes(c: &mut Criterion) {
 }
 
 fn bench_optimizer(c: &mut Criterion) {
-    let e = QueryEngine::new(university(&UniversityScale::of_size(150)));
+    let db = university(&UniversityScale::of_size(150));
+    let formula = parse(FORALL_QUERY).unwrap();
+    let canonical = canonicalize(&formula).unwrap();
     let mut group = c.benchmark_group("ablation_optimizer");
     group.sample_size(15);
-    for (label, strategy) in [
-        ("classical", Strategy::Classical),
-        ("improved", Strategy::Improved),
+    for (label, plan) in [
+        (
+            "classical",
+            ClassicalTranslator::new(&db)
+                .translate_open(&formula)
+                .unwrap()
+                .1,
+        ),
+        (
+            "improved",
+            ImprovedTranslator::new(&db)
+                .translate_open(&canonical)
+                .unwrap()
+                .1,
+        ),
     ] {
-        for (opt_label, optimize) in [("raw", false), ("optimized", true)] {
-            let options = EngineOptions {
-                optimize,
-                ..EngineOptions::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(label, opt_label),
-                &options,
-                |b, options| {
-                    b.iter(|| {
-                        e.run(
-                            &Request::text(FORALL_QUERY)
-                                .with_strategy(strategy)
-                                .with_options(*options),
-                        )
-                        .unwrap()
-                        .result
-                        .len()
-                    })
-                },
-            );
+        for (opt_label, plan) in [("raw", plan.clone()), ("optimized", optimize(&plan))] {
+            group.bench_with_input(BenchmarkId::new(label, opt_label), &plan, |b, plan| {
+                b.iter(|| Evaluator::new(&db).eval(plan).unwrap().len())
+            });
         }
-    }
-    group.finish();
-}
-
-fn bench_sharing(c: &mut Criterion) {
-    let e = QueryEngine::new(university(&UniversityScale::of_size(2000)));
-    let mut group = c.benchmark_group("ablation_sharing");
-    for (label, share) in [("no-sharing", false), ("sharing", true)] {
-        let options = EngineOptions {
-            share_subplans: share,
-            ..EngineOptions::default()
-        };
-        group.bench_with_input(BenchmarkId::new(label, "forall"), &options, |b, options| {
-            b.iter(|| {
-                e.run(&Request::text(FORALL_QUERY).with_options(*options))
-                    .unwrap()
-                    .result
-                    .len()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_base_indexes(c: &mut Criterion) {
-    let e = QueryEngine::new(university(&UniversityScale::of_size(3000)));
-    let text = "student(x) & !(exists y. attends(x,y) & lecture(y,\"d1\"))";
-    let mut group = c.benchmark_group("ablation_base_indexes");
-    for (label, use_base_indexes) in [("no-index", false), ("cached-index", true)] {
-        let options = EngineOptions {
-            use_base_indexes,
-            ..EngineOptions::default()
-        };
-        // warm the cache outside the measurement
-        e.run(&Request::text(text).with_options(options)).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new(label, "neg-subquery"),
-            &options,
-            |b, options| {
-                b.iter(|| {
-                    e.run(&Request::text(text).with_options(*options))
-                        .unwrap()
-                        .result
-                        .len()
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -164,8 +112,6 @@ criterion_group!(
     benches,
     bench_division_modes,
     bench_optimizer,
-    bench_sharing,
-    bench_base_indexes,
     bench_join_algorithms
 );
 criterion_main!(benches);

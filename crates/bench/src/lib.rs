@@ -10,56 +10,7 @@
 use gq_algebra::{AlgebraExpr, Constraint, Predicate};
 use gq_calculus::CompareOp;
 
-/// The paper-derived end-to-end query suite (E-E2E), over the generated
-/// university schema (`d0` = cs, `lang0` = french, `lang1` = german).
-/// Pairs of (label, query text).
-pub const E2E_SUITE: &[(&str, &str)] = &[
-    ("neg-filter (§3.1 Q2)", "member(x,z) & !skill(x,\"db\")"),
-    (
-        "nested-exists (P4 c1)",
-        "exists y. attends(x,y) & (exists d. lecture(y,d) & enrolled(x,d))",
-    ),
-    (
-        "nested-neg-atom (P4 c2a)",
-        "exists y. attends(x,y) & (exists d. lecture(y,d) & !enrolled(x,d))",
-    ),
-    (
-        "correlated (P4 c2b)",
-        "attends(x,y) & (exists d. lecture(y,d) & !enrolled(x,d))",
-    ),
-    (
-        "neg-subquery (P4 c3)",
-        "student(x) & !(exists y. attends(x,y) & lecture(y,\"d1\"))",
-    ),
-    (
-        "only-d0 (P4 c4)",
-        "student(x) & !(exists y. attends(x,y) & !lecture(y,\"d0\"))",
-    ),
-    (
-        "all-d0 (P4 c5, division)",
-        "student(x) & (forall y. lecture(y,\"d0\") -> attends(x,y))",
-    ),
-    (
-        "disj-filter (P5)",
-        "student(x) & (skill(x,\"db\") | speaks(x,\"lang1\") | makes(x,\"PhD\"))",
-    ),
-    (
-        "disj-neg (Fig 4)",
-        "student(x) & (!enrolled(x,\"d0\") | skill(x,\"db\"))",
-    ),
-    (
-        "producer-or (§2.3)",
-        "((student(x) & makes(x,\"PhD\")) | prof(x)) & (speaks(x,\"lang0\") | speaks(x,\"lang1\"))",
-    ),
-    (
-        "closed-forall-exists",
-        "forall x. student(x) -> exists d. enrolled(x,d)",
-    ),
-    (
-        "closed-exists-forall (division)",
-        "exists x. student(x) & (forall y. lecture(y,\"d0\") -> attends(x,y))",
-    ),
-];
+pub use gq_workload::E2E_SUITE;
 
 /// Hand-built *conventional* plan for the §3.1 complement-join example:
 /// `member ⋈ (π₀(member) − π₀(σ₁₌db(skill)))` — what a translator without

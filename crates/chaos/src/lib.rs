@@ -36,8 +36,6 @@ use std::time::Duration;
 pub enum Site {
     /// A base-relation scan in the evaluator.
     Scan,
-    /// Building a hash index in the index cache.
-    IndexBuild,
     /// An artificial delay at a morsel boundary.
     MorselDelay,
     /// A forced panic inside a parallel worker.
@@ -64,7 +62,6 @@ impl Site {
     fn salt(self) -> u64 {
         match self {
             Site::Scan => 0x5343_414e,
-            Site::IndexBuild => 0x4958_4244,
             Site::MorselDelay => 0x4d44_4c59,
             Site::WorkerPanic => 0x5750_414e,
             Site::PersistIo => 0x5053_494f,
@@ -102,8 +99,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Probability a base-relation scan fails.
     pub scan_error: f64,
-    /// Probability an index build fails.
-    pub index_build_error: f64,
     /// Probability a persistence I/O operation fails.
     pub persist_io_error: f64,
     /// Probability a worker panics on a given morsel.
@@ -142,7 +137,6 @@ impl ChaosConfig {
         ChaosConfig {
             seed,
             scan_error: 0.0,
-            index_build_error: 0.0,
             persist_io_error: 0.0,
             worker_panic: 0.0,
             morsel_delay_prob: 0.0,
@@ -159,12 +153,6 @@ impl ChaosConfig {
     /// Set the scan-error probability.
     pub fn scan_error(mut self, p: f64) -> Self {
         self.scan_error = p;
-        self
-    }
-
-    /// Set the index-build failure probability.
-    pub fn index_build_error(mut self, p: f64) -> Self {
-        self.index_build_error = p;
         self
     }
 
@@ -224,7 +212,6 @@ struct State {
     config: ChaosConfig,
     // Per-site occurrence counters for sites without a natural index.
     scan_count: AtomicU64,
-    index_count: AtomicU64,
     persist_count: AtomicU64,
     delta_apply_count: AtomicU64,
     durability_count: AtomicU64,
@@ -267,7 +254,6 @@ pub fn install(config: ChaosConfig) -> ChaosGuard {
         *slot = Some(Arc::new(State {
             config,
             scan_count: AtomicU64::new(0),
-            index_count: AtomicU64::new(0),
             persist_count: AtomicU64::new(0),
             delta_apply_count: AtomicU64::new(0),
             durability_count: AtomicU64::new(0),
@@ -313,20 +299,6 @@ pub fn fail_scan(relation: &str) -> Option<String> {
     let k = st.scan_count.fetch_add(1, Ordering::Relaxed);
     fires(st.config.seed, Site::Scan, k, st.config.scan_error)
         .then(|| format!("chaos: injected scan error on `{relation}` (occurrence {k})"))
-}
-
-/// Should the next index build on `relation` fail? Returns the injected
-/// error message.
-pub fn fail_index_build(relation: &str) -> Option<String> {
-    let st = current()?;
-    let k = st.index_count.fetch_add(1, Ordering::Relaxed);
-    fires(
-        st.config.seed,
-        Site::IndexBuild,
-        k,
-        st.config.index_build_error,
-    )
-    .then(|| format!("chaos: injected index-build failure on `{relation}` (occurrence {k})"))
 }
 
 /// Should the next persistence I/O operation (`op` describes it) fail?

@@ -3,7 +3,7 @@
 //! Every query enters through [`QueryEngine::run`] and one private
 //! driver that owns its whole lifecycle.
 
-use crate::plan_cache::{CompiledKind, CompiledPlan, PlanCache, PlanCacheStats, PlanKey};
+use crate::plan_cache::{CompiledPlan, PlanCache, PlanCacheStats, PlanKey};
 use crate::request::{Input, PreparedQuery, Request, Response};
 use crate::EngineError;
 use gq_algebra::{Evaluator, ExecConfig, ExecStats, PipelineEvent, PipelineHook, PlanProfiler};
@@ -92,35 +92,6 @@ impl QueryResult {
     }
 }
 
-/// Evaluation options orthogonal to the [`Strategy`]: post-translation
-/// plan optimization and shared-subplan caching. Both apply to the
-/// algebraic strategies only (the nested-loop interpreter has no plans).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct EngineOptions {
-    /// Apply the rule-based plan optimizer (selection/projection pushdown,
-    /// product-to-join conversion) after translation.
-    pub optimize: bool,
-    /// Evaluate repeated subplans once (the §2.2 sharing discussion).
-    pub share_subplans: bool,
-    /// Apply the Domain Closure Assumption (§2.1): quantified or free
-    /// variables without a covering range get an explicit `dom(x)` range
-    /// over the materialized database domain. Requires
-    /// [`QueryEngine::refresh_domain_view`] to have been called.
-    pub domain_closure: bool,
-    /// Probe persistent per-relation hash indexes (built lazily, cached
-    /// across queries; a write drops the indexes of the relations it
-    /// changed and no others).
-    pub use_base_indexes: bool,
-    /// Common-subexpression elimination: fingerprint the compiled plan's
-    /// repeated interior subplans at compile time and evaluate each once
-    /// into an `Arc`-shared operand. Unlike `share_subplans` (which only
-    /// catches build sides that happen to materialize), this shares *any*
-    /// repeated subplan, streaming entry points included, and its
-    /// `cse_materialized`/`cse_reused` counters are bit-identical across
-    /// thread counts.
-    pub cse: bool,
-}
-
 /// The catalog behind a [`QueryEngine`]: either a plain in-memory
 /// [`Database`] or a [`DurableDatabase`] whose mutations are WAL-logged
 /// and crash-recoverable. Reads are identical either way; the engine's
@@ -204,8 +175,7 @@ impl std::ops::Deref for Snapshot {
 /// Exclusive mutable access to the catalog, returned by
 /// [`QueryEngine::db_mut`]. Dereferences to [`Database`]; when the guard
 /// drops, the mutated catalog is republished as the engine's read
-/// snapshot and superseded cached base-relation indexes are discarded.
-/// Readers keep their pinned snapshots — they never observe the
+/// snapshot. Readers keep their pinned snapshots — they never observe the
 /// mutation mid-flight.
 pub struct DbMut<'a> {
     engine: &'a QueryEngine,
@@ -253,7 +223,6 @@ pub struct QueryEngine {
     /// catalog (relation payloads are shared `Arc`s), swapped in *after*
     /// each committed mutation, never mutated in place.
     snapshot: RwLock<Arc<Database>>,
-    index_cache: gq_algebra::IndexCache,
     views: crate::views::ViewRegistry,
     /// Materialized views (incl. recursive groups) in maintenance order;
     /// extents live in the catalog under the view's own name and are
@@ -268,9 +237,9 @@ pub struct QueryEngine {
     /// set after a cancellation until [`CancelToken::reset`] is called.
     cancel: CancelToken,
     /// Compiled plans of prepared queries, keyed by α-canonical formula,
-    /// strategy, options, catalog epoch and view generation. Consulted
-    /// only by [`QueryEngine::prepare`] and prepared [`Request`]s; every
-    /// other request compiles fresh.
+    /// strategy, the versions of the relations read and view generation.
+    /// Consulted only by [`QueryEngine::prepare`] and prepared
+    /// [`Request`]s; every other request compiles fresh.
     plan_cache: PlanCache,
     /// The flight recorder: a bounded ring of lifecycle events (query
     /// start/end, plan-cache hit/miss, governor trips, WAL/checkpoint
@@ -335,7 +304,6 @@ impl QueryEngine {
         QueryEngine {
             store: Mutex::new(store),
             snapshot,
-            index_cache: gq_algebra::IndexCache::new(),
             views: crate::views::ViewRegistry::new(),
             matviews: crate::ivm::MaterializedViews::default(),
             metrics: Registry::new(),
@@ -794,14 +762,11 @@ impl QueryEngine {
     }
 
     /// Republish `store`'s current catalog as the read snapshot (a COW
-    /// clone — relation payloads are shared `Arc`s) and drop the cached
-    /// base-relation indexes of the relations whose version moved; every
-    /// other index stays. Called after every committed mutation, while
-    /// still holding the store lock, so snapshots are published in
-    /// commit order.
+    /// clone — relation payloads are shared `Arc`s). Called after every
+    /// committed mutation, while still holding the store lock, so
+    /// snapshots are published in commit order.
     fn publish(&self, store: &Store) {
         let snap = Arc::new(store.db().clone());
-        self.index_cache.retain_current(&snap);
         *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snap;
     }
 
@@ -816,8 +781,7 @@ impl QueryEngine {
 
     /// Exclusive mutable access to the database (inserts, new
     /// relations) through a guard that republishes the read snapshot on
-    /// drop, which also drops the cached indexes of the relations it
-    /// changed.
+    /// drop.
     ///
     /// On a durable engine this is a *volatile* escape hatch: changes
     /// made through it are not WAL-logged and will not survive a crash.
@@ -867,9 +831,8 @@ impl QueryEngine {
     }
 
     /// Create a relation through the store — WAL-logged when durable.
-    /// On success the new catalog state is published for readers (there
-    /// is no index on a new relation to drop); in-flight queries keep
-    /// their pinned snapshots.
+    /// On success the new catalog state is published for readers;
+    /// in-flight queries keep their pinned snapshots.
     pub fn create_relation(
         &self,
         name: impl Into<String>,
@@ -883,10 +846,8 @@ impl QueryEngine {
     }
 
     /// Insert a tuple through the store — WAL-logged when durable. On
-    /// success the new catalog state is published for readers and the
-    /// cached indexes on `relation` (and on every materialized extent the
-    /// write moved) are dropped, no others; in-flight queries keep their
-    /// pinned snapshots.
+    /// success the new catalog state is published for readers; in-flight
+    /// queries keep their pinned snapshots.
     pub fn insert(&self, relation: &str, t: Tuple) -> Result<bool, EngineError> {
         self.commit("insert", |store| {
             // Capture the tuple for view maintenance only when views
@@ -902,10 +863,8 @@ impl QueryEngine {
     }
 
     /// Remove a tuple through the store — WAL-logged when durable. On
-    /// success the new catalog state is published for readers and the
-    /// cached indexes on `relation` (and on every materialized extent the
-    /// write moved) are dropped, no others; in-flight queries keep their
-    /// pinned snapshots.
+    /// success the new catalog state is published for readers; in-flight
+    /// queries keep their pinned snapshots.
     pub fn remove(&self, relation: &str, t: &Tuple) -> Result<bool, EngineError> {
         self.commit("remove", |store| {
             let gone = store.remove(relation, t)?;
@@ -1006,9 +965,8 @@ impl QueryEngine {
 
     /// (Re)materialize the `dom` view — the unary relation of every value
     /// in the database (§2.1, Domain Closure Assumption). Call again after
-    /// updates; queries evaluated with
-    /// [`EngineOptions::domain_closure`] use this relation as the implicit
-    /// range of otherwise-unrestricted variables.
+    /// updates; requests made with [`Request::with_domain_closure`] use this
+    /// relation as the implicit range of otherwise-unrestricted variables.
     ///
     /// On a durable engine the refreshed view is WAL-logged like any
     /// other mutation (recovery must reproduce the exact catalog), so the
@@ -1136,8 +1094,9 @@ impl QueryEngine {
         tb: Option<&TraceBuilder>,
         query_id: u64,
     ) -> Result<QueryResult, EngineError> {
-        let (strategy, options) = (request.strategy, request.options);
-        let (views_generation, expanded) = self.preprocess(snap, formula, options, governor, tb)?;
+        let strategy = request.strategy;
+        let (views_generation, expanded) =
+            self.preprocess(snap, formula, request.domain_closure, governor, tb)?;
         let cached;
         let fresh;
         let compiled: &CompiledPlan = if let Input::Prepared(_) = request.input {
@@ -1146,17 +1105,16 @@ impl QueryEngine {
                 &expanded,
                 views_generation,
                 strategy,
-                options,
                 governor,
                 tb,
                 query_id,
             )?;
             &cached
         } else {
-            fresh = self.compile(snap, &expanded, strategy, options, governor, tb)?;
+            fresh = self.compile(snap, &expanded, strategy, governor, tb)?;
             &fresh
         };
-        self.execute_compiled(snap, compiled, options, governor, tb, query_id)
+        self.execute_compiled(snap, compiled, governor, tb, query_id)
     }
 
     /// A governor over the request's limits, cancel token and shared
@@ -1166,7 +1124,7 @@ impl QueryEngine {
     /// tripped, so every `EngineError::{Cancelled, ResourceExhausted,
     /// WorkerPanic}` is attributable. No hook is installed while the
     /// journal is off.
-    fn start_governor(
+    pub(crate) fn start_governor(
         &self,
         query_id: u64,
         limits: Option<QueryLimits>,
@@ -1285,24 +1243,24 @@ impl QueryEngine {
         }
     }
 
-    /// Phase 0: view expansion, (optional) Domain Closure completion, and
+    /// Phase 0: view expansion, Domain Closure completion when asked, and
     /// the formula-depth guard on the result — expansion can deepen a
     /// query well past what the user typed. Returns the view-registry
     /// generation the expansion ran against (observed under the
     /// registry's lock, so generation and expansion are consistent — the
     /// plan cache keys its entries on exactly this value) alongside the
     /// expanded formula.
-    fn preprocess(
+    pub(crate) fn preprocess(
         &self,
         snap: &Snapshot,
         formula: &Formula,
-        options: EngineOptions,
+        domain_closure: bool,
         governor: &Governor,
         tb: Option<&TraceBuilder>,
     ) -> Result<(u64, Formula), EngineError> {
         let _span = span(tb, "view-expand");
         let (views_generation, mut expanded) = self.views.expand_with_generation(formula)?;
-        if options.domain_closure {
+        if domain_closure {
             if !snap.has_relation("dom") {
                 return Err(EngineError::Storage(StorageError::UnknownRelation(
                     "dom (call refresh_domain_view first)".into(),
@@ -1316,29 +1274,29 @@ impl QueryEngine {
 
     /// Phases 1–3 — normalize, translate, optimize — producing the
     /// cacheable compiled form. `formula` must already be preprocessed.
-    fn compile(
+    /// Both algebraic strategies are optimized, and the improved one is
+    /// cost-ordered: the one configuration every query runs under.
+    pub(crate) fn compile(
         &self,
         snap: &Snapshot,
         formula: &Formula,
         strategy: Strategy,
-        options: EngineOptions,
         governor: &Governor,
         tb: Option<&TraceBuilder>,
     ) -> Result<CompiledPlan, EngineError> {
         let closed = formula.is_closed();
-        let kind = match strategy {
+        match strategy {
             Strategy::Improved => {
                 let canonical = self.normalize(formula, governor, tb)?;
                 let tr = ImprovedTranslator::new(snap)
-                    .with_cost_ordering(options.optimize)
+                    .with_cost_ordering(true)
                     .with_governor(governor.clone());
                 translate_and_tune(
                     closed,
-                    options.optimize,
                     tb,
                     || tr.translate_closed(&canonical),
                     || tr.translate_open(&canonical),
-                )?
+                )
             }
             Strategy::Classical => {
                 // The classical translator runs on the *raw* query, as the
@@ -1346,28 +1304,18 @@ impl QueryEngine {
                 let tr = ClassicalTranslator::new(snap).with_governor(governor.clone());
                 translate_and_tune(
                     closed,
-                    options.optimize,
                     tb,
                     || tr.translate_closed(formula),
                     || tr.translate_open(formula),
-                )?
+                )
             }
             Strategy::NestedLoop => {
                 // No plan: the canonical formula (the rewrite's output,
                 // the expensive part) is the reusable compilation.
                 let canonical = self.normalize(formula, governor, tb)?;
-                CompiledKind::Loop { canonical }
+                Ok(CompiledPlan::Loop { canonical })
             }
-        };
-        // The CSE analysis is part of compilation: the shared-subplan set
-        // is a pure function of the plan, so cache hits reuse it too.
-        let cse_shared = match &kind {
-            _ if !options.cse => Default::default(),
-            CompiledKind::Algebra { plan, .. } => gq_algebra::shared_subplans(&[plan]),
-            CompiledKind::Boolean { plan } => gq_algebra::shared_subplans(&plan.algebra_exprs()),
-            CompiledKind::Loop { .. } => Default::default(),
-        };
-        Ok(CompiledPlan { kind, cse_shared })
+        }
     }
 
     /// Phase 4: evaluate a compiled plan. Shared by the ad-hoc path (fresh
@@ -1377,30 +1325,14 @@ impl QueryEngine {
         &self,
         snap: &Snapshot,
         compiled: &CompiledPlan,
-        options: EngineOptions,
         governor: &Governor,
         tb: Option<&TraceBuilder>,
         query_id: u64,
     ) -> Result<QueryResult, EngineError> {
         let make_eval = || {
-            let ev = if options.share_subplans {
-                Evaluator::with_sharing(snap)
-            } else {
-                Evaluator::new(snap)
-            };
-            let ev = ev
+            let ev = Evaluator::new(snap)
                 .with_exec_config(self.exec)
                 .with_governor(governor.clone());
-            let ev = if options.use_base_indexes {
-                ev.with_index_cache(&self.index_cache)
-            } else {
-                ev
-            };
-            let ev = if options.cse {
-                ev.with_cse(compiled.cse_shared.clone())
-            } else {
-                ev
-            };
             // Flight-record pipeline boundaries only while the journal is
             // on; with no hook the evaluator's event path is a no-op.
             if self.journal.is_enabled() {
@@ -1420,8 +1352,8 @@ impl QueryEngine {
                 ev
             }
         };
-        match &compiled.kind {
-            CompiledKind::Boolean { plan } => {
+        match compiled {
+            CompiledPlan::Boolean { plan } => {
                 check_bool_plan_depth(governor, plan)?;
                 if let Some(t) = tb {
                     PlanShape::of_roots(plan.algebra_exprs()).record_into(t);
@@ -1445,7 +1377,7 @@ impl QueryEngine {
                     stats: ev.stats(),
                 })
             }
-            CompiledKind::Algebra { vars, plan } => {
+            CompiledPlan::Algebra { vars, plan } => {
                 governor.check_depth("translate", Resource::PlanDepth, plan.depth() as u64)?;
                 if let Some(t) = tb {
                     PlanShape::of(plan).record_into(t);
@@ -1469,7 +1401,7 @@ impl QueryEngine {
                     stats: ev.stats(),
                 })
             }
-            CompiledKind::Loop { canonical } => {
+            CompiledPlan::Loop { canonical } => {
                 let profiler = tb.map(|_| Rc::new(LoopProfiler::new()));
                 let mut ev = PipelineEvaluator::new(snap).with_governor(governor.clone());
                 if let Some(p) = &profiler {
@@ -1508,30 +1440,23 @@ impl QueryEngine {
     /// now (normalize + translate + optimize) under the engine's limits,
     /// so every run of it as [`Request::prepared`] — until a write to a
     /// relation it reads — skips straight to evaluation.
-    pub fn prepare(
-        &self,
-        text: &str,
-        strategy: Strategy,
-        options: EngineOptions,
-    ) -> Result<PreparedQuery, EngineError> {
+    pub fn prepare(&self, text: &str, strategy: Strategy) -> Result<PreparedQuery, EngineError> {
         let prepared = PreparedQuery {
             text: text.to_string(),
             formula: parse(text)?,
             strategy,
-            options,
         };
         let snap = self.snapshot();
         // Preparation is not a query: journal events it produces
         // (plan-cache miss, governor trips) carry query id 0.
         let governor = self.start_governor(0, None, None, None);
         let (views_generation, expanded) =
-            self.preprocess(&snap, &prepared.formula, options, &governor, None)?;
+            self.preprocess(&snap, &prepared.formula, false, &governor, None)?;
         self.lookup_or_compile(
             &snap,
             &expanded,
             views_generation,
             strategy,
-            options,
             &governor,
             None,
             0,
@@ -1540,8 +1465,9 @@ impl QueryEngine {
     }
 
     /// The plan-cache gate: answer from the cache when every compilation
-    /// input matches (α-canonical formula, strategy, options, the version
-    /// stamps of the relations the formula reads, view generation),
+    /// input matches (α-canonical formula — `dom` included when domain
+    /// closure spliced it in — strategy, the version stamps of the
+    /// relations the formula reads, view generation),
     /// compile-and-insert otherwise. The insert happens after a
     /// *successful* compile and before evaluation, so an evaluation error
     /// never poisons the cached plan — and a failed compile caches
@@ -1562,7 +1488,6 @@ impl QueryEngine {
         expanded: &Formula,
         views_generation: u64,
         strategy: Strategy,
-        options: EngineOptions,
         governor: &Governor,
         tb: Option<&TraceBuilder>,
         query_id: u64,
@@ -1581,7 +1506,6 @@ impl QueryEngine {
         let key = PlanKey {
             canonical: alpha_canonical(expanded),
             strategy,
-            options,
             reads,
             views_generation,
         };
@@ -1598,7 +1522,7 @@ impl QueryEngine {
             EventData::new(EventKind::PlanCacheMiss, query_id, "plan-cache")
                 .detail(key.canonical.clone())
         });
-        let compiled = Arc::new(self.compile(snap, expanded, strategy, options, governor, tb)?);
+        let compiled = Arc::new(self.compile(snap, expanded, strategy, governor, tb)?);
         // Account the cached plan's footprint against this query's
         // budgets — a memory-limited workload cannot hide allocations in
         // the plan cache.
@@ -1675,49 +1599,34 @@ fn attach_pipelines(tb: Option<&TraceBuilder>, ev: &Evaluator<'_>) {
     }
 }
 
-/// Translate under a `translate` span, then optimize (when asked) under
-/// an `optimize` span: a boolean plan for a closed formula, an algebra
-/// plan and its answer variables for an open one.
+/// Translate under a `translate` span, then optimize under an `optimize`
+/// span: a boolean plan for a closed formula, an algebra plan and its
+/// answer variables for an open one.
 fn translate_and_tune(
     closed: bool,
-    optimize: bool,
     tb: Option<&TraceBuilder>,
     translate_closed: impl FnOnce() -> Result<gq_algebra::BoolExpr, TranslateError>,
     translate_open: impl FnOnce() -> Result<(Vec<Var>, gq_algebra::AlgebraExpr), TranslateError>,
-) -> Result<CompiledKind, EngineError> {
+) -> Result<CompiledPlan, EngineError> {
     if closed {
         let plan = {
             let _span = span(tb, "translate");
             translate_closed()?
         };
         let _span = span(tb, "optimize");
-        let plan = if optimize { optimize_bool(&plan) } else { plan };
-        Ok(CompiledKind::Boolean { plan })
+        Ok(CompiledPlan::Boolean {
+            plan: gq_algebra::optimize_bool(&plan),
+        })
     } else {
         let (vars, plan) = {
             let _span = span(tb, "translate");
             translate_open()?
         };
         let _span = span(tb, "optimize");
-        let plan = if optimize {
-            gq_algebra::optimize(&plan)
-        } else {
-            plan
-        };
-        Ok(CompiledKind::Algebra { vars, plan })
-    }
-}
-
-/// Optimize every algebra expression inside a boolean plan.
-fn optimize_bool(plan: &gq_algebra::BoolExpr) -> gq_algebra::BoolExpr {
-    use gq_algebra::BoolExpr;
-    match plan {
-        BoolExpr::NonEmpty(e) => BoolExpr::NonEmpty(gq_algebra::optimize(e)),
-        BoolExpr::Empty(e) => BoolExpr::Empty(gq_algebra::optimize(e)),
-        BoolExpr::And(a, b) => BoolExpr::and(optimize_bool(a), optimize_bool(b)),
-        BoolExpr::Or(a, b) => BoolExpr::or(optimize_bool(a), optimize_bool(b)),
-        BoolExpr::Not(a) => BoolExpr::not(optimize_bool(a)),
-        BoolExpr::Const(b) => BoolExpr::Const(*b),
+        Ok(CompiledPlan::Algebra {
+            vars,
+            plan: gq_algebra::optimize(&plan),
+        })
     }
 }
 
@@ -1892,7 +1801,7 @@ mod tests {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod option_tests {
+mod strategy_tests {
     use super::*;
     use gq_storage::{tuple, Schema};
 
@@ -1922,33 +1831,17 @@ mod option_tests {
     ];
 
     #[test]
-    fn options_preserve_answers() {
+    fn strategies_agree_on_answers() {
         let e = engine();
         for text in QUERIES {
-            let baseline = e.query(text).unwrap();
-            for optimize in [false, true] {
-                for share_subplans in [false, true] {
-                    let options = EngineOptions {
-                        optimize,
-                        share_subplans,
-                        ..EngineOptions::default()
-                    };
-                    for strategy in [Strategy::Improved, Strategy::Classical] {
-                        let r = e
-                            .run(
-                                &Request::text(text)
-                                    .with_strategy(strategy)
-                                    .with_options(options),
-                            )
-                            .unwrap()
-                            .result;
-                        assert!(
-                            baseline.answers.set_eq(&r.answers),
-                            "`{text}` with {options:?} under {}",
-                            strategy.name()
-                        );
-                    }
-                }
+            let baseline = e.query_with(text, Strategy::NestedLoop).unwrap();
+            for strategy in [Strategy::Improved, Strategy::Classical] {
+                let r = e.query_with(text, strategy).unwrap();
+                assert!(
+                    baseline.answers.set_eq(&r.answers),
+                    "`{text}` under {}",
+                    strategy.name()
+                );
             }
         }
     }
@@ -1957,191 +1850,52 @@ mod option_tests {
     fn optimizer_reduces_classical_reads() {
         let e = engine();
         let text = "p(x) & (exists y. r(x,y) & q(y))";
-        let raw = e
-            .run(&Request::text(text).with_strategy(Strategy::Classical))
-            .unwrap()
-            .result;
-        let opt = e
-            .run(
-                &Request::text(text)
-                    .with_strategy(Strategy::Classical)
-                    .with_options(EngineOptions {
-                        optimize: true,
-                        ..EngineOptions::default()
-                    }),
-            )
-            .unwrap()
-            .result;
-        assert!(raw.answers.set_eq(&opt.answers));
+        let snap = e.snapshot();
+        let (_, plan) = ClassicalTranslator::new(&snap)
+            .translate_open(&parse(text).unwrap())
+            .unwrap();
+        let ev = Evaluator::new(&snap);
+        let raw_answers = ev.eval(&plan).unwrap();
+        let raw = ev.stats();
+        let opt = e.query_with(text, Strategy::Classical).unwrap();
+        assert!(raw_answers.set_eq(&opt.answers));
         assert!(
-            opt.stats.max_intermediate <= raw.stats.max_intermediate,
+            opt.stats.max_intermediate <= raw.max_intermediate,
             "optimizer should not grow intermediates: {} vs {}",
             opt.stats.max_intermediate,
-            raw.stats.max_intermediate
+            raw.max_intermediate
         );
-    }
-
-    #[test]
-    fn base_indexes_preserve_answers_and_save_reads() {
-        let e = engine();
-        let text = "p(x) & !(exists y. r(x,y) & q(y))";
-        let plain = e.query(text).unwrap();
-        let opts = EngineOptions {
-            use_base_indexes: true,
-            ..EngineOptions::default()
-        };
-        // warm the cache, then measure
-        e.run(&Request::text(text).with_options(opts)).unwrap();
-        let cached = e
-            .run(&Request::text(text).with_options(opts))
-            .unwrap()
-            .result;
-        assert!(plain.answers.set_eq(&cached.answers));
-        assert!(
-            cached.stats.base_tuples_read < plain.stats.base_tuples_read,
-            "warm run should read less: {} vs {}",
-            cached.stats.base_tuples_read,
-            plain.stats.base_tuples_read
-        );
-    }
-
-    #[test]
-    fn db_mut_invalidates_index_cache() {
-        use gq_storage::tuple;
-        let mut e = engine();
-        let opts = EngineOptions {
-            use_base_indexes: true,
-            ..EngineOptions::default()
-        };
-        let before = e
-            .run(&Request::text("p(x) & q(x)").with_options(opts))
-            .unwrap()
-            .result;
-        e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
-        let after = e
-            .run(&Request::text("p(x) & q(x)").with_options(opts))
-            .unwrap()
-            .result;
-        assert_eq!(after.len(), before.len() + 1, "stale index not invalidated");
-    }
-
-    #[test]
-    fn a_write_drops_only_the_written_relations_indexes() {
-        use gq_storage::tuple;
-        let e = engine();
-        let index_on = |snap: &Snapshot, relation: &str| {
-            let mut built = false;
-            let idx = e
-                .index_cache
-                .get_or_build(snap, relation, &[0], |_| built = true)
-                .unwrap();
-            (idx, built)
-        };
-        let pinned = e.snapshot();
-        let (on_p, _) = index_on(&pinned, "p");
-        let (on_q, _) = index_on(&pinned, "q");
-        assert!(e.insert("q", tuple![1]).unwrap()); // 1 was odd → not in q
-        let current = e.snapshot();
-        // p was not written: same index, not rebuilt.
-        let (p_after, rebuilt) = index_on(&current, "p");
-        assert!(Arc::ptr_eq(&on_p, &p_after) && !rebuilt);
-        // q was: the current snapshot gets an index that sees the insert…
-        let (q_after, rebuilt) = index_on(&current, "q");
-        assert!(rebuilt && q_after.entries() == on_q.entries() + 1);
-        assert!(q_after.contains_key_of(&tuple![1], &[0]));
-        // …and a reader still pinned to the old snapshot one that does not.
-        let (q_pinned, _) = index_on(&pinned, "q");
-        assert_eq!(q_pinned.entries(), on_q.entries());
-        assert!(!q_pinned.contains_key_of(&tuple![1], &[0]));
-        // The superseded version's index goes at the next publish.
-        e.insert("q", tuple![3]).unwrap();
-        assert_eq!(e.index_cache.len(), 1, "only p's index is current");
     }
 
     #[test]
     fn domain_closure_enables_negation_only_queries() {
         let e = engine();
         e.refresh_domain_view().unwrap();
-        let options = EngineOptions {
-            domain_closure: true,
-            ..EngineOptions::default()
+        let closed = |text| {
+            e.run(&Request::text(text).with_domain_closure())
+                .unwrap()
+                .result
         };
         // ¬q(x) alone is unrestricted; under domain closure it ranges over
         // every database value (§2.1).
-        let r = e
-            .run(&Request::text("!q(x)").with_options(options))
-            .unwrap()
-            .result;
+        let r = closed("!q(x)");
         // domain = {0..9}; q holds of evens → odds are the answers
         assert_eq!(r.len(), 5);
         // ∀x p(x) (no range) also works under closure: p holds of every
         // value 0..9, which is exactly the database domain here → true.
-        let all_p = e
-            .run(&Request::text("forall x. p(x)").with_options(options))
-            .unwrap()
-            .result;
+        let all_p = closed("forall x. p(x)");
         assert!(all_p.is_true());
         // A universal that genuinely fails: q only holds of the evens.
-        let all_q = e
-            .run(&Request::text("forall x. q(x)").with_options(options))
-            .unwrap()
-            .result;
+        let all_q = closed("forall x. q(x)");
         assert!(!all_q.is_true());
     }
 
     #[test]
     fn domain_closure_requires_view() {
         let e = engine();
-        let options = EngineOptions {
-            domain_closure: true,
-            ..EngineOptions::default()
-        };
         assert!(e
-            .run(&Request::text("!q(x)").with_options(options))
+            .run(&Request::text("!q(x)").with_domain_closure())
             .is_err());
-    }
-
-    #[test]
-    fn sharing_hits_on_division_plan() {
-        let e = engine();
-        let text = "p(x) & (forall y. q(y) -> r(x,y))";
-        let r = e
-            .run(&Request::text(text).with_options(EngineOptions {
-                share_subplans: true,
-                ..EngineOptions::default()
-            }))
-            .unwrap()
-            .result;
-        // The division plan materializes π(q) twice (divisor + vacuous
-        // guard); with sharing the second is a cache hit.
-        assert!(r.stats.memo_hits >= 1, "stats: {}", r.stats);
-    }
-
-    #[test]
-    fn cse_option_preserves_answers() {
-        let e = engine();
-        let options = EngineOptions {
-            cse: true,
-            ..EngineOptions::default()
-        };
-        for text in QUERIES {
-            let baseline = e.query(text).unwrap();
-            for strategy in [Strategy::Improved, Strategy::Classical] {
-                let r = e
-                    .run(
-                        &Request::text(text)
-                            .with_strategy(strategy)
-                            .with_options(options),
-                    )
-                    .unwrap()
-                    .result;
-                assert!(
-                    baseline.answers.set_eq(&r.answers),
-                    "`{text}` with CSE under {}",
-                    strategy.name()
-                );
-            }
-        }
     }
 }
 
@@ -2174,9 +1928,7 @@ mod prepared_tests {
         let e = engine();
         let text = "p(x) & (forall y. q(y) -> r(x,y))";
         let adhoc = e.query(text).unwrap();
-        let prepared = e
-            .prepare(text, Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let prepared = e.prepare(text, Strategy::Improved).unwrap();
         // prepare() compiled once: one miss, no hits yet.
         let s = e.plan_cache_stats();
         assert_eq!((s.misses, s.hits, s.entries), (1, 0, 1));
@@ -2193,9 +1945,7 @@ mod prepared_tests {
     fn unrelated_mutation_keeps_cached_plans_hot() {
         let e = engine();
         // The plan reads p and q only — r is not in its read set.
-        let prepared = e
-            .prepare("p(x) & !q(x)", Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let prepared = e.prepare("p(x) & !q(x)", Strategy::Improved).unwrap();
         e.run(&Request::prepared(&prepared)).unwrap();
         let s = e.plan_cache_stats();
         assert_eq!((s.misses, s.hits), (1, 1));
@@ -2219,9 +1969,7 @@ mod prepared_tests {
     #[test]
     fn cache_hit_skips_compilation_phases() {
         let e = engine();
-        let prepared = e
-            .prepare("p(x) & !q(x)", Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let prepared = e.prepare("p(x) & !q(x)", Strategy::Improved).unwrap();
         let trace = e
             .run(&Request::prepared(&prepared).with_trace())
             .unwrap()
@@ -2248,9 +1996,7 @@ mod prepared_tests {
     #[test]
     fn catalog_mutation_invalidates_cached_plans() {
         let mut e = engine();
-        let prepared = e
-            .prepare("p(x) & q(x)", Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let prepared = e.prepare("p(x) & q(x)", Strategy::Improved).unwrap();
         let before = e.run(&Request::prepared(&prepared)).unwrap().result;
         e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
         let after = e.run(&Request::prepared(&prepared)).unwrap().result;
@@ -2265,13 +2011,7 @@ mod prepared_tests {
     fn view_redefinition_invalidates_cached_plans() {
         let e = engine();
         e.define_view("evens", "q(v)").unwrap();
-        let prepared = e
-            .prepare(
-                "p(x) & evens(x)",
-                Strategy::Improved,
-                EngineOptions::default(),
-            )
-            .unwrap();
+        let prepared = e.prepare("p(x) & evens(x)", Strategy::Improved).unwrap();
         assert_eq!(
             e.run(&Request::prepared(&prepared)).unwrap().result.len(),
             4
@@ -2291,18 +2031,10 @@ mod prepared_tests {
     fn alpha_equivalent_queries_share_one_entry() {
         let e = engine();
         let a = e
-            .prepare(
-                "p(x) & (exists y. r(x,y) & q(y))",
-                Strategy::Improved,
-                EngineOptions::default(),
-            )
+            .prepare("p(x) & (exists y. r(x,y) & q(y))", Strategy::Improved)
             .unwrap();
         let b = e
-            .prepare(
-                "p(x) & (exists z. r(x,z) & q(z))",
-                Strategy::Improved,
-                EngineOptions::default(),
-            )
+            .prepare("p(x) & (exists z. r(x,z) & q(z))", Strategy::Improved)
             .unwrap();
         let s = e.plan_cache_stats();
         assert_eq!((s.entries, s.misses, s.hits), (1, 1, 1), "stats: {s:?}");
@@ -2315,23 +2047,13 @@ mod prepared_tests {
     }
 
     #[test]
-    fn strategies_and_options_partition_the_cache() {
+    fn strategies_partition_the_cache() {
         let e = engine();
         let text = "p(x) & !q(x)";
-        e.prepare(text, Strategy::Improved, EngineOptions::default())
-            .unwrap();
-        e.prepare(text, Strategy::Classical, EngineOptions::default())
-            .unwrap();
-        e.prepare(
-            text,
-            Strategy::Improved,
-            EngineOptions {
-                optimize: true,
-                ..EngineOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(e.plan_cache_stats().entries, 3);
+        e.prepare(text, Strategy::Improved).unwrap();
+        e.prepare(text, Strategy::Classical).unwrap();
+        e.prepare(text, Strategy::Improved).unwrap();
+        assert_eq!(e.plan_cache_stats().entries, 2);
     }
 
     #[test]
@@ -2340,7 +2062,7 @@ mod prepared_tests {
         let text = "exists x. p(x) & !(exists y. r(x,y) & !q(y))";
         for s in Strategy::ALL {
             let adhoc = e.query_with(text, s).unwrap();
-            let prepared = e.prepare(text, s, EngineOptions::default()).unwrap();
+            let prepared = e.prepare(text, s).unwrap();
             // twice: once compiling (prepare warmed it), once from cache
             for _ in 0..2 {
                 let r = e.run(&Request::prepared(&prepared)).unwrap().result;
@@ -2353,40 +2075,17 @@ mod prepared_tests {
     fn capacity_bound_is_respected() {
         let e = engine().with_plan_cache_capacity(2);
         for text in ["p(x)", "q(x)", "p(x) & q(x)"] {
-            e.prepare(text, Strategy::Improved, EngineOptions::default())
-                .unwrap();
+            e.prepare(text, Strategy::Improved).unwrap();
         }
         let s = e.plan_cache_stats();
         assert_eq!((s.entries, s.capacity, s.evictions), (2, 2, 1));
     }
 
     #[test]
-    fn prepared_with_cse_matches_and_still_hits() {
-        let e = engine();
-        let options = EngineOptions {
-            cse: true,
-            optimize: true,
-            ..EngineOptions::default()
-        };
-        let text = "p(x) & (forall y. q(y) -> r(x,y))";
-        let adhoc = e.query(text).unwrap();
-        let prepared = e.prepare(text, Strategy::Improved, options).unwrap();
-        let r1 = e.run(&Request::prepared(&prepared)).unwrap().result;
-        let r2 = e.run(&Request::prepared(&prepared)).unwrap().result;
-        assert!(adhoc.answers.set_eq(&r1.answers));
-        assert_eq!(r1.answers.sorted_tuples(), r2.answers.sorted_tuples());
-        assert_eq!(e.plan_cache_stats().hits, 2);
-    }
-
-    #[test]
     fn failed_prepare_caches_nothing() {
         let e = engine();
-        assert!(e
-            .prepare("!p(x)", Strategy::Improved, EngineOptions::default())
-            .is_err()); // unrestricted
-        assert!(e
-            .prepare("p(x", Strategy::Improved, EngineOptions::default())
-            .is_err()); // parse error
+        assert!(e.prepare("!p(x)", Strategy::Improved).is_err()); // unrestricted
+        assert!(e.prepare("p(x", Strategy::Improved).is_err()); // parse error
         let s = e.plan_cache_stats();
         assert_eq!(s.entries, 0, "failed compiles must not be cached");
     }
@@ -2472,9 +2171,7 @@ mod durable_tests {
         }
         let (e, rec) = QueryEngine::open_durable(&dir).unwrap();
         assert_eq!(rec.recovered_epoch, epoch_before);
-        let prepared = e
-            .prepare("p(x)", Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let prepared = e.prepare("p(x)", Strategy::Improved).unwrap();
         assert_eq!(
             e.run(&Request::prepared(&prepared)).unwrap().result.len(),
             1

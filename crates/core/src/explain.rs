@@ -1,11 +1,12 @@
 //! EXPLAIN: render the full processing pipeline of a query; EXPLAIN
 //! ANALYZE: render what a traced run actually did.
 
-use crate::{EngineError, QueryEngine, QueryResult};
+use crate::plan_cache::CompiledPlan;
+use crate::{EngineError, QueryEngine, QueryResult, Strategy};
 use gq_calculus::parse;
 use gq_obs::QueryTrace;
 use gq_rewrite::{canonicalize_traced, is_miniscope};
-use gq_translate::{ClassicalTranslator, ImprovedTranslator};
+use gq_storage::Database;
 
 /// EXPLAIN ANALYZE: the phase timings and the annotated plan tree of a
 /// traced run (per node: actual rows, comparisons, probes, elapsed time
@@ -21,8 +22,9 @@ pub fn explain_analyze(result: &QueryResult, trace: &QueryTrace) -> String {
 
 impl QueryEngine {
     /// Render the two-phase processing of a query: the canonical form with
-    /// its rule-application trace (§2), the improved algebraic plan (§3),
-    /// and the classical baseline plan for comparison.
+    /// its rule-application trace (§2), then the plan each algebraic
+    /// strategy runs — exactly what [`QueryEngine::run`] compiles: the
+    /// improved plan (§3) and the classical baseline for comparison.
     // `write!` into a `String` is infallible, so the unwraps below can
     // never fire; spelled as unwraps to keep the rendering code readable.
     #[allow(clippy::unwrap_used)]
@@ -31,7 +33,8 @@ impl QueryEngine {
         // One pinned snapshot for the whole rendering, like a real query.
         let snap = self.snapshot();
         let parsed = parse(text)?;
-        let formula = self.views().expand(&parsed)?;
+        let governor = self.start_governor(0, None, None, None);
+        let (_, formula) = self.preprocess(&snap, &parsed, false, &governor, None)?;
         let mut out = String::new();
         writeln!(out, "query: {parsed}").unwrap();
         if formula != parsed {
@@ -57,59 +60,49 @@ impl QueryEngine {
         )
         .unwrap();
 
-        writeln!(out, "\n== phase 2: improved translation (§3) ==").unwrap();
-        let improved = ImprovedTranslator::new(&snap);
-        if canonical.is_closed() {
-            match improved.translate_closed(&canonical) {
-                Ok(plan) => {
-                    writeln!(out, "boolean plan: {plan}").unwrap();
-                    writeln!(out, "uses division: {}", plan.uses_division()).unwrap();
-                    writeln!(out, "uses cartesian product: {}", plan.uses_product()).unwrap();
-                }
-                Err(e) => writeln!(out, "not translatable: {e}").unwrap(),
-            }
-        } else {
-            match improved.translate_open(&canonical) {
-                Ok((vars, plan)) => {
-                    let names: Vec<&str> = vars.iter().map(|v| v.name()).collect();
-                    writeln!(out, "answer variables: {}", names.join(", ")).unwrap();
-                    writeln!(out, "plan: {plan}").unwrap();
-                    writeln!(out, "plan tree:\n{}", plan.render_tree()).unwrap();
-                    writeln!(
-                        out,
-                        "estimated cardinality: {:.0}",
-                        gq_algebra::estimate(&plan, &snap)
-                    )
-                    .unwrap();
-                    writeln!(out, "uses division: {}", plan.uses_division()).unwrap();
-                    writeln!(out, "uses cartesian product: {}", plan.uses_product()).unwrap();
-                }
-                Err(e) => writeln!(out, "not translatable: {e}").unwrap(),
-            }
-        }
-
-        writeln!(out, "\n== baseline: classical translation [COD 72] ==").unwrap();
-        let classical = ClassicalTranslator::new(&snap);
-        if formula.is_closed() {
-            match classical.translate_closed(&formula) {
-                Ok(plan) => {
-                    writeln!(out, "boolean plan: {plan}").unwrap();
-                    writeln!(out, "uses division: {}", plan.uses_division()).unwrap();
-                    writeln!(out, "uses cartesian product: {}", plan.uses_product()).unwrap();
-                }
-                Err(e) => writeln!(out, "not translatable: {e}").unwrap(),
-            }
-        } else {
-            match classical.translate_open(&formula) {
-                Ok((_, plan)) => {
-                    writeln!(out, "plan: {plan}").unwrap();
-                    writeln!(out, "uses division: {}", plan.uses_division()).unwrap();
-                    writeln!(out, "uses cartesian product: {}", plan.uses_product()).unwrap();
-                }
+        for (heading, strategy) in [
+            ("phase 2: improved translation (§3)", Strategy::Improved),
+            (
+                "baseline: classical translation [COD 72]",
+                Strategy::Classical,
+            ),
+        ] {
+            writeln!(out, "\n== {heading} ==").unwrap();
+            match self.compile(&snap, &formula, strategy, &governor, None) {
+                Ok(plan) => render_plan(&mut out, &plan, &snap),
                 Err(e) => writeln!(out, "not translatable: {e}").unwrap(),
             }
         }
         Ok(out)
+    }
+}
+
+/// Render a compiled algebraic plan with the facts EXPLAIN reports about
+/// it.
+#[allow(clippy::unwrap_used)]
+fn render_plan(out: &mut String, plan: &CompiledPlan, db: &Database) {
+    use std::fmt::Write;
+    match plan {
+        CompiledPlan::Boolean { plan } => {
+            writeln!(out, "boolean plan: {plan}").unwrap();
+            writeln!(out, "uses division: {}", plan.uses_division()).unwrap();
+            writeln!(out, "uses cartesian product: {}", plan.uses_product()).unwrap();
+        }
+        CompiledPlan::Algebra { vars, plan } => {
+            let names: Vec<&str> = vars.iter().map(|v| v.name()).collect();
+            writeln!(out, "answer variables: {}", names.join(", ")).unwrap();
+            writeln!(out, "plan: {plan}").unwrap();
+            writeln!(out, "plan tree:\n{}", plan.render_tree()).unwrap();
+            writeln!(
+                out,
+                "estimated cardinality: {:.0}",
+                gq_algebra::estimate(plan, db)
+            )
+            .unwrap();
+            writeln!(out, "uses division: {}", plan.uses_division()).unwrap();
+            writeln!(out, "uses cartesian product: {}", plan.uses_product()).unwrap();
+        }
+        CompiledPlan::Loop { .. } => {}
     }
 }
 

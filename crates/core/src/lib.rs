@@ -59,7 +59,7 @@ mod request;
 mod views;
 
 pub use constraints::{Constraint, ConstraintReport, ConstraintSet};
-pub use engine::{DbMut, EngineOptions, QueryEngine, QueryResult, Snapshot, Strategy};
+pub use engine::{DbMut, QueryEngine, QueryResult, Snapshot, Strategy};
 pub use error::EngineError;
 pub use explain::explain_analyze;
 pub use gq_algebra::ExecConfig;

@@ -10,9 +10,9 @@
 //!   ([`gq_calculus::alpha_canonical`]) — two queries differing only in
 //!   bound-variable names or quantifier-block order share one entry, and
 //!   the full rendering (not just its 64-bit hash) participates in
-//!   equality, so hash collisions can never alias two distinct queries;
-//! * the [`Strategy`] and every [`EngineOptions`] bit — each combination
-//!   compiles to a different plan;
+//!   equality, so hash collisions can never alias two distinct queries
+//!   (a domain-closure request's `dom` ranges are part of that formula);
+//! * the [`Strategy`] — each compiles to a different plan;
 //! * the **per-relation version stamps** of every relation the expanded
 //!   formula reads ([`gq_storage::Database::relation_version`]) and the
 //!   view registry's generation. A plan is invalidated only by mutations
@@ -32,7 +32,7 @@
 //! resource governor, so a memory-budgeted workload cannot hide
 //! allocations in the cache.
 
-use crate::engine::{EngineOptions, Strategy};
+use crate::engine::Strategy;
 use gq_algebra::{AlgebraExpr, BoolExpr};
 use gq_calculus::{Formula, Var};
 use std::collections::HashMap;
@@ -46,8 +46,6 @@ pub struct PlanKey {
     pub canonical: String,
     /// Evaluation strategy the plan was compiled for.
     pub strategy: Strategy,
-    /// Option bits the plan was compiled under.
-    pub options: EngineOptions,
     /// Version stamp of every relation the expanded formula reads, in
     /// sorted name order (deduplicated). Unknown relations stamp as 0.
     /// Mutations to relations *not* listed here leave the key — and so
@@ -60,7 +58,7 @@ pub struct PlanKey {
 /// The compiled form of one query, ready to execute without re-running
 /// normalize/translate/optimize.
 #[derive(Debug, Clone)]
-pub enum CompiledKind {
+pub enum CompiledPlan {
     /// An open algebraic query: answer variables plus plan.
     Algebra {
         /// Answer variables in column order.
@@ -81,34 +79,22 @@ pub enum CompiledKind {
     },
 }
 
-/// A cached compilation: the executable form plus the precomputed
-/// shared-subplan set for the CSE pass (empty unless
-/// [`EngineOptions::cse`] was set at compile time).
-#[derive(Debug)]
-pub struct CompiledPlan {
-    /// What to execute.
-    pub kind: CompiledKind,
-    /// Fingerprints of subplans occurring ≥2 times (CSE pass input).
-    pub cse_shared: std::collections::HashSet<String>,
-}
-
 impl CompiledPlan {
     /// Approximate heap footprint, in bytes: the canonical renderings of
     /// the plan trees scaled by a node-overhead factor. Exact accounting
     /// would require walking every enum payload; the rendering length is
     /// proportional to node count, which is what the budget protects.
     pub fn approx_bytes(&self) -> u64 {
-        let rendered = match &self.kind {
-            CompiledKind::Algebra { plan, .. } => plan.to_string().len(),
-            CompiledKind::Boolean { plan } => plan
+        let rendered = match self {
+            CompiledPlan::Algebra { plan, .. } => plan.to_string().len(),
+            CompiledPlan::Boolean { plan } => plan
                 .algebra_exprs()
                 .iter()
                 .map(|e| e.to_string().len())
                 .sum(),
-            CompiledKind::Loop { canonical } => canonical.to_string().len(),
+            CompiledPlan::Loop { canonical } => canonical.to_string().len(),
         };
-        let shared: usize = self.cse_shared.iter().map(String::len).sum();
-        ((rendered + shared) * 8) as u64
+        (rendered * 8) as u64
     }
 }
 
@@ -333,7 +319,6 @@ mod tests {
         PlanKey {
             canonical: canonical.to_string(),
             strategy: Strategy::Improved,
-            options: EngineOptions::default(),
             reads: reads.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
             views_generation: 0,
         }
@@ -344,12 +329,9 @@ mod tests {
     }
 
     fn plan() -> Arc<CompiledPlan> {
-        Arc::new(CompiledPlan {
-            kind: CompiledKind::Algebra {
-                vars: vec![],
-                plan: AlgebraExpr::relation("p"),
-            },
-            cse_shared: Default::default(),
+        Arc::new(CompiledPlan::Algebra {
+            vars: vec![],
+            plan: AlgebraExpr::relation("p"),
         })
     }
 
@@ -407,15 +389,12 @@ mod tests {
     }
 
     #[test]
-    fn options_and_strategy_partition_the_key_space() {
+    fn strategy_partitions_the_key_space() {
         let c = PlanCache::with_capacity(8);
         c.insert(key("q", 0), plan());
         let mut k2 = key("q", 0);
         k2.strategy = Strategy::Classical;
         assert!(c.get(&k2).is_none());
-        let mut k3 = key("q", 0);
-        k3.options.optimize = true;
-        assert!(c.get(&k3).is_none());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! What a query is: the [`Request`] handed to
 //! [`QueryEngine::run`](crate::QueryEngine::run) — its input, strategy,
-//! options, trace switch and session controls — and the [`Response`] it
-//! returns.
+//! domain-closure bit, trace switch and session controls — and the
+//! [`Response`] it returns.
 
-use crate::{EngineOptions, QueryResult, Strategy};
+use crate::{QueryResult, Strategy};
 use gq_calculus::Formula;
 use gq_governor::{CancelToken, QueryLimits, SharedBudget};
 use gq_obs::QueryTrace;
 
-/// A parsed query bound to a strategy and options, executable repeatedly
+/// A parsed query bound to a strategy, executable repeatedly
 /// as [`Request::prepared`] through the engine's plan cache.
 ///
 /// Holds no borrow of the engine, so the database can be mutated between
@@ -19,7 +19,6 @@ pub struct PreparedQuery {
     pub(crate) text: String,
     pub(crate) formula: Formula,
     pub(crate) strategy: Strategy,
-    pub(crate) options: EngineOptions,
 }
 
 impl PreparedQuery {
@@ -31,11 +30,6 @@ impl PreparedQuery {
     /// The strategy this query was prepared for.
     pub fn strategy(&self) -> Strategy {
         self.strategy
-    }
-
-    /// The options this query was prepared with.
-    pub fn options(&self) -> EngineOptions {
-        self.options
     }
 }
 
@@ -60,7 +54,7 @@ pub(crate) enum Input<'a> {
 pub struct Request<'a> {
     pub(crate) input: Input<'a>,
     pub(crate) strategy: Strategy,
-    pub(crate) options: EngineOptions,
+    pub(crate) domain_closure: bool,
     pub(crate) trace: bool,
     pub(crate) limits: Option<QueryLimits>,
     pub(crate) cancel: Option<CancelToken>,
@@ -72,7 +66,7 @@ impl<'a> Request<'a> {
         Request {
             input,
             strategy: Strategy::Improved,
-            options: EngineOptions::default(),
+            domain_closure: false,
             trace: false,
             limits: None,
             cancel: None,
@@ -80,7 +74,7 @@ impl<'a> Request<'a> {
         }
     }
 
-    /// Calculus text under the improved strategy and default options.
+    /// Calculus text under the improved strategy.
     pub fn text(text: &'a str) -> Self {
         Self::of(Input::Text(text))
     }
@@ -90,13 +84,12 @@ impl<'a> Request<'a> {
         Self::of(Input::Formula(formula))
     }
 
-    /// A prepared query, under the strategy and options it was prepared
-    /// with, compiled through the plan cache: a hit skips normalize,
-    /// translate and optimize.
+    /// A prepared query, under the strategy it was prepared for, compiled
+    /// through the plan cache: a hit skips normalize, translate and
+    /// optimize.
     pub fn prepared(prepared: &'a PreparedQuery) -> Self {
         Request {
             strategy: prepared.strategy,
-            options: prepared.options,
             ..Self::of(Input::Prepared(prepared))
         }
     }
@@ -116,9 +109,13 @@ impl<'a> Request<'a> {
         self
     }
 
-    /// Evaluate with `options`.
-    pub fn with_options(mut self, options: EngineOptions) -> Self {
-        self.options = options;
+    /// Apply the Domain Closure Assumption (§2.1): quantified or free
+    /// variables without a covering range get an explicit `dom(x)` range
+    /// over the materialized database domain. Requires
+    /// [`QueryEngine::refresh_domain_view`](crate::QueryEngine::refresh_domain_view)
+    /// to have been called.
+    pub fn with_domain_closure(mut self) -> Self {
+        self.domain_closure = true;
         self
     }
 

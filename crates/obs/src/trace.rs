@@ -27,8 +27,6 @@ pub struct SpanRecord {
 pub struct PlanNodeTrace {
     /// Operator label, e.g. `⊼ on [(0,0)]` or `scan member`.
     pub label: String,
-    /// Optional annotation, e.g. `cached-index` or `memo-hit`.
-    pub note: Option<String>,
     /// Tuples this node emitted (pulled by its consumer).
     pub rows_out: u64,
     /// Loop iterations (nested-loop interpreter nodes; 0 for algebra).
@@ -36,7 +34,6 @@ pub struct PlanNodeTrace {
     pub base_reads: u64,
     pub comparisons: u64,
     pub probes: u64,
-    pub memo_hits: u64,
     /// Exclusive busy time, nanoseconds, summed over the workers that
     /// ran the node.
     pub elapsed_ns: u64,
@@ -50,7 +47,6 @@ pub struct PlanTotals {
     pub base_reads: u64,
     pub comparisons: u64,
     pub probes: u64,
-    pub memo_hits: u64,
     pub elapsed_ns: u64,
 }
 
@@ -70,7 +66,6 @@ impl PlanNodeTrace {
             base_reads: self.base_reads,
             comparisons: self.comparisons,
             probes: self.probes,
-            memo_hits: self.memo_hits,
             elapsed_ns: self.elapsed_ns,
         };
         for c in &self.children {
@@ -79,7 +74,6 @@ impl PlanNodeTrace {
             t.base_reads += ct.base_reads;
             t.comparisons += ct.comparisons;
             t.probes += ct.probes;
-            t.memo_hits += ct.memo_hits;
             t.elapsed_ns += ct.elapsed_ns;
         }
         t
@@ -106,13 +100,7 @@ impl PlanNodeTrace {
         if self.iterations > 0 {
             let _ = write!(line, " iter={}", self.iterations);
         }
-        if self.memo_hits > 0 {
-            let _ = write!(line, " memo_hits={}", self.memo_hits);
-        }
         let _ = write!(line, " time={} ({pct:.1}%)]", fmt_ns(self.elapsed_ns));
-        if let Some(note) = &self.note {
-            let _ = write!(line, " <{note}>");
-        }
         out.push_str(&line);
         out.push('\n');
         let child_prefix = if prefix.is_empty() {
@@ -126,20 +114,14 @@ impl PlanNodeTrace {
     }
 
     pub fn to_json(&self) -> Json {
-        let mut j = Json::obj().field("label", self.label.clone());
-        if let Some(note) = &self.note {
-            j = j.field("note", note.clone());
-        }
-        j = j
+        let mut j = Json::obj()
+            .field("label", self.label.clone())
             .field("rows_out", self.rows_out)
             .field("base_reads", self.base_reads)
             .field("comparisons", self.comparisons)
             .field("probes", self.probes);
         if self.iterations > 0 {
             j = j.field("iterations", self.iterations);
-        }
-        if self.memo_hits > 0 {
-            j = j.field("memo_hits", self.memo_hits);
         }
         j = j.field("elapsed_ns", self.elapsed_ns);
         if !self.children.is_empty() {
@@ -165,7 +147,7 @@ pub struct PipelineSpan {
     /// pipeline that feeds the result sink.
     pub id: u64,
     /// The breaker kind that terminated the pipeline (`output`,
-    /// `join-build`, `probe-build`, `cse-share`, …).
+    /// `join-build`, `probe-build`, …).
     pub breaker: String,
     /// Tuples the breaker materialized (result size for `output`).
     pub tuples: u64,
@@ -517,9 +499,7 @@ mod tests {
         tb.incr("c", 1);
         let _s = tb.span("evaluate");
         drop(_s);
-        let mut plan = PlanNodeTrace::new("scan \"p\"");
-        plan.note = Some("cached-index".into());
-        tb.set_plan(plan);
+        tb.set_plan(PlanNodeTrace::new("scan \"p\""));
         let json = tb.finish("p(x)", "improved").to_json().to_string();
         assert!(json.contains("\"strategy\": \"improved\""), "{json}");
         assert!(json.contains("\\\"p\\\""), "escaped label: {json}");

@@ -9,8 +9,8 @@
 //!   total over arbitrary byte soup (property-fuzzed).
 //! * **Protocol** ([`protocol`]) — REPL-style request lines, `ok\n…` /
 //!   `err <code>: …` replies with a stable error-code vocabulary.
-//! * **Sessions** ([`session`]) — per-connection strategy, options, and
-//!   resource limits; dispatch runs under `catch_unwind` so an engine
+//! * **Sessions** ([`session`]) — per-connection strategy and resource
+//!   limits; dispatch runs under `catch_unwind` so an engine
 //!   panic degrades to an `err panic:` reply, not a dead server.
 //! * **Admission** ([`admission`]) — a global gate over live sessions
 //!   and aggregate query memory; shed connections get a structured

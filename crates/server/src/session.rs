@@ -2,8 +2,8 @@
 //!
 //! A session is one framed TCP connection: each request frame carries
 //! one REPL-style line, each reply frame one [`crate::protocol`]
-//! payload. Sessions share the engine but own their strategy, options,
-//! and resource limits — one hostile or greedy client cannot change
+//! payload. Sessions share the engine but own their strategy and
+//! resource limits — one hostile or greedy client cannot change
 //! another session's knobs.
 //!
 //! Dispatch runs under `catch_unwind`: a panic inside the engine

@@ -59,41 +59,17 @@ impl HashIndex {
     /// `probe_positions` (positions into the *probe* tuple, pairing with
     /// this index's key positions in order).
     pub fn probe<'a>(&'a self, probe_tuple: &Tuple, probe_positions: &[usize]) -> &'a [Tuple] {
-        let mut scratch = Vec::with_capacity(probe_positions.len());
-        self.probe_with(probe_tuple, probe_positions, &mut scratch)
-    }
-
-    /// [`HashIndex::probe`] with a caller-supplied scratch key buffer, so a
-    /// tight probe loop performs no per-tuple allocation: the buffer is
-    /// cleared and refilled each call, and the lookup borrows it (via
-    /// `Vec<Value>: Borrow` equality) instead of building an owned key.
-    pub fn probe_with<'a>(
-        &'a self,
-        probe_tuple: &Tuple,
-        probe_positions: &[usize],
-        scratch: &mut Vec<Value>,
-    ) -> &'a [Tuple] {
         debug_assert_eq!(probe_positions.len(), self.key_positions.len());
-        scratch.clear();
-        scratch.extend(probe_positions.iter().map(|&p| probe_tuple[p].clone()));
-        self.buckets.get(scratch).map(Vec::as_slice).unwrap_or(&[])
+        let key: Vec<Value> = probe_positions
+            .iter()
+            .map(|&p| probe_tuple[p].clone())
+            .collect();
+        self.buckets.get(&key).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// True iff any indexed tuple matches the probe key.
     pub fn contains_key_of(&self, probe_tuple: &Tuple, probe_positions: &[usize]) -> bool {
         !self.probe(probe_tuple, probe_positions).is_empty()
-    }
-
-    /// [`HashIndex::contains_key_of`] with a reusable scratch key buffer.
-    pub fn contains_key_with(
-        &self,
-        probe_tuple: &Tuple,
-        probe_positions: &[usize],
-        scratch: &mut Vec<Value>,
-    ) -> bool {
-        !self
-            .probe_with(probe_tuple, probe_positions, scratch)
-            .is_empty()
     }
 }
 
@@ -134,19 +110,6 @@ mod tests {
         let idx = HashIndex::build(&r, &[1]);
         assert!(idx.probe(&tuple!["math"], &[0]).is_empty());
         assert!(!idx.contains_key_of(&tuple!["math"], &[0]));
-    }
-
-    #[test]
-    fn probe_with_reuses_scratch() {
-        let r = sample();
-        let idx = HashIndex::build(&r, &[0]);
-        let mut scratch = Vec::new();
-        assert_eq!(idx.probe_with(&tuple!["anna"], &[0], &mut scratch).len(), 2);
-        // Same buffer, different key: refilled, not appended.
-        assert_eq!(idx.probe_with(&tuple!["ben"], &[0], &mut scratch).len(), 1);
-        assert_eq!(scratch.len(), 1);
-        assert!(idx.contains_key_with(&tuple!["ben"], &[0], &mut scratch));
-        assert!(!idx.contains_key_with(&tuple!["math"], &[0], &mut scratch));
     }
 
     #[test]

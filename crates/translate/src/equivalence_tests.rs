@@ -610,6 +610,130 @@ fn prop5_binary_relation_disjuncts() {
     );
 }
 
+/// Translate `f` with cost ordering on, for its side effect on
+/// `COST_ORDERED_JOINS`.
+fn translate_cost_ordered(db: &Database, f: &gq_calculus::Formula) {
+    let canonical = canonicalize(f).unwrap();
+    let tr = ImprovedTranslator::new(db).with_cost_ordering(true);
+    if canonical.is_closed() {
+        tr.translate_closed(&canonical).unwrap();
+    } else {
+        tr.translate_open(&canonical).unwrap();
+    }
+}
+
+/// The build-side rule: the executor builds its hash table on the right
+/// input of a `⋈` and probes it with the left, so every join the cost
+/// ordering emits has the smaller estimate on the right — over the E2E
+/// suite at `university(200)` and every query of the fuzz batches.
+#[test]
+fn cost_ordered_joins_build_on_the_smaller_input() {
+    use crate::improved::COST_ORDERED_JOINS;
+    COST_ORDERED_JOINS.with(|j| j.borrow_mut().clear());
+    let uni = gq_workload::university(&gq_workload::UniversityScale::of_size(200));
+    for (_, text) in gq_workload::E2E_SUITE {
+        translate_cost_ordered(&uni, &parse(text).unwrap());
+    }
+    let fuzz = (0..120)
+        .chain(1000..1120)
+        .map(|seed| (seed, 8))
+        .chain((2000..2060).map(|seed| (seed, 15)));
+    for (seed, scale) in fuzz {
+        let (f, db) = crate::query_fuzz::gen_query(seed, scale);
+        translate_cost_ordered(&db, &f);
+    }
+    let joins = COST_ORDERED_JOINS.with(|j| j.take());
+    assert!(joins.len() >= 50, "only {} cost-ordered joins", joins.len());
+    for (left, right) in joins {
+        assert!(
+            right <= left,
+            "build side estimates {right} > probe side {left}"
+        );
+    }
+}
+
+/// With the build side fixed, the cost ordering keeps the syntactic plan
+/// where the syntactic order already builds on the small side — the two
+/// suite queries whose cost-ordered plans used to build on the largest
+/// relation.
+#[test]
+fn cost_ordering_keeps_the_syntactic_plan_where_it_builds_small() {
+    let db = gq_workload::university(&gq_workload::UniversityScale::of_size(200));
+    for (label, text) in gq_workload::E2E_SUITE {
+        if !(label.starts_with("neg-subquery") || label.starts_with("producer-or")) {
+            continue;
+        }
+        let canonical = canonicalize(&parse(text).unwrap()).unwrap();
+        let plan = |ordered: bool| {
+            ImprovedTranslator::new(&db)
+                .with_cost_ordering(ordered)
+                .translate_open(&canonical)
+                .unwrap()
+                .1
+        };
+        assert_eq!(plan(true), plan(false), "{label}");
+    }
+}
+
+/// Every algebra plan the two translators emit for `f`: the improved one
+/// both cost-ordered (as the engine compiles it) and syntactic, and the
+/// classical one when `f` is in its fragment.
+fn translated_plans(db: &Database, f: &gq_calculus::Formula) -> Vec<gq_algebra::AlgebraExpr> {
+    let canonical = canonicalize(f).unwrap();
+    let mut plans = Vec::new();
+    for ordered in [true, false] {
+        let tr = ImprovedTranslator::new(db).with_cost_ordering(ordered);
+        if canonical.is_closed() {
+            let plan = tr.translate_closed(&canonical).unwrap();
+            plans.extend(plan.algebra_exprs().into_iter().cloned());
+        } else {
+            plans.push(tr.translate_open(&canonical).unwrap().1);
+        }
+    }
+    let classical = ClassicalTranslator::new(db);
+    if f.is_closed() {
+        if let Ok(plan) = classical.translate_closed(f) {
+            plans.extend(plan.algebra_exprs().into_iter().cloned());
+        }
+    } else if let Ok((_, plan)) = classical.translate_open(f) {
+        plans.push(plan);
+    }
+    plans
+}
+
+/// The safety net under the engine's always-on optimizer: on every plan
+/// both translators emit for the E2E suite and the fuzz batches,
+/// `optimize` reaches a fixpoint (`optimize(optimize(p)) == optimize(p)`,
+/// which a round stopped early by its `changed` flag would break), and on
+/// the fuzz databases the optimized plan has the original's answers.
+#[test]
+fn optimize_is_idempotent_and_exact_on_translated_plans() {
+    use gq_algebra::optimize;
+    let uni = gq_workload::university(&gq_workload::UniversityScale::of_size(200));
+    let mut checked = 0;
+    for (label, text) in gq_workload::E2E_SUITE {
+        for plan in translated_plans(&uni, &parse(text).unwrap()) {
+            let once = optimize(&plan);
+            assert_eq!(optimize(&once), once, "{label}: {plan}");
+            checked += 1;
+        }
+    }
+    for seed in (0..120).chain(1000..1120) {
+        let (f, db) = crate::query_fuzz::gen_query(seed, 8);
+        for plan in translated_plans(&db, &f) {
+            let once = optimize(&plan);
+            assert_eq!(optimize(&once), once, "seed {seed}: {plan}");
+            let ev = Evaluator::new(&db);
+            assert!(
+                ev.eval(&plan).unwrap().set_eq(&ev.eval(&once).unwrap()),
+                "seed {seed}: optimizing changed the answers of {plan}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 500, "only {checked} plans checked");
+}
+
 /// Cost-ordered producer joins (the §4 cost-model extension) preserve
 /// answers on the random query pool and the fuzz generator.
 #[test]

@@ -123,9 +123,10 @@ impl<'db> ImprovedTranslator<'db> {
     }
 
     /// Order a block's producers by estimated cardinality (smallest first,
-    /// preferring connected joins over products) instead of syntactic
-    /// order — the cost-model step the paper's §4 leaves open. Off by
-    /// default to keep plans paper-faithful.
+    /// preferring connected joins over products, the smaller input of each
+    /// join on its build side) instead of syntactic order — the cost-model
+    /// step the paper's §4 leaves open. Off by default to keep plans
+    /// paper-faithful; the engine always turns it on.
     pub fn with_cost_ordering(mut self, enabled: bool) -> Self {
         self.cost_ordering = enabled;
         self
@@ -292,7 +293,10 @@ impl<'db> ImprovedTranslator<'db> {
     /// Greedy cost-ordered join of a block's producers: start from the
     /// smallest estimate, repeatedly join the smallest producer sharing a
     /// variable with the accumulated plan (falling back to the smallest
-    /// remaining when none connects).
+    /// remaining when none connects). Of the two inputs of each `⋈`, the
+    /// one with the smaller estimate goes on the right, because the
+    /// executor builds its hash table on the right input and probes it
+    /// with the left.
     fn join_by_cost(&self, mut parts: Vec<Typed>) -> Option<Typed> {
         let cost = |t: &Typed| gq_algebra::estimate(&t.1, self.db);
         let start = parts
@@ -320,7 +324,13 @@ impl<'db> ImprovedTranslator<'db> {
                 break; // unreachable: `parts` is non-empty here
             };
             let t = parts.swap_remove(next);
-            acc = join_natural(acc, t);
+            acc = if cost(&t) > cost(&acc) {
+                join_natural(t, acc)
+            } else {
+                join_natural(acc, t)
+            };
+            #[cfg(test)]
+            record_cost_ordered_join(&acc.1, self.db);
         }
         Some(acc)
     }
@@ -885,6 +895,26 @@ impl<'db> ImprovedTranslator<'db> {
             });
         }
         Ok(acc.map(|e| (lay, e)))
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(estimate(left), estimate(right))` of every `⋈` / `×` the cost
+    /// ordering emitted on this thread, read back from the emitted node —
+    /// lets a test check the build-side rule on real translations.
+    pub(crate) static COST_ORDERED_JOINS: std::cell::RefCell<Vec<(f64, f64)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+fn record_cost_ordered_join(e: &AlgebraExpr, db: &Database) {
+    if let AlgebraExpr::Join { left, right, .. } | AlgebraExpr::Product { left, right } = e {
+        let sides = (
+            gq_algebra::estimate(left, db),
+            gq_algebra::estimate(right, db),
+        );
+        COST_ORDERED_JOINS.with(|j| j.borrow_mut().push(sides));
     }
 }
 

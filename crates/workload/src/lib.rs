@@ -8,7 +8,9 @@
 //! * [`ptu`] — the P/T/U unary relations of Figures 2–4, scaled, with
 //!   controllable overlap fractions, plus extra `t1…tn` relations for
 //!   n-ary disjunctive filters (Proposition 5);
-//! * [`generic`] — the p/q/r/s schema used by the Proposition 4 benches.
+//! * [`generic`] — the p/q/r/s schema used by the Proposition 4 benches;
+//!
+//! and [`E2E_SUITE`], the paper-derived queries over [`university`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +18,57 @@
 use gq_storage::{Database, Schema, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The paper-derived end-to-end query suite (E-E2E), over the generated
+/// university schema (`d0` = cs, `lang0` = french, `lang1` = german).
+/// Pairs of (label, query text).
+pub const E2E_SUITE: &[(&str, &str)] = &[
+    ("neg-filter (§3.1 Q2)", "member(x,z) & !skill(x,\"db\")"),
+    (
+        "nested-exists (P4 c1)",
+        "exists y. attends(x,y) & (exists d. lecture(y,d) & enrolled(x,d))",
+    ),
+    (
+        "nested-neg-atom (P4 c2a)",
+        "exists y. attends(x,y) & (exists d. lecture(y,d) & !enrolled(x,d))",
+    ),
+    (
+        "correlated (P4 c2b)",
+        "attends(x,y) & (exists d. lecture(y,d) & !enrolled(x,d))",
+    ),
+    (
+        "neg-subquery (P4 c3)",
+        "student(x) & !(exists y. attends(x,y) & lecture(y,\"d1\"))",
+    ),
+    (
+        "only-d0 (P4 c4)",
+        "student(x) & !(exists y. attends(x,y) & !lecture(y,\"d0\"))",
+    ),
+    (
+        "all-d0 (P4 c5, division)",
+        "student(x) & (forall y. lecture(y,\"d0\") -> attends(x,y))",
+    ),
+    (
+        "disj-filter (P5)",
+        "student(x) & (skill(x,\"db\") | speaks(x,\"lang1\") | makes(x,\"PhD\"))",
+    ),
+    (
+        "disj-neg (Fig 4)",
+        "student(x) & (!enrolled(x,\"d0\") | skill(x,\"db\"))",
+    ),
+    (
+        "producer-or (§2.3)",
+        "((student(x) & makes(x,\"PhD\")) | prof(x)) & (speaks(x,\"lang0\") | speaks(x,\"lang1\"))",
+    ),
+    (
+        "closed-forall-exists",
+        "forall x. student(x) -> exists d. enrolled(x,d)",
+    ),
+    (
+        "closed-exists-forall (division)",
+        "exists x. student(x) & (forall y. lecture(y,\"d0\") -> attends(x,y))",
+    ),
+];
 
 /// Parameters of a university instance.
 #[derive(Debug, Clone)]

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example library_catalog`
 
-use gq_core::{ConstraintSet, EngineOptions, QueryEngine, Request};
+use gq_core::{ConstraintSet, QueryEngine, Request};
 use gq_storage::{tuple, Database, Schema};
 
 fn build() -> Result<QueryEngine, Box<dyn std::error::Error>> {
@@ -96,14 +96,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Domain closure (§2.1) ------------------------------------------
     engine.refresh_domain_view()?;
-    let options = EngineOptions {
-        domain_closure: true,
-        ..EngineOptions::default()
-    };
     // "which database values are not book titles?" — pure negation, only
     // answerable under the Domain Closure Assumption.
     let r = engine
-        .run(&Request::text("!(exists g. book(x,g))").with_options(options))?
+        .run(&Request::text("!(exists g. book(x,g))").with_domain_closure())?
         .result;
     println!(
         "\nvalues that are not book titles (domain closure): {} of {}",

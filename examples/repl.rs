@@ -40,9 +40,7 @@
 //! `with recursive name(params) as (body), … in query` program defines
 //! recursive materialized views and runs the trailing query.
 
-use gq_core::{
-    explain_analyze, EngineOptions, PreparedQuery, QueryEngine, QueryLimits, Request, Strategy,
-};
+use gq_core::{explain_analyze, PreparedQuery, QueryEngine, QueryLimits, Request, Strategy};
 use gq_server::protocol::{parse_signature, parse_value};
 use gq_server::Client;
 use gq_storage::{Database, Schema, Tuple};
@@ -306,9 +304,7 @@ impl Repl {
             let Some((name, query)) = rest.split_once(' ') else {
                 return Err("usage: .prepare name <query>".into());
             };
-            let p = self
-                .engine
-                .prepare(query.trim(), self.strategy, EngineOptions::default())?;
+            let p = self.engine.prepare(query.trim(), self.strategy)?;
             println!("prepared `{name}` ({})", p.strategy().name());
             self.prepared.insert(name.to_string(), p);
         } else if let Some(rest) = line.strip_prefix(".exec ") {

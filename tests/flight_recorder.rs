@@ -16,7 +16,7 @@
 //!   watermarks for exactly the queries that breached a threshold.
 
 use gq_bench::E2E_SUITE;
-use gq_core::{EngineOptions, EventKind, QueryEngine, QueryLimits, Request, Strategy};
+use gq_core::{EventKind, QueryEngine, QueryLimits, Request, Strategy};
 use gq_obs::Json;
 use gq_storage::{tuple, Database, Schema};
 use gq_workload::{university, UniversityScale};
@@ -162,11 +162,7 @@ fn plan_cache_hits_and_misses_are_distinct_kinds() {
     for threads in thread_counts() {
         let e = engine(40, threads);
         let p = e
-            .prepare(
-                "member(x,z) & !skill(x,\"db\")",
-                Strategy::Improved,
-                EngineOptions::default(),
-            )
+            .prepare("member(x,z) & !skill(x,\"db\")", Strategy::Improved)
             .unwrap();
         e.run(&Request::prepared(&p)).unwrap();
         e.run(&Request::prepared(&p)).unwrap();
@@ -350,9 +346,7 @@ fn slow_log_retains_trace_and_watermarks_for_breaching_queries_only() {
 fn window_stats_join_the_metrics_snapshot() {
     for threads in thread_counts() {
         let e = engine(40, threads);
-        let p = e
-            .prepare("student(x)", Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let p = e.prepare("student(x)", Strategy::Improved).unwrap();
         for (_, text) in E2E_SUITE.iter().take(5) {
             e.query(text).unwrap();
         }

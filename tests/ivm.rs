@@ -8,8 +8,8 @@
 //! read `GQ_CHAOS_SEED`.
 
 use gq_core::{
-    EngineError, EngineOptions, EventKind, ExecConfig, MaintenanceStrategy, QueryEngine,
-    QueryLimits, Request, Resource, Strategy, ViewError,
+    EngineError, EventKind, ExecConfig, MaintenanceStrategy, QueryEngine, QueryLimits, Request,
+    Resource, Strategy, ViewError,
 };
 use gq_storage::{tuple, Database, Schema, Tuple};
 
@@ -417,9 +417,7 @@ fn prepared_plans_refresh_when_extents_move() {
     let e = engine_with(1);
     e.insert("p", tuple![1]).unwrap();
     e.define_materialized_view("mv", "p(x) & !q(x)").unwrap();
-    let prepared = e
-        .prepare("mv(x)", Strategy::Improved, EngineOptions::default())
-        .unwrap();
+    let prepared = e.prepare("mv(x)", Strategy::Improved).unwrap();
     assert_eq!(
         e.run(&Request::prepared(&prepared)).unwrap().result.len(),
         1
@@ -457,10 +455,7 @@ fn a_maintenance_that_changes_nothing_leaves_the_view_untouched() {
         e.define_materialized_view_with(view, "p(x) & r(x,y)", strategy)
             .unwrap();
     }
-    let prepared = ["inc(x,y)", "rec(x,y)"].map(|q| {
-        e.prepare(q, Strategy::Improved, EngineOptions::default())
-            .unwrap()
-    });
+    let prepared = ["inc(x,y)", "rec(x,y)"].map(|q| e.prepare(q, Strategy::Improved).unwrap());
     for p in &prepared {
         assert_eq!(e.run(&Request::prepared(p)).unwrap().result.len(), 1);
     }

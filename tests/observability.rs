@@ -24,8 +24,8 @@
 
 use gq_bench::E2E_SUITE;
 use gq_core::{
-    explain_analyze, EngineError, EngineOptions, ExecConfig, QueryEngine, QueryLimits, QueryResult,
-    QueryTrace, Request, Strategy,
+    explain_analyze, EngineError, ExecConfig, QueryEngine, QueryLimits, QueryResult, QueryTrace,
+    Request, Strategy,
 };
 use gq_obs::{EventKind, PlanNodeTrace};
 use gq_workload::{university, UniversityScale};
@@ -110,10 +110,6 @@ fn node_totals_sum_to_query_stats_across_strategies() {
                     totals.base_reads as usize, result.stats.base_tuples_read,
                     "base-read conservation for {tag}"
                 );
-                assert_eq!(
-                    totals.memo_hits as usize, result.stats.memo_hits,
-                    "memo-hit conservation for {tag}"
-                );
                 // Per node, not just in total: rows, reads, probes and
                 // comparisons are sums over tuples, so how morsels were
                 // dealt to workers cannot show.
@@ -127,72 +123,66 @@ fn node_totals_sum_to_query_stats_across_strategies() {
     }
 }
 
-/// The notes that explain an all-zero subtree survive on the push path,
-/// and conservation holds with every sharing option on.
+/// The engine has one configuration, so what varies between requests is
+/// how a query reaches the compiler: cold, warm (the plan cache hits),
+/// prepared, or under session limits. Conservation holds under each, and
+/// each profiles the same per-node tree with the same stats as the cold
+/// run.
 #[test]
 fn node_totals_sum_under_options() {
-    let options = EngineOptions {
-        optimize: true,
-        share_subplans: true,
-        use_base_indexes: true,
-        ..EngineOptions::default()
-    };
-    let mut notes = Vec::new();
     for threads in thread_counts() {
         let e = engine_at(300, threads);
         for query in QUERIES {
-            for (strategy, options) in [
-                (Strategy::Improved, options),
-                (Strategy::Classical, options),
-                (
-                    Strategy::Classical,
-                    EngineOptions {
-                        cse: true,
-                        ..EngineOptions::default()
-                    },
-                ),
-            ] {
-                // Warm the index cache, then measure the instrumented run.
-                let request = Request::text(query)
-                    .with_strategy(strategy)
-                    .with_options(options);
-                e.run(&request).unwrap();
-                let (result, trace) = analyze(&e, request).unwrap();
-                let plan = trace.plan.as_ref().unwrap();
-                let totals = plan.totals();
-                let tag = format!("`{query}` under {} with {options:?}", strategy.name());
-                assert_eq!(
-                    totals.comparisons as usize, result.stats.comparisons,
-                    "comparisons conservation for {tag}"
-                );
-                assert_eq!(
-                    totals.probes as usize, result.stats.probes,
-                    "probes conservation for {tag}"
-                );
-                assert_eq!(
-                    totals.base_reads as usize, result.stats.base_tuples_read,
-                    "base-read conservation for {tag}"
-                );
-                assert_eq!(
-                    totals.memo_hits as usize, result.stats.memo_hits,
-                    "memo-hit conservation for {tag}"
-                );
-                collect_notes(plan, &mut notes);
+            for strategy in [Strategy::Improved, Strategy::Classical] {
+                let prepared = e.prepare(query, strategy).unwrap();
+                let (cold, cold_trace) =
+                    analyze(&e, Request::text(query).with_strategy(strategy)).unwrap();
+                let cold_plan = without_time(cold_trace.plan.as_ref().unwrap());
+                let requests = [
+                    ("warm", Request::text(query).with_strategy(strategy)),
+                    ("prepared", Request::prepared(&prepared)),
+                    (
+                        "session limits",
+                        Request::text(query)
+                            .with_strategy(strategy)
+                            .with_limits(QueryLimits::UNLIMITED)
+                            .with_cancel(gq_core::CancelToken::new()),
+                    ),
+                ];
+                for (kind, request) in requests {
+                    let (result, trace) = analyze(&e, request).unwrap();
+                    let plan = trace.plan.as_ref().unwrap();
+                    let totals = plan.totals();
+                    let tag = format!(
+                        "`{query}` under {}, {kind}, at {threads} threads",
+                        strategy.name()
+                    );
+                    assert_eq!(
+                        totals.comparisons as usize, result.stats.comparisons,
+                        "comparisons conservation for {tag}"
+                    );
+                    assert_eq!(
+                        totals.probes as usize, result.stats.probes,
+                        "probes conservation for {tag}"
+                    );
+                    assert_eq!(
+                        totals.base_reads as usize, result.stats.base_tuples_read,
+                        "base-read conservation for {tag}"
+                    );
+                    assert_eq!(without_time(plan), cold_plan, "per-node counters for {tag}");
+                    assert_eq!(
+                        result.stats.without_dispatch_counters(),
+                        cold.stats.without_dispatch_counters(),
+                        "stats for {tag}"
+                    );
+                    assert_eq!(
+                        result.answers.iter().collect::<Vec<_>>(),
+                        cold.answers.iter().collect::<Vec<_>>(),
+                        "answers for {tag}"
+                    );
+                }
             }
         }
-    }
-    for note in ["memo-hit", "cse-reuse", "cached-index"] {
-        assert!(
-            notes.iter().any(|n| n == note),
-            "no `{note}` annotation on any profiled plan: {notes:?}"
-        );
-    }
-}
-
-fn collect_notes(plan: &PlanNodeTrace, out: &mut Vec<String>) {
-    out.extend(plan.note.clone());
-    for c in &plan.children {
-        collect_notes(c, out);
     }
 }
 
@@ -408,9 +398,7 @@ fn every_request_kind_runs_the_one_lifecycle() {
     for threads in thread_counts() {
         let mut e = engine_at(60, threads);
         let formula = gq_calculus::parse(TEXT).unwrap();
-        let prepared = e
-            .prepare(TEXT, Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let prepared = e.prepare(TEXT, Strategy::Improved).unwrap();
         // (kind, traced, the request under session limits `limits`)
         type Row<'a> = (&'a str, bool, Box<dyn Fn(QueryLimits) -> Request<'a> + 'a>);
         let rows: Vec<Row> = vec![

@@ -15,7 +15,7 @@
 
 use gq_algebra::{AlgebraExpr, Constraint, Evaluator};
 use gq_bench::E2E_SUITE;
-use gq_core::{EngineOptions, ExecConfig, QueryEngine, Request, Strategy};
+use gq_core::{ExecConfig, QueryEngine, QueryResult, Request, Strategy};
 use gq_storage::{tuple, Database, Schema};
 use gq_workload::{university, UniversityScale};
 use std::sync::{RwLock, RwLockReadGuard};
@@ -72,41 +72,38 @@ fn e2e_suite_is_thread_count_invariant() {
     );
 }
 
-/// The invariance must survive the orthogonal engine options: plan
-/// optimization, shared-subplan memoization (whose hits a parallel run
-/// must reproduce exactly) and the persistent base-relation index cache
-/// (whose build charges land once, on the coordinating thread).
+/// The engine has one configuration, so what varies between requests is
+/// how a query reaches the compiler: cold, warm (the plan cache hits), or
+/// prepared. The invariance must survive each of them.
 #[test]
 fn engine_options_are_thread_count_invariant() {
     let _shared = no_chaos();
-    let options = EngineOptions {
-        optimize: true,
-        share_subplans: true,
-        use_base_indexes: true,
-        ..EngineOptions::default()
-    };
     for (label, text) in E2E_SUITE {
-        let mut baseline = None;
+        let mut baseline: Option<QueryResult> = None;
         for threads in THREAD_COUNTS {
-            // A fresh engine per run keeps the index cache cold, so the
-            // build charges are comparable across thread counts.
-            let r = engine(threads)
-                .run(&Request::text(text).with_options(options))
-                .unwrap()
-                .result;
-            match &baseline {
-                None => baseline = Some(r),
-                Some(b) => {
-                    assert_eq!(
-                        r.answers.iter().collect::<Vec<_>>(),
-                        b.answers.iter().collect::<Vec<_>>(),
-                        "{label}: answers differ at {threads} threads (options: {options:?})"
-                    );
-                    assert_eq!(
-                        r.stats.without_dispatch_counters(),
-                        b.stats.without_dispatch_counters(),
-                        "{label}: stats differ at {threads} threads (options: {options:?})"
-                    );
+            let e = engine(threads);
+            let prepared = e.prepare(text, Strategy::Improved).unwrap();
+            let runs = [
+                ("cold", Request::text(text)),
+                ("warm", Request::text(text)),
+                ("prepared", Request::prepared(&prepared)),
+            ];
+            for (kind, request) in runs {
+                let r = e.run(&request).unwrap().result;
+                match &baseline {
+                    None => baseline = Some(r),
+                    Some(b) => {
+                        assert_eq!(
+                            r.answers.iter().collect::<Vec<_>>(),
+                            b.answers.iter().collect::<Vec<_>>(),
+                            "{label}: answers differ at {threads} threads ({kind})"
+                        );
+                        assert_eq!(
+                            r.stats.without_dispatch_counters(),
+                            b.stats.without_dispatch_counters(),
+                            "{label}: stats differ at {threads} threads ({kind})"
+                        );
+                    }
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! view generations are the invalidation mechanism, so the property test
 //! deliberately interleaves mutations with executions.
 
-use gq_core::{EngineOptions, ExecConfig, QueryEngine, Request, Strategy};
+use gq_core::{ExecConfig, QueryEngine, Request, Strategy};
 use gq_storage::{tuple, Database, Schema};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -74,23 +74,15 @@ fn prepared_equals_fresh_across_mutations_strategies_and_threads() {
     for threads in THREAD_COUNTS {
         for strategy in Strategy::ALL {
             let mut e = engine(threads);
-            let options = EngineOptions::default();
             let prepared: Vec<_> = QUERIES
                 .iter()
-                .map(|text| e.prepare(text, strategy, options).unwrap())
+                .map(|text| e.prepare(text, strategy).unwrap())
                 .collect();
             let mut rng = StdRng::seed_from_u64(0xCA05E + threads as u64);
             for _step in 0..8 {
                 mutate(&mut e.db_mut(), &mut rng);
                 for (text, p) in QUERIES.iter().zip(&prepared) {
-                    let fresh = e
-                        .run(
-                            &Request::text(text)
-                                .with_strategy(strategy)
-                                .with_options(options),
-                        )
-                        .unwrap()
-                        .result;
+                    let fresh = e.query_with(text, strategy).unwrap();
                     // Twice: the first recompiles (epoch moved), the
                     // second is a genuine cache hit — both must agree
                     // with the fresh compilation.
@@ -116,28 +108,21 @@ fn prepared_equals_fresh_across_mutations_strategies_and_threads() {
     }
 }
 
-/// Executing a prepared query with CSE enabled returns the same answers
-/// and identical merged stats (minus dispatch counters) at 1, 2 and 8
-/// threads — the cache and the CSE pass are both thread-count invariant.
+/// Executing a prepared query returns the same answers and identical
+/// merged stats (minus dispatch counters) at 1, 2 and 8 threads — a plan
+/// served from the cache is thread-count invariant.
 #[test]
-fn prepared_cse_stats_are_thread_count_invariant() {
-    let options = EngineOptions {
-        cse: true,
-        optimize: true,
-        ..EngineOptions::default()
-    };
+fn prepared_stats_are_thread_count_invariant() {
     let text = "p(x) & (forall y. q(y) -> r(x,y))";
     let base_engine = engine(1);
-    let base_prepared = base_engine
-        .prepare(text, Strategy::Improved, options)
-        .unwrap();
+    let base_prepared = base_engine.prepare(text, Strategy::Improved).unwrap();
     let baseline = base_engine
         .run(&Request::prepared(&base_prepared))
         .unwrap()
         .result;
     for threads in THREAD_COUNTS {
         let e = engine(threads);
-        let p = e.prepare(text, Strategy::Improved, options).unwrap();
+        let p = e.prepare(text, Strategy::Improved).unwrap();
         let r = e.run(&Request::prepared(&p)).unwrap().result;
         assert_eq!(
             baseline.answers.sorted_tuples(),
@@ -158,9 +143,7 @@ fn prepared_cse_stats_are_thread_count_invariant() {
 #[test]
 fn epoch_invalidation_is_observable_through_results() {
     let mut e = engine(1);
-    let p = e
-        .prepare("p(x) & q(x)", Strategy::Improved, EngineOptions::default())
-        .unwrap();
+    let p = e.prepare("p(x) & q(x)", Strategy::Improved).unwrap();
     let before = e.run(&Request::prepared(&p)).unwrap().result.len();
     e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
     let after = e.run(&Request::prepared(&p)).unwrap().result.len();
@@ -176,9 +159,7 @@ fn epoch_invalidation_is_observable_through_results() {
 #[test]
 fn failed_evaluation_does_not_poison_the_cache() {
     let mut e = engine(1);
-    let p = e
-        .prepare("p(x)", Strategy::Improved, EngineOptions::default())
-        .unwrap();
+    let p = e.prepare("p(x)", Strategy::Improved).unwrap();
     let expected = e.run(&Request::prepared(&p)).unwrap().result.len();
     let mut strangled = e.limits();
     strangled.max_output_tuples = Some(1);
@@ -226,9 +207,7 @@ mod chaos {
     fn scan_faults_never_poison_cached_plans() {
         let _l = lock();
         let e = engine(1);
-        let p = e
-            .prepare("p(x) & !q(x)", Strategy::Improved, EngineOptions::default())
-            .unwrap();
+        let p = e.prepare("p(x) & !q(x)", Strategy::Improved).unwrap();
         let expected = e
             .run(&Request::prepared(&p))
             .unwrap()

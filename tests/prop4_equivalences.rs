@@ -1,10 +1,9 @@
 //! Proposition 4 end-to-end: the five translation shapes through the
-//! public engine, at scale, under every strategy, option set, and division
-//! mode — all must agree; plan-shape assertions check which operators each
+//! public engine, at scale, under every strategy and division mode — all must agree; plan-shape assertions check which operators each
 //! case is allowed to use.
 
 use gq_calculus::parse;
-use gq_core::{EngineOptions, QueryEngine, Request, Strategy};
+use gq_core::{QueryEngine, Strategy};
 use gq_rewrite::canonicalize;
 use gq_translate::{DivisionMode, ImprovedTranslator};
 use gq_workload::generic;
@@ -26,28 +25,12 @@ fn all_cases_agree_across_strategies_and_options() {
         for (label, text, _) in CASES {
             let reference = engine.query_with(text, Strategy::Improved).unwrap();
             for strategy in Strategy::ALL {
-                for optimize in [false, true] {
-                    for share in [false, true] {
-                        let options = EngineOptions {
-                            optimize,
-                            share_subplans: share,
-                            ..EngineOptions::default()
-                        };
-                        let r = engine
-                            .run(
-                                &Request::text(text)
-                                    .with_strategy(strategy)
-                                    .with_options(options),
-                            )
-                            .unwrap()
-                            .result;
-                        assert!(
-                            reference.answers.set_eq(&r.answers),
-                            "{label} (seed {seed}) with {} / {options:?}",
-                            strategy.name()
-                        );
-                    }
-                }
+                let r = engine.query_with(text, strategy).unwrap();
+                assert!(
+                    reference.answers.set_eq(&r.answers),
+                    "{label} (seed {seed}) with {}",
+                    strategy.name()
+                );
             }
         }
     }

@@ -320,7 +320,6 @@ fn engine_reusable_after_every_error_kind() {
 mod chaos {
     use super::*;
     use gq_chaos::ChaosConfig;
-    use gq_core::Request;
     use std::sync::{Mutex, MutexGuard, OnceLock};
     use std::time::Instant;
 
@@ -363,35 +362,6 @@ mod chaos {
         drop(_g);
         // Fault source removed → same engine recovers.
         assert_eq!(e.query("p(x)").unwrap().len(), 100);
-    }
-
-    #[test]
-    fn index_build_failure_surfaces_as_err() {
-        let _l = lock();
-        let _g = gq_chaos::install(ChaosConfig::with_seed(seed()).index_build_error(1.0));
-        let e = engine(200);
-        // Probing cached base-relation indexes is opt-in; with it on, an
-        // equijoin triggers a lazy index build that the fault hits.
-        let opts = gq_core::EngineOptions {
-            optimize: true,
-            use_base_indexes: true,
-            ..Default::default()
-        };
-        let err = e
-            .run(&Request::text("p(x) & r(x,y)").with_options(opts))
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("chaos"),
-            "expected injected index-build failure, got {err:?}"
-        );
-        drop(_g);
-        assert_eq!(
-            e.run(&Request::text("p(x) & r(x,y)").with_options(opts))
-                .unwrap()
-                .result
-                .len(),
-            200
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! points use. The two share no operator code, so a full drain of the
 //! stream is an independent reference for the pipelines: answers, answer
 //! *order*, and [`ExecStats::without_dispatch_counters`] must agree for
-//! every suite query at every strategy, option set, and thread count —
+//! every suite query at every algebraic strategy and thread count —
 //! and among thread counts the peak intermediate watermarks too. The
 //! suite also pins what the pipelines are for (only breakers
 //! materialize), the §3.2 laziness claim (LIMIT / non-emptiness provably
@@ -16,9 +16,7 @@
 //! `GQ_TEST_THREADS` (CI sweeps 1/2/8) narrows the thread matrix to one
 //! count; unset, each test sweeps all three.
 
-use gq_algebra::{
-    optimize, shared_subplans, AlgebraExpr, Evaluator, ExecStats, IndexCache, Predicate,
-};
+use gq_algebra::{optimize, optimize_bool, AlgebraExpr, Evaluator, ExecStats, Predicate};
 use gq_bench::E2E_SUITE;
 use gq_calculus::parse;
 use gq_core::{EngineError, ExecConfig, QueryEngine, QueryLimits, Strategy};
@@ -41,47 +39,35 @@ fn thread_counts() -> Vec<usize> {
     }
 }
 
-/// The evaluator-level options `EngineOptions` maps to.
-#[derive(Clone, Copy, Default)]
-struct Opts {
-    optimize: bool,
-    share_subplans: bool,
-    use_base_indexes: bool,
-    cse: bool,
-}
-
 /// The algebra plans `text` compiles to under `strategy`, the way the
-/// engine compiles it: one for an open query, one per (non-)emptiness
-/// test for a closed one. `None` when the query is outside the
-/// strategy's fragment.
-fn compile(db: &Database, text: &str, strategy: Strategy, opts: Opts) -> Option<Vec<AlgebraExpr>> {
+/// engine compiles it — cost-ordered where improved, then optimized: one
+/// for an open query, one per (non-)emptiness test for a closed one.
+/// `None` when the query is outside the strategy's fragment.
+fn compile(db: &Database, text: &str, strategy: Strategy) -> Option<Vec<AlgebraExpr>> {
     let formula = parse(text).unwrap();
-    let tune = |plan: &AlgebraExpr| {
-        if opts.optimize {
-            optimize(plan)
-        } else {
-            plan.clone()
-        }
-    };
     let plans = match (strategy, formula.is_closed()) {
         (Strategy::Improved, closed) => {
             let canonical = canonicalize(&formula).unwrap();
-            let tr = ImprovedTranslator::new(db).with_cost_ordering(opts.optimize);
+            let tr = ImprovedTranslator::new(db).with_cost_ordering(true);
             if closed {
-                let plan = tr.translate_closed(&canonical).unwrap();
-                plan.algebra_exprs().into_iter().map(tune).collect()
+                let plan = optimize_bool(&tr.translate_closed(&canonical).unwrap());
+                plan.algebra_exprs().into_iter().cloned().collect()
             } else {
-                vec![tune(&tr.translate_open(&canonical).unwrap().1)]
+                vec![optimize(&tr.translate_open(&canonical).unwrap().1)]
             }
         }
         (Strategy::Classical, true) => {
             let plan = ClassicalTranslator::new(db)
                 .translate_closed(&formula)
                 .ok()?;
-            plan.algebra_exprs().into_iter().map(tune).collect()
+            optimize_bool(&plan)
+                .algebra_exprs()
+                .into_iter()
+                .cloned()
+                .collect()
         }
         (Strategy::Classical, false) => {
-            vec![tune(
+            vec![optimize(
                 &ClassicalTranslator::new(db)
                     .translate_open(&formula)
                     .ok()?
@@ -93,26 +79,8 @@ fn compile(db: &Database, text: &str, strategy: Strategy, opts: Opts) -> Option<
     Some(plans)
 }
 
-fn evaluator<'a>(
-    db: &'a Database,
-    plan: &AlgebraExpr,
-    opts: Opts,
-    cache: &'a IndexCache,
-    threads: usize,
-) -> Evaluator<'a> {
-    let mut ev = if opts.share_subplans {
-        Evaluator::with_sharing(db)
-    } else {
-        Evaluator::new(db)
-    }
-    .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(MORSEL));
-    if opts.use_base_indexes {
-        ev = ev.with_index_cache(cache);
-    }
-    if opts.cse {
-        ev = ev.with_cse(shared_subplans(&[plan]));
-    }
-    ev
+fn evaluator(db: &Database, threads: usize) -> Evaluator<'_> {
+    Evaluator::new(db).with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(MORSEL))
 }
 
 /// `Evaluator::eval` of `plan` at every thread count against a full drain
@@ -121,18 +89,15 @@ fn evaluator<'a>(
 /// watermark — the pipelines release a build side when the probe it fed
 /// unwinds, the pull stream holds every buffer to the end — so the push
 /// peak may only be lower; among thread counts it may not differ at all.
-fn assert_push_matches_pull_drain(label: &str, db: &Database, plan: &AlgebraExpr, opts: Opts) {
-    // Fresh index caches per run keep the build charges comparable.
-    let cache = IndexCache::new();
-    let pull = evaluator(db, plan, opts, &cache, 1);
+fn assert_push_matches_pull_drain(label: &str, db: &Database, plan: &AlgebraExpr) {
+    let pull = evaluator(db, 1);
     let rows: Vec<Tuple> = pull.stream(plan).unwrap().collect();
     let mut expected = pull.stats().without_dispatch_counters();
     expected.tuples_emitted += rows.len();
 
     let mut across_threads: Option<ExecStats> = None;
     for threads in thread_counts() {
-        let cache = IndexCache::new();
-        let push = evaluator(db, plan, opts, &cache, threads);
+        let push = evaluator(db, threads);
         let out = push.eval(plan).unwrap();
         assert_eq!(
             out.iter().collect::<Vec<_>>(),
@@ -166,7 +131,8 @@ fn assert_push_matches_pull_drain(label: &str, db: &Database, plan: &AlgebraExpr
 
 /// Tier-1 exactness: the push pipelines agree with the independent pull
 /// reference on answers, order, and every counter the dispatch mask
-/// keeps, for every suite query × algebraic strategy × thread count.
+/// keeps, for every suite query × algebraic strategy × thread count, on
+/// the plans the engine runs.
 #[test]
 fn push_matches_pull_drain_bit_identically() {
     let db = university(&UniversityScale::of_size(300));
@@ -175,12 +141,12 @@ fn push_matches_pull_drain_bit_identically() {
         for strategy in [Strategy::Improved, Strategy::Classical] {
             // Some suite queries are outside the classical translator's
             // fragment; skip those.
-            let Some(plans) = compile(&db, text, strategy, Opts::default()) else {
+            let Some(plans) = compile(&db, text, strategy) else {
                 continue;
             };
             for plan in &plans {
                 let label = format!("{label} [{}]", strategy.name());
-                assert_push_matches_pull_drain(&label, &db, plan, Opts::default());
+                assert_push_matches_pull_drain(&label, &db, plan);
                 compared += 1;
             }
         }
@@ -191,41 +157,43 @@ fn push_matches_pull_drain_bit_identically() {
     );
 }
 
-/// The equivalence survives the orthogonal engine options: optimizer,
-/// shared-subplan memoization, persistent base indexes, and CSE — each
-/// alone and all together.
+/// The improved translation of `text` as the translator emits it, before
+/// the optimizer: one plan for an open query, one per (non-)emptiness
+/// test for a closed one.
+fn translate_improved(db: &Database, text: &str, cost_ordered: bool) -> Vec<AlgebraExpr> {
+    let canonical = canonicalize(&parse(text).unwrap()).unwrap();
+    let tr = ImprovedTranslator::new(db).with_cost_ordering(cost_ordered);
+    if canonical.is_closed() {
+        let plan = tr.translate_closed(&canonical).unwrap();
+        plan.algebra_exprs().into_iter().cloned().collect()
+    } else {
+        vec![tr.translate_open(&canonical).unwrap().1]
+    }
+}
+
+/// The equivalence is a property of the executor, not of the plans the
+/// engine happens to ship: it holds on the syntactic translation, on the
+/// cost-ordered one before the optimizer, and on the optimized syntactic
+/// one (the shipped, cost-ordered and optimized plans are checked above).
 #[test]
 fn push_matches_pull_drain_under_all_options() {
     let db = university(&UniversityScale::of_size(300));
-    let one_at_a_time = [
-        Opts {
-            optimize: true,
-            ..Opts::default()
-        },
-        Opts {
-            share_subplans: true,
-            ..Opts::default()
-        },
-        Opts {
-            use_base_indexes: true,
-            ..Opts::default()
-        },
-        Opts {
-            cse: true,
-            ..Opts::default()
-        },
-        Opts {
-            optimize: true,
-            share_subplans: true,
-            use_base_indexes: true,
-            cse: true,
-        },
-    ];
-    for (i, opts) in one_at_a_time.into_iter().enumerate() {
-        for (label, text) in E2E_SUITE {
-            for plan in &compile(&db, text, Strategy::Improved, opts).unwrap() {
-                let label = format!("{label} [option set {i}]");
-                assert_push_matches_pull_drain(&label, &db, plan, opts);
+    for (label, text) in E2E_SUITE {
+        let plan_sets = [
+            ("syntactic", translate_improved(&db, text, false)),
+            ("cost-ordered", translate_improved(&db, text, true)),
+            (
+                "syntactic, optimized",
+                translate_improved(&db, text, false)
+                    .iter()
+                    .map(optimize)
+                    .collect(),
+            ),
+        ];
+        for (set, plans) in plan_sets {
+            for plan in &plans {
+                let label = format!("{label} [{set}]");
+                assert_push_matches_pull_drain(&label, &db, plan);
             }
         }
     }
@@ -293,8 +261,7 @@ fn union_of_semijoins_peaks_at_largest_branch_build() {
             db.insert(name, tuple![v]).unwrap();
         }
     }
-    // The selects keep the probe sides off the base-index fast path, so
-    // every branch genuinely materializes a probe-build buffer.
+    // Every branch materializes a probe-build buffer.
     let semi = |b: &str| {
         AlgebraExpr::relation("a").semi_join(
             AlgebraExpr::relation(b).select(Predicate::True),
