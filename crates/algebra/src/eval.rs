@@ -121,21 +121,6 @@ impl Drop for LiveGuard {
 /// A boxed tuple stream.
 pub type TupleIter<'e> = Box<dyn Iterator<Item = Tuple> + 'e>;
 
-/// The physical algorithm used by the full equi-join.
-///
-/// All variants of the paper's join family default to hashing; sort-merge
-/// is provided as the classical alternative (and compared by the ablation
-/// bench). Semi-, complement- and marker-joins always probe a hash key
-/// set built from their right side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinAlgorithm {
-    /// Build a hash index on the right side, stream the left (default).
-    #[default]
-    Hash,
-    /// Materialize and sort both sides on the join key, then merge.
-    SortMerge,
-}
-
 /// Compute the output arity of an expression without evaluating it,
 /// validating column references along the way.
 pub fn arity_of(e: &AlgebraExpr, db: &Database) -> Result<usize, AlgebraError> {
@@ -283,8 +268,6 @@ fn check_on(
 pub struct Evaluator<'db> {
     pub(crate) db: &'db Database,
     pub(crate) stats: Rc<RefCell<ExecStats>>,
-    /// Physical algorithm for the full equi-join.
-    pub(crate) join_algorithm: JoinAlgorithm,
     /// Per-node runtime attribution (EXPLAIN ANALYZE). `None` — the
     /// common case — keeps the hot path free of snapshots and timers.
     pub(crate) profiler: Option<Rc<PlanProfiler>>,
@@ -316,7 +299,6 @@ impl<'db> Evaluator<'db> {
         Evaluator {
             db,
             stats: Rc::new(RefCell::new(ExecStats::new())),
-            join_algorithm: JoinAlgorithm::default(),
             profiler: None,
             exec: ExecConfig::sequential(),
             governor: None,
@@ -326,12 +308,6 @@ impl<'db> Evaluator<'db> {
             breaks: RefCell::new(Vec::new()),
             pipeline_hook: None,
         }
-    }
-
-    /// Select the physical equi-join algorithm.
-    pub fn with_join_algorithm(mut self, algorithm: JoinAlgorithm) -> Self {
-        self.join_algorithm = algorithm;
-        self
     }
 
     /// Attach a resource governor. The result sink and every breaker
@@ -668,11 +644,6 @@ impl<'db> Evaluator<'db> {
                 })))
             }
             AlgebraExpr::Join { left, right, on } => {
-                if self.join_algorithm == JoinAlgorithm::SortMerge {
-                    let lt = unshare(self.materialize(left, "sort-input")?);
-                    let rt = unshare(self.materialize(right, "sort-input")?);
-                    return Ok(Box::new(self.sort_merge(lt, rt, on).into_iter()));
-                }
                 let right_tuples = self.materialize(right, "join-build")?;
                 let index = build_index(&right_tuples, on.iter().map(|&(_, r)| r));
                 let left = self.stream(left)?;
@@ -852,63 +823,6 @@ impl<'db> Evaluator<'db> {
             .collect()
     }
 
-    /// Classical sort-merge equi-join over already-materialized inputs:
-    /// sort both on the join key, sweep both runs in lockstep, emit the
-    /// cross product of each matching key group (shared by the pull
-    /// stream and the push pipelines).
-    pub(crate) fn sort_merge(
-        &self,
-        mut lt: Vec<Tuple>,
-        mut rt: Vec<Tuple>,
-        on: &[(usize, usize)],
-    ) -> Vec<Tuple> {
-        let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-        let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        lt.sort_by_key(|t| key_of(t, &left_cols));
-        rt.sort_by_key(|t| key_of(t, &right_cols));
-        // Charge the comparisons of both sort passes (n log n each).
-        {
-            let mut s = self.stats.borrow_mut();
-            let charge = |n: usize| {
-                if n > 1 {
-                    n * usize::BITS.saturating_sub(n.leading_zeros()) as usize
-                } else {
-                    0
-                }
-            };
-            s.comparisons += charge(lt.len()) + charge(rt.len());
-        }
-        let mut out: Vec<Tuple> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lt.len() && j < rt.len() {
-            self.stats.borrow_mut().comparisons += 1;
-            let lk = key_of(&lt[i], &left_cols);
-            let rk = key_of(&rt[j], &right_cols);
-            match lk.cmp(&rk) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // group boundaries
-                    let i_end = (i..lt.len())
-                        .find(|&k| key_of(&lt[k], &left_cols) != lk)
-                        .unwrap_or(lt.len());
-                    let j_end = (j..rt.len())
-                        .find(|&k| key_of(&rt[k], &right_cols) != rk)
-                        .unwrap_or(rt.len());
-                    for l in &lt[i..i_end] {
-                        for r in &rt[j..j_end] {
-                            self.stats.borrow_mut().comparisons += 1;
-                            out.push(l.concat(r));
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        out
-    }
-
     fn eval_division(
         &self,
         left: &AlgebraExpr,
@@ -1017,12 +931,6 @@ pub(crate) fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
 pub(crate) fn fill_key(scratch: &mut Vec<Value>, t: &Tuple, cols: &[usize]) {
     scratch.clear();
     scratch.extend(cols.iter().map(|&c| t[c].clone()));
-}
-
-/// Take sole ownership of a materialized result: free when nothing else
-/// holds the `Arc`, a deep copy otherwise.
-pub(crate) fn unshare(tuples: Arc<Vec<Tuple>>) -> Vec<Tuple> {
-    Arc::try_unwrap(tuples).unwrap_or_else(|shared| shared.as_ref().clone())
 }
 
 pub(crate) fn build_index(

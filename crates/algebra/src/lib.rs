@@ -50,8 +50,7 @@ pub use delta::{
 pub use error::AlgebraError;
 pub use estimate::estimate;
 pub use eval::{
-    arity_of, eval_predicate, Evaluator, JoinAlgorithm, PipelineBreak, PipelineEvent, PipelineHook,
-    TupleIter,
+    arity_of, eval_predicate, Evaluator, PipelineBreak, PipelineEvent, PipelineHook, TupleIter,
 };
 pub use expr::{AlgebraExpr, Constraint, JoinOn, Operand, Predicate};
 pub use optimize::{optimize, optimize_bool};

@@ -14,7 +14,6 @@
 //! | product inner side     | `product-build`      |
 //! | group-count input      | `group-input`        |
 //! | division divisor/dividend | `division-divisor` / `division-dividend` |
-//! | sort-merge inputs      | `sort-input`         |
 //! | the result sink        | `output`             |
 //!
 //! Within a pipeline, tuples flow leaf-to-root in morsel-sized batches
@@ -45,9 +44,7 @@
 //! window ([`PushExec::own`]), from which the build side it drains
 //! through the pull stream subtracts itself.
 
-use crate::eval::{
-    arity_of, eval_predicate, fill_key, unshare, Evaluator, JoinAlgorithm, LiveGuard,
-};
+use crate::eval::{arity_of, eval_predicate, fill_key, Evaluator, LiveGuard};
 use crate::parallel::{
     build_part_index, build_part_keys, chaos_morsel_hooks, panic_message, worker_panic, Dispatch,
     ParProbe, PartIndex,
@@ -322,16 +319,6 @@ impl<'db> PushExec<'_, 'db> {
                 self.run_node(left, chain, sink)
             }
             AlgebraExpr::Join { left, right, on } => {
-                if self.ev.join_algorithm == JoinAlgorithm::SortMerge {
-                    // The ablation baseline: both inputs are breakers,
-                    // the merged output is a source.
-                    let out = self.own(e, rows_of, || {
-                        let lt = unshare(self.ev.materialize(left, "sort-input")?);
-                        let rt = unshare(self.ev.materialize(right, "sort-input")?);
-                        Ok(self.ev.sort_merge(lt, rt, on))
-                    })?;
-                    return self.run_pipeline(&[&out], None, chain, sink);
-                }
                 let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
                 let (index, right, guard) =
                     self.own(e, no_rows, || self.build_index(right, on, "join-build"))?;

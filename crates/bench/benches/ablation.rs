@@ -80,38 +80,5 @@ fn bench_optimizer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_join_algorithms(c: &mut Criterion) {
-    use gq_algebra::{AlgebraExpr, JoinAlgorithm};
-    let db = university(&UniversityScale::of_size(5000));
-    let plan = AlgebraExpr::relation("attends")
-        .join(AlgebraExpr::relation("enrolled"), vec![(0, 0)])
-        .project(vec![0, 1, 3]);
-    let mut group = c.benchmark_group("ablation_join_algorithm");
-    for (label, algo) in [
-        ("hash", JoinAlgorithm::Hash),
-        ("sort-merge", JoinAlgorithm::SortMerge),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new(label, "attends⋈enrolled"),
-            &algo,
-            |b, algo| {
-                b.iter(|| {
-                    Evaluator::new(&db)
-                        .with_join_algorithm(*algo)
-                        .eval(&plan)
-                        .unwrap()
-                        .len()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_division_modes,
-    bench_optimizer,
-    bench_join_algorithms
-);
+criterion_group!(benches, bench_division_modes, bench_optimizer);
 criterion_main!(benches);

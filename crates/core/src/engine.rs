@@ -322,7 +322,7 @@ impl QueryEngine {
         self
     }
 
-    /// Change the per-query limits in place (REPL `.timeout`/`.limits`).
+    /// Change the engine's default per-query limits in place.
     pub fn set_limits(&mut self, limits: QueryLimits) {
         self.limits = limits;
     }
@@ -506,6 +506,17 @@ impl QueryEngine {
     /// [`EngineError::ResourceExhausted`] instead of hanging — and
     /// nothing is registered. The views are maintained incrementally.
     pub fn define_recursive(&self, defs: &[RecursiveDef]) -> Result<(), EngineError> {
+        self.define_recursive_under(defs, &self.start_governor(0, None, None, None))
+    }
+
+    /// [`QueryEngine::define_recursive`] under `governor`: a program's
+    /// definitions run under its request's limits, cancel token and
+    /// shared budget.
+    fn define_recursive_under(
+        &self,
+        defs: &[RecursiveDef],
+        governor: &Governor,
+    ) -> Result<(), EngineError> {
         use crate::views::ViewError;
         if defs.is_empty() {
             return Ok(());
@@ -551,7 +562,6 @@ impl QueryEngine {
         for def in defs {
             working.add_relation(Relation::named_intermediate(&def.name, def.params.len()))?;
         }
-        let governor = self.start_governor(0, None, None, None);
         let mut compiled = Vec::with_capacity(defs.len());
         for def in defs {
             let (_, expanded) = self.views.expand_with_generation(&def.body)?;
@@ -563,7 +573,7 @@ impl QueryEngine {
                     }));
                 }
             }
-            let canonical = self.normalize(&expanded, &governor, None)?;
+            let canonical = self.normalize(&expanded, governor, None)?;
             let tr = ImprovedTranslator::new(&working).with_governor(governor.clone());
             let (vars, plan) = tr.translate_open(&canonical)?;
             // The extent's columns are the *declared* parameters, in
@@ -615,7 +625,7 @@ impl QueryEngine {
                     crate::ivm::fixpoint(
                         &mut working,
                         group,
-                        &governor,
+                        governor,
                         &mut on_round,
                         &mut rounds,
                     )?;
@@ -1029,7 +1039,13 @@ impl QueryEngine {
                     parse_program(text)?
                 };
                 if !program.defs.is_empty() {
-                    self.define_recursive(&program.defs)?;
+                    let governor = self.start_governor(
+                        0,
+                        request.limits,
+                        request.cancel.clone(),
+                        request.budget.clone(),
+                    );
+                    self.define_recursive_under(&program.defs, &governor)?;
                 }
                 parsed = program.query;
                 &parsed

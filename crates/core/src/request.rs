@@ -97,8 +97,9 @@ impl<'a> Request<'a> {
     /// A `with recursive name(params) as (body), … in query` program:
     /// the definitions are registered as recursive materialized views
     /// (see [`QueryEngine::define_recursive`](crate::QueryEngine::define_recursive);
-    /// a name already defined errors with `Duplicate`), then the trailing
-    /// query runs. Text without the prelude is just a query.
+    /// a name already defined errors with `Duplicate`) under this
+    /// request's limits, cancel token and budget, then the trailing query
+    /// runs. Text without the prelude is just a query.
     pub fn program(text: &'a str) -> Self {
         Self::of(Input::Program(text))
     }

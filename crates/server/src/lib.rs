@@ -9,9 +9,11 @@
 //!   total over arbitrary byte soup (property-fuzzed).
 //! * **Protocol** ([`protocol`]) — REPL-style request lines, `ok\n…` /
 //!   `err <code>: …` replies with a stable error-code vocabulary.
-//! * **Sessions** ([`session`]) — per-connection strategy and resource
-//!   limits; dispatch runs under `catch_unwind` so an engine
-//!   panic degrades to an `err panic:` reply, not a dead server.
+//! * **Sessions** ([`session`]) — per-connection strategy, resource
+//!   limits and prepared queries, and the one interpreter of the command
+//!   language ([`SessionState::execute`]), which the REPL runs too;
+//!   dispatch runs under `catch_unwind` so an engine panic degrades to an
+//!   `err panic:` reply, not a dead server.
 //! * **Admission** ([`admission`]) — a global gate over live sessions
 //!   and aggregate query memory; shed connections get a structured
 //!   `overloaded` reply with a retry-after hint.
@@ -40,4 +42,4 @@ pub use client::{Client, ClientError};
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES, HEADER_LEN};
 pub use protocol::Reply;
 pub use server::{Server, ServerConfig, ServerStats};
-pub use session::SessionState;
+pub use session::{CommandError, SessionState};

@@ -68,19 +68,29 @@ pub fn code_for(e: &EngineError) -> &'static str {
 }
 
 /// Parse a command argument `name(a, b, c)` into the name and the
-/// comma-separated parts. The error is a message each front end renders
-/// in its own form.
+/// comma-separated parts; a comma inside a `"quoted"` value does not
+/// split it.
 pub fn parse_signature(text: &str) -> Result<(String, Vec<String>), &'static str> {
     let text = text.trim();
     let open = text.find('(').ok_or("expected `name(…)`")?;
     let inner = text[open + 1..]
         .strip_suffix(')')
         .ok_or("expected closing `)`")?;
-    let parts = if inner.trim().is_empty() {
-        vec![]
-    } else {
-        inner.split(',').map(|s| s.trim().to_string()).collect()
-    };
+    let mut parts = vec![];
+    if !inner.trim().is_empty() {
+        let (mut start, mut quoted) = (0, false);
+        for (i, c) in inner.char_indices() {
+            match c {
+                '"' => quoted = !quoted,
+                ',' if !quoted => {
+                    parts.push(inner[start..i].trim().to_string());
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        parts.push(inner[start..].trim().to_string());
+    }
     Ok((text[..open].trim().to_string(), parts))
 }
 
@@ -195,6 +205,21 @@ mod tests {
         );
         assert_eq!(parse_signature("p()"), Ok(("p".into(), vec![])));
         assert_eq!(parse_signature("p(  )"), Ok(("p".into(), vec![])));
+        assert_eq!(
+            parse_signature("p(\"a,b\", c)"),
+            Ok(("p".into(), vec!["\"a,b\"".into(), "c".into()]))
+        );
+        assert_eq!(
+            parse_signature("p(\",\", \"x, y\",z)"),
+            Ok((
+                "p".into(),
+                vec!["\",\"".into(), "\"x, y\"".into(), "z".into()]
+            ))
+        );
+        assert_eq!(
+            parse_signature("p(a,,b)"),
+            Ok(("p".into(), vec!["a".into(), "".into(), "b".into()]))
+        );
         assert_eq!(parse_signature("p(a"), Err("expected closing `)`"));
         assert_eq!(parse_signature("p"), Err("expected `name(…)`"));
     }

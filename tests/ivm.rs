@@ -358,39 +358,41 @@ fn recursion_through_negation_is_rejected() {
 
 #[test]
 fn runaway_fixpoint_trips_governor_instead_of_hanging() {
-    let mut db = Database::new();
-    db.create_relation("edge", Schema::new(vec!["src", "dst"]).unwrap())
-        .unwrap();
-    for v in 0..120i64 {
-        db.insert("edge", tuple![v, v + 1]).unwrap();
-    }
-    let mut e = QueryEngine::new(db);
-    e.set_limits(QueryLimits::UNLIMITED.with_max_intermediate_tuples(500));
-    let err = e
-        .run(&Request::program(
-            "with recursive path(x,y) as \
-             (edge(x,y) | (exists z. edge(x,z) & path(z,y))) in path(x,y)",
-        ))
-        .unwrap_err();
-    match err {
-        EngineError::ResourceExhausted { resource, .. } => {
-            assert_eq!(resource, Resource::IntermediateTuples)
+    const PATH: &str = "with recursive path(x,y) as \
+                        (edge(x,y) | (exists z. edge(x,z) & path(z,y))) in path(x,y)";
+    let tight = QueryLimits::UNLIMITED.with_max_intermediate_tuples(500);
+    // The same budget set engine-wide, then only on the request: the
+    // fixpoint obeys either.
+    for request_scoped in [false, true] {
+        let mut db = Database::new();
+        db.create_relation("edge", Schema::new(vec!["src", "dst"]).unwrap())
+            .unwrap();
+        for v in 0..120i64 {
+            db.insert("edge", tuple![v, v + 1]).unwrap();
         }
-        other => panic!("expected ResourceExhausted, got {other:?}"),
+        let mut e = QueryEngine::new(db);
+        let request = if request_scoped {
+            Request::program(PATH).with_limits(tight)
+        } else {
+            e.set_limits(tight);
+            Request::program(PATH)
+        };
+        let err = e.run(&request).unwrap_err();
+        match err {
+            EngineError::ResourceExhausted { resource, .. } => {
+                assert_eq!(resource, Resource::IntermediateTuples)
+            }
+            other => panic!(
+                "expected ResourceExhausted (request_scoped={request_scoped}), got {other:?}"
+            ),
+        }
+        // The failed definition left nothing behind; with the budget lifted
+        // the same program succeeds.
+        assert!(e.materialized_views().is_empty());
+        e.set_limits(QueryLimits::UNLIMITED);
+        let n = e.run(&Request::program(PATH)).unwrap().result.len();
+        assert_eq!(n, (121 * 120) / 2);
     }
-    // The failed definition left nothing behind; with the budget lifted
-    // the same program succeeds.
-    assert!(e.materialized_views().is_empty());
-    e.set_limits(QueryLimits::UNLIMITED);
-    let n = e
-        .run(&Request::program(
-            "with recursive path(x,y) as \
-             (edge(x,y) | (exists z. edge(x,z) & path(z,y))) in path(x,y)",
-        ))
-        .unwrap()
-        .result
-        .len();
-    assert_eq!(n, (121 * 120) / 2);
 }
 
 #[test]
