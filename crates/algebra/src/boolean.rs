@@ -4,7 +4,8 @@
 //! non-emptiness test. Allowing tests in algebraic expressions leads to
 //! allow boolean connectives as well." Closed (yes/no) queries translate to
 //! [`BoolExpr`]s; evaluation short-circuits — both across connectives and
-//! inside each test, which pulls a single tuple from a pipelined stream.
+//! inside each test, whose first-witness sink stops the scan at the first
+//! tuple that reaches it.
 
 use crate::{AlgebraError, AlgebraExpr, Evaluator};
 use std::fmt;

@@ -370,23 +370,14 @@ fn nonempty_test_pipelines_through_select() {
     assert_eq!(ev.stats().base_tuples_read, 2);
 }
 
+/// The non-emptiness test over a join with a large probe side must read
+/// strictly fewer probe tuples than a full evaluation: the build side is
+/// materialized (any hash join must), but the probe side streams into the
+/// first-witness sink and stops at the first result. This holds
+/// regardless of the execution configuration — the test runs on the
+/// calling thread, because spreading the scan would defeat its purpose.
 #[test]
-fn eval_limit_stops_early() {
-    let db = fig2_db();
-    let ev = Evaluator::new(&db);
-    let r = ev.eval_limit(&AlgebraExpr::relation("p"), 2).unwrap();
-    assert_eq!(r.len(), 2);
-    assert_eq!(ev.stats().base_tuples_read, 2);
-}
-
-/// LIMIT 1 over a join with a large probe side must read strictly fewer
-/// probe tuples than a full evaluation: the build side is materialized
-/// (any hash join must), but the probe side streams and stops at the
-/// first result. This holds regardless of the execution configuration —
-/// `eval_limit` always pulls through the lazy stream, because a
-/// morsel-granular sink would defeat its purpose.
-#[test]
-fn eval_limit_reads_fewer_probe_tuples_than_full_scan() {
+fn nonempty_test_reads_fewer_probe_tuples_than_full_scan() {
     let mut db = Database::new();
     db.create_relation("big", Schema::anonymous(1)).unwrap();
     db.create_relation("small", Schema::anonymous(1)).unwrap();
@@ -395,7 +386,7 @@ fn eval_limit_reads_fewer_probe_tuples_than_full_scan() {
     }
     db.insert("small", tuple![0]).unwrap();
     // big ⋈ small: every probe of `big` except (at worst) the first
-    // misses; LIMIT 1 stops at the first hit.
+    // misses; the test stops at the first hit.
     let e = AlgebraExpr::relation("big").join(AlgebraExpr::relation("small"), vec![(0, 0)]);
 
     let full = Evaluator::new(&db);
@@ -406,19 +397,21 @@ fn eval_limit_reads_fewer_probe_tuples_than_full_scan() {
         crate::ExecConfig::sequential(),
         crate::ExecConfig::with_threads(8),
     ] {
-        let limited = Evaluator::new(&db).with_exec_config(exec);
-        let r = limited.eval_limit(&e, 1).unwrap();
-        assert_eq!(r.len(), 1);
-        let s = limited.stats();
+        let tested = Evaluator::new(&db).with_exec_config(exec);
+        assert!(tested.is_nonempty(&e).unwrap());
+        let s = tested.stats();
         assert!(
             s.base_tuples_read < full_reads,
-            "limit read {} tuples, full scan read {full_reads}",
+            "the test read {} tuples, full scan read {full_reads}",
             s.base_tuples_read
         );
         // build side (1) + a single probe-side tuple
         assert_eq!(s.base_tuples_read, 2);
         assert_eq!(s.probes, 1);
-        assert_eq!(s.morsels, 0, "eval_limit must never dispatch morsels");
+        assert_eq!(
+            s.workers_spawned, 0,
+            "the non-emptiness test must not leave the calling thread"
+        );
     }
 }
 

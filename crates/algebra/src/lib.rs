@@ -49,9 +49,7 @@ pub use delta::{
 };
 pub use error::AlgebraError;
 pub use estimate::estimate;
-pub use eval::{
-    arity_of, eval_predicate, Evaluator, PipelineBreak, PipelineEvent, PipelineHook, TupleIter,
-};
+pub use eval::{arity_of, eval_predicate, Evaluator, PipelineBreak, PipelineEvent, PipelineHook};
 pub use expr::{AlgebraExpr, Constraint, JoinOn, Operand, Predicate};
 pub use optimize::{optimize, optimize_bool};
 pub use parallel::{ExecConfig, DEFAULT_MORSEL_SIZE};

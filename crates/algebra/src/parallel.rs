@@ -21,10 +21,11 @@
 //!    operators (dedup, grouping, division) run on the coordinating
 //!    thread. The result relation is therefore bit-identical — same
 //!    tuples in the same insertion order — across thread counts.
-//! 3. **Short-circuits stay lazy.** `is_nonempty`, `eval_limit` and the
-//!    closed-query connectives exist to *avoid* reading input; they pull
-//!    tuple-at-a-time through [`Evaluator::stream`](crate::Evaluator::stream)
-//!    whatever the configuration (§3.2 of the paper).
+//! 3. **Short-circuits stay lazy.** `is_nonempty` and the closed-query
+//!    connectives exist to *avoid* reading input (§3.2 of the paper). Its
+//!    first-witness sink is filled on the calling thread, row by row, and
+//!    stops the scan at the first tuple that reaches it, whatever the
+//!    configuration; its morsel claims still poll cancellation.
 //!
 //! Dispatch follows one rule, written once here ([`workers_for`],
 //! [`Dispatch`], [`on_workers`]): work whose input fits in one morsel
@@ -37,7 +38,6 @@
 //! worker — no concurrent map. A sub-morsel build is a single partition
 //! built inline, so its probes skip the routing hash altogether.
 
-use crate::eval::{fill_key, key_of};
 use crate::{AlgebraError, ExecStats};
 use gq_governor::{Governor, GovernorError};
 use gq_storage::{Tuple, Value};
@@ -232,10 +232,9 @@ pub(crate) fn on_workers<R: Send>(
     })
 }
 
-/// A hash-partitioned row-id index (the push pipelines' analogue of the
-/// pull stream's single `HashMap` build side). Bucket row ids are
-/// ascending, like a scan-order build, so probe results enumerate matches
-/// in the same order.
+/// A hash-partitioned row-id index, the build table of a hash or outer
+/// join. Bucket row ids are ascending, like a scan-order build, so probe
+/// results enumerate matches in scan order.
 pub(crate) struct PartIndex {
     parts: Vec<HashMap<Vec<Value>, Vec<usize>>>,
 }
@@ -254,10 +253,21 @@ impl PartIndex {
 pub(crate) struct ParProbe(pub(crate) Vec<HashSet<Vec<Value>>>);
 
 impl ParProbe {
-    pub(crate) fn contains(&self, t: &Tuple, cols: &[usize], scratch: &mut Vec<Value>) -> bool {
-        fill_key(scratch, t, cols);
-        self.0[partition_of(scratch, self.0.len())].contains(scratch.as_slice())
+    pub(crate) fn contains(&self, key: &[Value]) -> bool {
+        self.0[partition_of(key, self.0.len())].contains(key)
     }
+}
+
+/// The values of `t` at `cols`, as a key.
+pub(crate) fn key_of(t: &Tuple, cols: &[usize]) -> Vec<Value> {
+    cols.iter().map(|&c| t[c].clone()).collect()
+}
+
+/// Refill `scratch` with the key of `t` at `cols` — the allocation-free
+/// sibling of [`key_of`] for per-tuple probe loops.
+pub(crate) fn fill_key(scratch: &mut Vec<Value>, t: &Tuple, cols: &[usize]) {
+    scratch.clear();
+    scratch.extend(cols.iter().map(|&c| t[c].clone()));
 }
 
 /// Route a key to a partition. `DefaultHasher::new()` is deterministic
@@ -287,6 +297,7 @@ pub(crate) fn build_part_index(
         stats,
         tuples,
         cols,
+        HashMap::with_capacity,
         |m: &mut HashMap<Vec<Value>, Vec<usize>>, key, rid| m.entry(key).or_default().push(rid),
     )?;
     Ok(PartIndex { parts })
@@ -305,19 +316,24 @@ pub(crate) fn build_part_keys(
         stats,
         tuples,
         cols,
+        HashSet::with_capacity,
         |set: &mut HashSet<Vec<Value>>, key, _rid| {
             set.insert(key);
         },
     )
 }
 
-/// The two-phase partitioned build behind both probe structures, as one
-/// `dispatch` (cut over `tuples`) with one partition per worker. Phase 1: workers claim
-/// morsels, extract each tuple's key and route `(key, row id)` to its
-/// partition. Barrier. Phase 2: worker `w` folds partition `w`'s
-/// fragments, in morsel order, into its table with `insert`. A build
-/// side of at most one morsel is one worker — the caller — and one
-/// partition.
+/// The partitioned build behind both probe structures, as one `dispatch`
+/// (cut over `tuples`) with one partition per worker, each a table made by
+/// `with_capacity` with room for all its entries (so it never rehashes as
+/// it fills) and filled with `insert`, keys in row order.
+///
+/// One worker — a build side of at most one morsel, or a caller-only
+/// executor's — is one partition on the calling thread, and the keys go
+/// straight into its table. Above that the build has two phases. Phase 1:
+/// workers claim morsels, extract each tuple's key and route
+/// `(key, row id)` to its partition. Barrier. Phase 2: worker `w` folds
+/// partition `w`'s fragments, in morsel order, into its table.
 ///
 /// A panic or cancellation in phase 1 raises `abort`, and the
 /// offending worker still reaches the barrier, so nobody waits
@@ -328,66 +344,83 @@ fn build_parts<T, I>(
     stats: &RefCell<ExecStats>,
     tuples: &[Tuple],
     cols: &[usize],
+    with_capacity: fn(usize) -> T,
     insert: I,
 ) -> Result<Vec<T>, AlgebraError>
 where
-    T: Default + Send,
+    T: Send,
     I: Fn(&mut T, Vec<Value>, usize) + Sync,
 {
     type Fragment = (usize, Vec<(Vec<Value>, usize)>);
     let governor = dispatch.governor;
     let nparts = dispatch.workers;
-    let barrier = Barrier::new(nparts);
-    let routed: Vec<Mutex<Vec<Fragment>>> = (0..nparts).map(|_| Mutex::default()).collect();
-    // Nothing but a `push` and a `take` ever runs under these locks, so
-    // a poisoned one still guards a valid vector.
-    let fragments_of = |p: usize| routed[p].lock().unwrap_or_else(PoisonError::into_inner);
-    let built = on_workers(nparts, stats, |w| {
-        let route = catch_unwind(AssertUnwindSafe(|| {
+    let parts = if nparts == 1 {
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            let mut table = with_capacity(tuples.len());
             while let Some((mi, range)) = dispatch.claim() {
                 chaos_morsel_hooks(mi);
-                let mut parts: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); nparts];
                 for rid in range {
-                    let key = key_of(&tuples[rid], cols);
-                    let p = partition_of(&key, nparts);
-                    parts[p].push((key, rid));
-                }
-                for (p, entries) in parts.into_iter().enumerate() {
-                    fragments_of(p).push((mi, entries));
+                    insert(&mut table, key_of(&tuples[rid], cols), rid);
                 }
             }
+            table
         }));
-        if route.is_err() {
-            dispatch.abort();
-        }
-        // The barrier's own lock orders the abort above before every
-        // worker's check below.
-        barrier.wait();
-        route?;
-        if dispatch.aborted() {
-            return Ok(None);
-        }
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut fragments = std::mem::take(&mut *fragments_of(w));
-            fragments.sort_unstable_by_key(|&(mi, _)| mi);
-            let mut table = T::default();
-            for (_, entries) in fragments {
-                for (key, rid) in entries {
-                    insert(&mut table, key, rid);
+        vec![built.map_err(|p| worker_panic(governor, panic_message(p)))?]
+    } else {
+        let barrier = Barrier::new(nparts);
+        let routed: Vec<Mutex<Vec<Fragment>>> = (0..nparts).map(|_| Mutex::default()).collect();
+        // Nothing but a `push` and a `take` ever runs under these locks, so
+        // a poisoned one still guards a valid vector.
+        let fragments_of = |p: usize| routed[p].lock().unwrap_or_else(PoisonError::into_inner);
+        let built = on_workers(nparts, stats, |w| {
+            let route = catch_unwind(AssertUnwindSafe(|| {
+                while let Some((mi, range)) = dispatch.claim() {
+                    chaos_morsel_hooks(mi);
+                    let mut parts: Vec<Vec<(Vec<Value>, usize)>> = vec![Vec::new(); nparts];
+                    for rid in range {
+                        let key = key_of(&tuples[rid], cols);
+                        let p = partition_of(&key, nparts);
+                        parts[p].push((key, rid));
+                    }
+                    for (p, entries) in parts.into_iter().enumerate() {
+                        fragments_of(p).push((mi, entries));
+                    }
                 }
+            }));
+            if route.is_err() {
+                dispatch.abort();
             }
-            Some(table)
-        }))
-    });
-    let mut parts = Vec::with_capacity(nparts);
-    for outcome in built {
-        // Both layers of `Err` are a contained panic: the inner one
-        // was caught by the worker itself, the outer one escaped it.
-        match outcome.and_then(|contained| contained) {
-            Ok(table) => parts.extend(table),
-            Err(p) => return Err(worker_panic(governor, panic_message(p))),
+            // The barrier's own lock orders the abort above before every
+            // worker's check below.
+            barrier.wait();
+            route?;
+            if dispatch.aborted() {
+                return Ok(None);
+            }
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut fragments = std::mem::take(&mut *fragments_of(w));
+                fragments.sort_unstable_by_key(|&(mi, _)| mi);
+                let len = fragments.iter().map(|(_, entries)| entries.len()).sum();
+                let mut table = with_capacity(len);
+                for (_, entries) in fragments {
+                    for (key, rid) in entries {
+                        insert(&mut table, key, rid);
+                    }
+                }
+                Some(table)
+            }))
+        });
+        let mut parts = Vec::with_capacity(nparts);
+        for outcome in built {
+            // Both layers of `Err` are a contained panic: the inner one
+            // was caught by the worker itself, the outer one escaped it.
+            match outcome.and_then(|contained| contained) {
+                Ok(table) => parts.extend(table),
+                Err(p) => return Err(worker_panic(governor, panic_message(p))),
+            }
         }
-    }
+        parts
+    };
     if let Some(g) = governor {
         g.check("evaluate")?;
     }

@@ -5,19 +5,18 @@
 //! through [`Window`]s — an [`ExecStats`] snapshot and a monotonic timer
 //! taken before a piece of work and compared after it:
 //!
-//! * the pull stream wraps every operator's construction and every
-//!   `next()` in a window. Pulls nest strictly (a parent's `next()`
-//!   drives its children's inside its own window), so the profiler keeps
-//!   a stack of open windows and credits each node with its window
-//!   *minus* the windows that closed inside it;
-//! * the push coordinator opens the same nested windows around a
-//!   breaker's own work (build the probe table, group, divide, merge) —
-//!   the build side it materializes through the pull stream subtracts
-//!   itself out;
+//! * the push coordinator opens a window around a breaker's own work
+//!   (run the build pipeline, build the probe table, group, divide).
+//!   Breakers nest — a build side may hold breakers of its own — so the
+//!   profiler keeps a stack of open windows and credits each node with
+//!   its window *minus* what was claimed inside it;
 //! * fused pipeline operators run on workers, which cannot reach the
-//!   profiler; each worker keeps one flat [`OpProfile`] per operator and
-//!   the coordinator folds them in when the pipeline ends
-//!   ([`PlanProfiler::add`]).
+//!   profiler; each worker keeps one flat [`OpProfile`] per operator —
+//!   counters, rows, and busy time clocked as rows move from operator to
+//!   operator — and the coordinator folds them in when the pipeline ends
+//!   ([`PlanProfiler::add`]). The innermost open window claims what is
+//!   added, so the breaker whose build pipeline it was is not credited
+//!   with it again.
 //!
 //! Every figure stored is therefore *exclusive*, and the figures over the
 //! whole tree sum exactly to the query-level [`ExecStats`]. A node's time
@@ -41,9 +40,9 @@ thread_local! {
     pub(crate) static WINDOWS_OPENED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// An open attribution window: the only place the evaluators snapshot
-/// [`ExecStats`] or read the clock for attribution. None is ever opened
-/// unless a [`PlanProfiler`] is attached.
+/// An open attribution window around a breaker's own work: a snapshot of
+/// [`ExecStats`] and a clock reading. None is ever opened unless a
+/// [`PlanProfiler`] is attached.
 pub(crate) struct Window {
     before: ExecStats,
     start: Instant,
@@ -76,7 +75,8 @@ pub struct PlanProfiler {
     /// Node address → exclusive metrics.
     slots: RefCell<HashMap<usize, OpProfile>>,
     /// One entry per open nested window: the stats and time claimed so
-    /// far by the windows that closed inside it.
+    /// far by the windows that closed inside it and the pipeline figures
+    /// added inside it.
     open: RefCell<Vec<(ExecStats, u64)>>,
 }
 
@@ -86,7 +86,7 @@ fn addr(e: &AlgebraExpr) -> usize {
 
 impl PlanProfiler {
     /// Profile the nodes of `plan`. Only nodes of this tree are tracked;
-    /// streams built for other expressions stay uninstrumented.
+    /// work credited to any other expression is dropped.
     pub fn new(plan: &AlgebraExpr) -> Self {
         Self::over([plan])
     }
@@ -111,11 +111,6 @@ impl PlanProfiler {
             slots: RefCell::new(slots),
             open: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Is this node one of the profiled plan's nodes?
-    pub(crate) fn tracks(&self, e: &AlgebraExpr) -> bool {
-        self.slots.borrow().contains_key(&addr(e))
     }
 
     /// Open a nested window over the evaluator's shared accumulator.
@@ -150,8 +145,15 @@ impl PlanProfiler {
     }
 
     /// Credit already-exclusive figures — what a worker accumulated for
-    /// a fused operator — to its node.
+    /// a fused operator — to its node. The innermost open window claims
+    /// them too: a build pipeline that runs inside a breaker's window
+    /// has its operators credited here, and the breaker must not be
+    /// credited with them a second time.
     pub(crate) fn add(&self, e: &AlgebraExpr, op: &OpProfile) {
+        if let Some((claimed, claimed_ns)) = self.open.borrow_mut().last_mut() {
+            claimed.merge(&op.stats);
+            *claimed_ns += op.elapsed_ns;
+        }
         if let Some(own) = self.slots.borrow_mut().get_mut(&addr(e)) {
             own.merge(op);
         }
@@ -265,7 +267,6 @@ mod tests {
         let p = plan();
         let other = AlgebraExpr::Relation("r".into());
         let profiler = PlanProfiler::new(&p);
-        assert!(!profiler.tracks(&other));
         let mut op = OpProfile::default();
         op.add((ExecStats::new(), 10), 1);
         profiler.add(&other, &op);

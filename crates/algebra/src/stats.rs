@@ -68,8 +68,8 @@ impl ExecStats {
     /// Counter deltas since `earlier` (which must be a snapshot of this
     /// accumulator taken earlier, so every field is `>=` its counterpart).
     ///
-    /// Used by per-node attribution: snapshot before and after pulling a
-    /// tuple through an operator, and the diff is the work that pull did.
+    /// Used by per-node attribution: snapshot before and after a
+    /// breaker's own work, and the diff is the work it did.
     /// `max_intermediate` is a high-water mark, not a sum, so the diff
     /// keeps the current value when it grew and is zero otherwise.
     pub fn diff(&self, earlier: &ExecStats) -> ExecStats {

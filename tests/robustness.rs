@@ -7,7 +7,10 @@
 //! a process-wide mutex because the gq-chaos registry is global, and read
 //! `GQ_CHAOS_SEED` so CI can sweep seeds.
 
+use gq_algebra::{AlgebraError, AlgebraExpr, Evaluator, Predicate};
+use gq_calculus::CompareOp;
 use gq_core::{EngineError, ExecConfig, QueryEngine, QueryLimits, Resource, Strategy};
+use gq_governor::{CancelToken, Governor, GovernorError};
 use gq_storage::{tuple, Database, Schema};
 use std::time::Duration;
 
@@ -283,6 +286,48 @@ fn closed_queries_are_governed_too() {
     std::thread::sleep(Duration::from_millis(2));
     let err = e.query("forall x. p(x) -> (exists y. r(x,y))").unwrap_err();
     assert!(matches!(err, EngineError::Cancelled { .. }));
+}
+
+/// A closed query honours its deadline mid-scan: a non-emptiness test
+/// claims its morsels through the same dispatch as every pipeline, and
+/// each claim polls the deadline. A test that finds no witness among
+/// 400 000 rows stops with `Cancelled` once its 2 ms are up, having read
+/// fewer tuples than the relation holds, at every thread count.
+#[test]
+fn nonemptiness_test_honours_its_deadline_mid_scan() {
+    const ROWS: usize = 400_000;
+    let mut db = Database::new();
+    db.create_relation("big", Schema::anonymous(1)).unwrap();
+    for v in 0..ROWS as i64 {
+        db.insert("big", tuple![v]).unwrap();
+    }
+    // No row passes, and each costs eight comparisons, so the full scan
+    // takes far longer than the deadline.
+    let never = Predicate::or_all(
+        (1..=8)
+            .map(|k| Predicate::col_const(0, CompareOp::Lt, -k))
+            .collect(),
+    );
+    let plan = AlgebraExpr::relation("big").select(never);
+    for threads in [1usize, 2, 8] {
+        let limits = QueryLimits::UNLIMITED.with_deadline(Duration::from_millis(2));
+        let ev = Evaluator::new(&db)
+            .with_exec_config(ExecConfig::with_threads(threads))
+            .with_governor(Governor::start(limits, CancelToken::new()));
+        let outcome = ev.is_nonempty(&plan);
+        assert!(
+            matches!(
+                outcome,
+                Err(AlgebraError::Governor(GovernorError::Cancelled { .. }))
+            ),
+            "threads={threads}: expected Cancelled, got {outcome:?}"
+        );
+        let read = ev.stats().base_tuples_read;
+        assert!(
+            read < ROWS,
+            "threads={threads}: read {read} of {ROWS} tuples past the deadline"
+        );
+    }
 }
 
 #[test]
