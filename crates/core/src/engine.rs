@@ -96,7 +96,8 @@ impl QueryResult {
 /// [`Database`] or a [`DurableDatabase`] whose mutations are WAL-logged
 /// and crash-recoverable. Reads are identical either way; the engine's
 /// typed mutation methods route through the durable commit protocol when
-/// one is attached.
+/// one is attached. Every change to the catalog is one of the typed
+/// operations below.
 enum Store {
     Plain(Database),
     Durable(Box<DurableDatabase>),
@@ -107,13 +108,6 @@ impl Store {
         match self {
             Store::Plain(db) => db,
             Store::Durable(d) => d.db(),
-        }
-    }
-
-    fn db_mut(&mut self) -> &mut Database {
-        match self {
-            Store::Plain(db) => db,
-            Store::Durable(d) => d.db_mut_volatile(),
         }
     }
 
@@ -155,6 +149,15 @@ impl Store {
             Store::Durable(d) => d.replace_relation(relation),
         }
     }
+
+    /// Insert or replace a materialized view's extent: never WAL-logged,
+    /// never written by a checkpoint ([`DurableDatabase::put_extent`]).
+    fn put_extent(&mut self, extent: Arc<Relation>) {
+        match self {
+            Store::Plain(db) => db.replace_relation_arc(extent),
+            Store::Durable(d) => d.put_extent(extent),
+        }
+    }
 }
 
 /// An immutable, epoch-stamped view of the catalog, pinned at the start
@@ -169,39 +172,6 @@ impl std::ops::Deref for Snapshot {
 
     fn deref(&self) -> &Database {
         &self.0
-    }
-}
-
-/// Exclusive mutable access to the catalog, returned by
-/// [`QueryEngine::db_mut`]. Dereferences to [`Database`]; when the guard
-/// drops, the mutated catalog is republished as the engine's read
-/// snapshot. Readers keep their pinned snapshots — they never observe the
-/// mutation mid-flight.
-pub struct DbMut<'a> {
-    engine: &'a QueryEngine,
-    guard: MutexGuard<'a, Store>,
-}
-
-impl std::ops::Deref for DbMut<'_> {
-    type Target = Database;
-
-    fn deref(&self) -> &Database {
-        self.guard.db()
-    }
-}
-
-impl std::ops::DerefMut for DbMut<'_> {
-    fn deref_mut(&mut self) -> &mut Database {
-        self.guard.db_mut()
-    }
-}
-
-impl Drop for DbMut<'_> {
-    fn drop(&mut self) {
-        // Raw catalog access captured no deltas — re-derive every
-        // materialized extent from scratch before republishing.
-        self.engine.recompute_matviews(&mut self.guard);
-        self.engine.publish(&self.guard);
     }
 }
 
@@ -420,78 +390,25 @@ impl QueryEngine {
     /// every committed mutation routes its delta through the view's
     /// delta plan and patches the stored extent before the snapshot
     /// republish. Queries use it like any relation; its columns are the
-    /// body's free variables in name order.
+    /// body's free variables in name order. It is a one-member
+    /// [`QueryEngine::define_recursive`] batch, so a body may name the
+    /// view itself.
     ///
     /// On a durable engine the extent is *volatile* (recomputed state,
-    /// not WAL-logged): after recovery, re-define the view.
+    /// neither WAL-logged nor checkpointed): after a reopen, re-define
+    /// the view.
     pub fn define_materialized_view(
         &self,
         name: impl Into<String>,
         text: &str,
     ) -> Result<(), EngineError> {
-        self.define_materialized_view_with(name, text, crate::ivm::MaintenanceStrategy::Incremental)
-    }
-
-    /// [`QueryEngine::define_materialized_view`] with an explicit
-    /// maintenance strategy ([`MaintenanceStrategy::Recompute`]
-    /// re-evaluates the full plan after every relevant mutation — the
-    /// reference `tests/ivm.rs` compares incremental maintenance against).
-    pub fn define_materialized_view_with(
-        &self,
-        name: impl Into<String>,
-        text: &str,
-        strategy: crate::ivm::MaintenanceStrategy,
-    ) -> Result<(), EngineError> {
-        let name = name.into();
-        let formula = parse(text)?;
-        let mut store = self.store_lock();
-        self.check_view_name_free(&name, store.db())?;
-        let (_, expanded) = self.views.expand_with_generation(&formula)?;
-        for referenced in expanded.relation_names() {
-            if !store.db().has_relation(referenced) {
-                return Err(EngineError::View(
-                    crate::views::ViewError::UnknownRelation {
-                        view: name,
-                        relation: referenced.to_string(),
-                    },
-                ));
-            }
-        }
-        if expanded.is_closed() {
-            return Err(EngineError::View(crate::views::ViewError::ClosedBody(name)));
-        }
-        let governor = self.start_governor(0, None, None, None);
-        let (vars, plan, mut extent) = {
-            let db = store.db();
-            let canonical = self.normalize(&expanded, &governor, None)?;
-            let tr = ImprovedTranslator::new(db).with_governor(governor.clone());
-            let (vars, plan) = tr.translate_open(&canonical)?;
-            let ev = Evaluator::new(db).with_governor(governor.clone());
-            let extent = ev.eval(&plan)?;
-            (vars, plan, extent)
+        let body = parse(text)?;
+        let def = RecursiveDef {
+            name: name.into(),
+            params: body.free_vars().into_iter().collect(),
+            body,
         };
-        extent.set_name(&name);
-        let tuples = extent.len();
-        store.db_mut().add_relation(extent)?;
-        let reads = crate::ivm::plan_reads(&plan);
-        self.journal.record(|| {
-            EventData::new(EventKind::IvmDefine, 0, "ivm").detail(format!(
-                "view `{name}` ({} columns, {} reads) materialized: {tuples} tuples, {}",
-                vars.len(),
-                reads.len(),
-                strategy.name(),
-            ))
-        });
-        self.matviews
-            .extend(vec![crate::ivm::Unit::Single(crate::ivm::MatView {
-                name,
-                vars,
-                plan,
-                reads,
-                strategy,
-            })]);
-        self.publish(&store);
-        Ok(())
+        self.define_recursive(std::slice::from_ref(&def))
     }
 
     /// Define a batch of (mutually) recursive materialized views — the
@@ -573,9 +490,12 @@ impl QueryEngine {
                     }));
                 }
             }
-            let canonical = self.normalize(&expanded, governor, None)?;
-            let tr = ImprovedTranslator::new(&working).with_governor(governor.clone());
-            let (vars, plan) = tr.translate_open(&canonical)?;
+            let CompiledPlan::Algebra { vars, plan } =
+                self.compile(&working, &expanded, Strategy::Improved, governor, None)?
+            else {
+                // A closed body compiles to a boolean plan: no extent.
+                return Err(EngineError::View(ViewError::ClosedBody(def.name.clone())));
+            };
             // The extent's columns are the *declared* parameters, in
             // order; reorder the plan's output (free vars in name order)
             // to match.
@@ -604,62 +524,47 @@ impl QueryEngine {
                 vars: def.params.clone(),
                 plan,
                 reads,
-                strategy: crate::ivm::MaintenanceStrategy::Incremental,
             });
         }
         let units = crate::ivm::stratify(compiled).map_err(EngineError::View)?;
         // Evaluate extents unit by unit in dependency order.
-        let mut on_round = self.ivm_round_hook();
+        let env = self.ivm_env();
         for unit in &units {
             match unit {
                 crate::ivm::Unit::Single(v) => {
-                    let mut fresh = {
-                        let ev = Evaluator::new(&working).with_governor(governor.clone());
-                        ev.eval(&v.plan)?
-                    };
+                    let mut fresh = env.evaluator(&working, governor).eval(&v.plan)?;
                     fresh.set_name(&v.name);
                     working.replace_relation(fresh);
                 }
                 crate::ivm::Unit::Recursive(group) => {
-                    let mut rounds = 0u64;
-                    crate::ivm::fixpoint(
-                        &mut working,
-                        group,
-                        governor,
-                        &mut on_round,
-                        &mut rounds,
-                    )?;
+                    crate::ivm::fixpoint(&mut working, group, governor, env, &mut 0)?;
                 }
             }
         }
         for unit in &units {
+            let recursive = matches!(unit, crate::ivm::Unit::Recursive(_));
             for m in unit.members() {
-                let tuples = working.relation(&m.name).map(Relation::len).unwrap_or(0);
-                let recursive = matches!(unit, crate::ivm::Unit::Recursive(_));
+                let extent = working.relation_arc(&m.name)?;
+                let tuples = extent.len();
                 self.journal.record(|| {
                     EventData::new(EventKind::IvmDefine, 0, "ivm").detail(format!(
-                        "view `{}` ({}) materialized: {tuples} tuples, {}",
+                        "view `{}` ({}) materialized: {tuples} tuples",
                         m.name,
                         if recursive { "recursive" } else { "stratified" },
-                        m.strategy.name(),
                     ))
                 });
+                store.put_extent(extent);
             }
         }
-        *store.db_mut() = working;
         self.matviews.extend(units);
         self.publish(&store);
         Ok(())
     }
 
-    /// `(name, columns, strategy name, recursive?)` for every registered
-    /// materialized view, in maintenance order.
-    pub fn materialized_views(&self) -> Vec<(String, Vec<String>, &'static str, bool)> {
-        self.matviews
-            .describe()
-            .into_iter()
-            .map(|(name, cols, strategy, recursive)| (name, cols, strategy.name(), recursive))
-            .collect()
+    /// `(name, columns, recursive?)` for every registered materialized
+    /// view, in maintenance order.
+    pub fn materialized_views(&self) -> Vec<(String, Vec<String>, bool)> {
+        self.matviews.describe()
     }
 
     /// A name for a new view must collide with neither a catalog
@@ -673,20 +578,20 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// The `ivm.round` journal hook handed to fixpoint drivers.
-    fn ivm_round_hook(&self) -> impl FnMut(&str, u64, usize) + '_ {
-        move |group: &str, round: u64, fresh: usize| {
-            self.journal.record(|| {
-                EventData::new(EventKind::IvmRound, 0, "ivm")
-                    .detail(format!("group `{group}` round {round}: {fresh} new tuples"))
-            });
+    /// What view definition and maintenance evaluate under: the
+    /// engine's execution configuration and journal.
+    fn ivm_env(&self) -> crate::ivm::Env<'_> {
+        crate::ivm::Env {
+            exec: self.exec,
+            journal: &self.journal,
         }
     }
 
     /// Route one committed mutation's deltas through every affected
-    /// materialized extent, in place, before the snapshot republish.
-    /// Works on a clone of the catalog and writes back only on success,
-    /// so readers always see base mutation + maintenance atomically.
+    /// materialized extent before the snapshot republish. Works on a
+    /// clone of the catalog and writes the changed extents back
+    /// ([`Store::put_extent`]) only on success, so readers always see
+    /// base mutation + maintenance atomically.
     /// Incremental failures (including injected chaos faults) fall back
     /// to full recompute inside [`crate::ivm::maintain`]; an error here
     /// means even the recompute failed — the base mutation stays
@@ -703,14 +608,18 @@ impl QueryEngine {
         let old = self.snapshot();
         let mut working = store.db().clone();
         let governor = self.start_governor(0, None, None, None);
-        let mut on_round = self.ivm_round_hook();
-        let outcomes =
-            crate::ivm::maintain(&mut working, &old, deltas, &units, &governor, &mut on_round)?;
-        if outcomes.is_empty() {
-            return Ok(());
-        }
-        *store.db_mut() = working;
-        for o in &outcomes {
+        let outcomes = crate::ivm::maintain(
+            &mut working,
+            &old,
+            deltas,
+            &units,
+            &governor,
+            self.ivm_env(),
+        )?;
+        for o in outcomes {
+            if let Some(extent) = &o.extent {
+                store.put_extent(Arc::clone(extent));
+            }
             self.journal.record(|| {
                 EventData::new(EventKind::IvmApply, 0, "ivm").detail(match &o.fallback {
                     Some(err) => format!(
@@ -729,38 +638,6 @@ impl QueryEngine {
             });
         }
         Ok(())
-    }
-
-    /// Re-derive every materialized extent from scratch — used when the
-    /// catalog was mutated through [`QueryEngine::db_mut`], where no
-    /// deltas were captured. Errors are journaled, not propagated (this
-    /// runs from a guard drop).
-    fn recompute_matviews(&self, store: &mut Store) {
-        let units = self.matviews.units();
-        if units.is_empty() {
-            return;
-        }
-        let mut working = store.db().clone();
-        let mut on_round = self.ivm_round_hook();
-        match crate::ivm::recompute_all(&mut working, &units, &mut on_round) {
-            Ok(outcomes) => {
-                *store.db_mut() = working;
-                for o in &outcomes {
-                    self.journal.record(|| {
-                        EventData::new(EventKind::IvmApply, 0, "ivm").detail(format!(
-                            "view `{}`: +{} −{} via {} (db_mut)",
-                            o.view, o.added, o.removed, o.mode
-                        ))
-                    });
-                }
-            }
-            Err(e) => {
-                self.journal.record(|| {
-                    EventData::new(EventKind::IvmApply, 0, "ivm")
-                        .detail(format!("recompute after db_mut failed: {e}"))
-                });
-            }
-        }
     }
 
     /// Lock the writer side, recovering from poisoning (the store is
@@ -787,23 +664,6 @@ impl QueryEngine {
         Snapshot(Arc::clone(
             &self.snapshot.read().unwrap_or_else(|e| e.into_inner()),
         ))
-    }
-
-    /// Exclusive mutable access to the database (inserts, new
-    /// relations) through a guard that republishes the read snapshot on
-    /// drop.
-    ///
-    /// On a durable engine this is a *volatile* escape hatch: changes
-    /// made through it are not WAL-logged and will not survive a crash.
-    /// Use the typed mutation methods ([`QueryEngine::create_relation`],
-    /// [`QueryEngine::insert`], [`QueryEngine::remove`]) for durable
-    /// changes.
-    pub fn db_mut(&mut self) -> DbMut<'_> {
-        let engine: &QueryEngine = self;
-        DbMut {
-            engine,
-            guard: engine.store_lock(),
-        }
     }
 
     /// Is a [`DurableDatabase`] attached?
@@ -860,6 +720,7 @@ impl QueryEngine {
     /// queries keep their pinned snapshots.
     pub fn insert(&self, relation: &str, t: Tuple) -> Result<bool, EngineError> {
         self.commit("insert", |store| {
+            self.check_base(relation)?;
             // Capture the tuple for view maintenance only when views
             // exist — the clone is off the common path.
             let captured = (!self.matviews.is_empty()).then(|| t.clone());
@@ -877,6 +738,7 @@ impl QueryEngine {
     /// queries keep their pinned snapshots.
     pub fn remove(&self, relation: &str, t: &Tuple) -> Result<bool, EngineError> {
         self.commit("remove", |store| {
+            self.check_base(relation)?;
             let gone = store.remove(relation, t)?;
             let deltas = if gone && !self.matviews.is_empty() {
                 vec![MutationDelta::removed_tuple(relation, t.clone())]
@@ -885,6 +747,19 @@ impl QueryEngine {
             };
             Ok((gone, deltas))
         })
+    }
+
+    /// A typed write may not name a materialized view: its extent is
+    /// maintained state, and on a durable engine a logged write to it
+    /// would name a relation recovery does not rebuild. Checked under
+    /// the store lock, which view definition holds too.
+    fn check_base(&self, relation: &str) -> Result<(), EngineError> {
+        if self.matviews.contains(relation) {
+            return Err(EngineError::View(crate::views::ViewError::ExtentWrite(
+                relation.to_string(),
+            )));
+        }
+        Ok(())
     }
 
     /// The mutation lifecycle, written once. Under the store lock: run
@@ -896,7 +771,7 @@ impl QueryEngine {
     fn commit<T>(
         &self,
         op: &'static str,
-        write: impl FnOnce(&mut Store) -> Result<(T, Vec<MutationDelta>), StorageError>,
+        write: impl FnOnce(&mut Store) -> Result<(T, Vec<MutationDelta>), EngineError>,
     ) -> Result<T, EngineError> {
         let mut store = self.store_lock();
         let before = store.stats();
@@ -1290,11 +1165,13 @@ impl QueryEngine {
 
     /// Phases 1–3 — normalize, translate, optimize — producing the
     /// cacheable compiled form. `formula` must already be preprocessed.
+    /// Materialized-view bodies compile here too, against the catalog
+    /// their batch is defined in.
     /// Both algebraic strategies are optimized, and the improved one is
     /// cost-ordered: the one configuration every query runs under.
     pub(crate) fn compile(
         &self,
-        snap: &Snapshot,
+        snap: &Database,
         formula: &Formula,
         strategy: Strategy,
         governor: &Governor,
@@ -1731,10 +1608,43 @@ mod tests {
     }
 
     #[test]
-    fn db_mutation_through_engine() {
-        let mut e = engine();
-        e.db_mut().insert("p", tuple![4]).unwrap();
+    fn typed_insert_through_engine() {
+        let e = engine();
+        e.insert("p", tuple![4]).unwrap();
         assert_eq!(e.query("p(x)").unwrap().len(), 4);
+    }
+
+    /// A materialized view's body compiles exactly as a query does: the
+    /// stored plan is the cost-ordered, optimized plan of `compile`.
+    #[test]
+    fn a_materialized_views_plan_is_the_plan_compile_gives_its_body() {
+        let e = engine();
+        for (name, body) in [
+            ("joined", "p(x) & r(x,y)"),
+            ("bare", "p(x) & !(exists y. r(x,y))"),
+            ("some", "exists y. r(x,y) & p(x) & y > 5"),
+            ("either", "p(x) & (r(x,10) | r(x,20))"),
+        ] {
+            e.define_materialized_view(name, body).unwrap();
+            let snap = e.snapshot();
+            let governor = e.start_governor(0, None, None, None);
+            let (_, expanded) = e
+                .preprocess(&snap, &parse(body).unwrap(), false, &governor, None)
+                .unwrap();
+            let compiled = e
+                .compile(&snap, &expanded, Strategy::Improved, &governor, None)
+                .unwrap();
+            let CompiledPlan::Algebra { plan, .. } = compiled else {
+                panic!("`{body}` is open");
+            };
+            let units = e.matviews.units();
+            let stored = units
+                .iter()
+                .flat_map(|u| u.members())
+                .find(|m| m.name == name)
+                .unwrap();
+            assert_eq!(stored.plan, plan, "`{body}`");
+        }
     }
 
     #[test]
@@ -2011,10 +1921,10 @@ mod prepared_tests {
 
     #[test]
     fn catalog_mutation_invalidates_cached_plans() {
-        let mut e = engine();
+        let e = engine();
         let prepared = e.prepare("p(x) & q(x)", Strategy::Improved).unwrap();
         let before = e.run(&Request::prepared(&prepared)).unwrap().result;
-        e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
+        e.insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
         let after = e.run(&Request::prepared(&prepared)).unwrap().result;
         assert_eq!(after.len(), before.len() + 1, "stale plan served");
         let s = e.plan_cache_stats();

@@ -11,16 +11,14 @@
 //! catalog with the mutation *and* every affected extent patched —
 //! never a half-maintained state.
 //!
-//! Maintenance per view is either:
-//!
-//! - **Incremental** — rewrite the view's plan into a delta plan
-//!   ([`gq_algebra::delta_plan`]), evaluate both sides against the
-//!   delta database, and patch the stored extent as
-//!   `(old − Δ⁻) ∪ Δ⁺`. Any failure (including an injected chaos
-//!   fault at the delta-apply site) falls back to —
-//! - **Recompute** — re-evaluate the full plan against the
-//!   post-mutation catalog under an unlimited governor, so committed
-//!   mutations are never failed by a maintenance budget.
+//! Maintenance per view is incremental: rewrite the view's plan into a
+//! delta plan ([`gq_algebra::delta_plan`]), evaluate both sides against
+//! the delta database, and patch the stored extent as `(old − Δ⁻) ∪ Δ⁺`.
+//! Any failure (including an injected chaos fault at the delta-apply
+//! site) falls back to a recompute: re-evaluate the full plan against
+//! the post-mutation catalog under an unlimited governor, so committed
+//! mutations are never failed by a maintenance budget. Every evaluation
+//! runs under the engine's [`ExecConfig`] ([`Env`]).
 //!
 //! Recursive groups (`with recursive`) are stratified by SCC
 //! decomposition of the view dependency graph; each SCC must be
@@ -38,33 +36,39 @@ use std::sync::{Arc, Mutex};
 
 use gq_algebra::{
     delta_database_lazy, delta_plan, materialize_old, referenced_old_names, AlgebraExpr, Evaluator,
+    ExecConfig,
 };
 use gq_calculus::Var;
 use gq_governor::Governor;
+use gq_obs::{EventData, EventKind, Journal};
 use gq_storage::{Database, MutationDelta, Relation, StorageError, Tuple};
 
 use crate::views::ViewError;
 use crate::EngineError;
 
-/// How a materialized view's extent is kept in sync with its base
-/// relations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintenanceStrategy {
-    /// Patch the extent with evaluated delta plans; falls back to
-    /// recompute if the incremental step fails.
-    Incremental,
-    /// Re-evaluate the full plan after every mutation of a relation the
-    /// plan reads.
-    Recompute,
+/// What every definition and maintenance evaluation runs under: the
+/// engine's execution configuration, and the journal that records each
+/// fixpoint round.
+#[derive(Clone, Copy)]
+pub(crate) struct Env<'a> {
+    pub(crate) exec: ExecConfig,
+    pub(crate) journal: &'a Journal,
 }
 
-impl MaintenanceStrategy {
-    /// Stable lowercase name (journal details, bench labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            MaintenanceStrategy::Incremental => "incremental",
-            MaintenanceStrategy::Recompute => "recompute",
-        }
+impl Env<'_> {
+    /// An evaluator over `db` under the engine's configuration.
+    pub(crate) fn evaluator<'d>(&self, db: &'d Database, governor: &Governor) -> Evaluator<'d> {
+        Evaluator::new(db)
+            .with_exec_config(self.exec)
+            .with_governor(governor.clone())
+    }
+
+    /// Journal one semi-naive round (`ivm.round`).
+    fn round(&self, group: &str, round: u64, fresh: usize) {
+        self.journal.record(|| {
+            EventData::new(EventKind::IvmRound, 0, "ivm")
+                .detail(format!("group `{group}` round {round}: {fresh} new tuples"))
+        });
     }
 }
 
@@ -81,8 +85,6 @@ pub(crate) struct MatView {
     pub(crate) plan: AlgebraExpr,
     /// Catalog relations the plan scans (including other extents).
     pub(crate) reads: BTreeSet<String>,
-    /// Maintenance mode.
-    pub(crate) strategy: MaintenanceStrategy,
 }
 
 /// A maintenance unit, processed atomically per mutation: either one
@@ -143,9 +145,9 @@ impl MaterializedViews {
         self.lock().extend(new_units);
     }
 
-    /// `(name, columns, strategy, recursive?)` for every registered
-    /// view, in maintenance order.
-    pub(crate) fn describe(&self) -> Vec<(String, Vec<String>, MaintenanceStrategy, bool)> {
+    /// `(name, columns, recursive?)` for every registered view, in
+    /// maintenance order.
+    pub(crate) fn describe(&self) -> Vec<(String, Vec<String>, bool)> {
         self.lock()
             .iter()
             .flat_map(|u| {
@@ -156,7 +158,6 @@ impl MaterializedViews {
                         (
                             m.name.clone(),
                             m.vars.iter().map(|v| v.name().to_string()).collect(),
-                            m.strategy,
                             recursive,
                         )
                     })
@@ -183,6 +184,9 @@ pub(crate) struct ApplyOutcome {
     pub(crate) fallback: Option<String>,
     /// Fixpoint rounds run (recursive units only).
     pub(crate) rounds: u64,
+    /// The new extent, when the run changed it; the engine writes it
+    /// back to the store.
+    pub(crate) extent: Option<Arc<Relation>>,
 }
 
 /// Relation names a plan scans.
@@ -463,6 +467,7 @@ fn incremental_single(
     v: &MatView,
     extent: &Relation,
     governor: &Governor,
+    env: Env<'_>,
 ) -> Result<Patched, EngineError> {
     #[cfg(feature = "chaos")]
     if let Some(msg) = gq_chaos::fail_delta_apply(&v.name) {
@@ -484,7 +489,7 @@ fn incremental_single(
         referenced_old_names(side, &changed, &mut wanted);
     }
     materialize_old(&mut ddb, old, &wanted)?;
-    let ev = Evaluator::new(&ddb).with_governor(governor.clone());
+    let ev = env.evaluator(&ddb, governor);
     let minus = dp.remove.as_ref().map(|p| ev.eval(p)).transpose()?;
     let plus = dp.insert.as_ref().map(|p| ev.eval(p)).transpose()?;
     Ok(patch_tracked(extent, minus.as_ref(), plus.as_ref())?)
@@ -497,8 +502,9 @@ fn recompute_single(
     working: &Database,
     v: &MatView,
     extent: &Relation,
+    env: Env<'_>,
 ) -> Result<Patched, EngineError> {
-    let ev = Evaluator::new(working).with_governor(Governor::unlimited());
+    let ev = env.evaluator(working, &Governor::unlimited());
     let mut fresh = ev.eval(&v.plan)?;
     fresh.set_name(&v.name);
     let delta = MutationDelta::replaced(&v.name, extent, &fresh);
@@ -517,7 +523,7 @@ fn seminaive_rounds(
     group: &[MatView],
     mut cur: Vec<Vec<Tuple>>,
     governor: &Governor,
-    on_round: &mut dyn FnMut(&str, u64, usize),
+    env: Env<'_>,
     rounds: &mut u64,
 ) -> Result<(), EngineError> {
     let label = group
@@ -533,7 +539,7 @@ fn seminaive_rounds(
         *rounds += 1;
         governor.check("ivm")?;
         governor.charge_intermediate("ivm", total as u64, 0)?;
-        on_round(&label, *rounds, total);
+        env.round(&label, *rounds, total);
         let prev = local.clone();
         let mut member_deltas = Vec::with_capacity(group.len());
         for (m, fresh) in group.iter().zip(&cur) {
@@ -562,7 +568,7 @@ fn seminaive_rounds(
             }
         }
         materialize_old(&mut ddb, &prev, &wanted)?;
-        let ev = Evaluator::new(&ddb).with_governor(governor.clone());
+        let ev = env.evaluator(&ddb, governor);
         let mut next = Vec::with_capacity(group.len());
         for (m, dp) in group.iter().zip(&plans) {
             let plus = dp.insert.as_ref().map(|p| ev.eval(p)).transpose()?;
@@ -586,7 +592,7 @@ pub(crate) fn fixpoint(
     local: &mut Database,
     group: &[MatView],
     governor: &Governor,
-    on_round: &mut dyn FnMut(&str, u64, usize),
+    env: Env<'_>,
     rounds: &mut u64,
 ) -> Result<(), EngineError> {
     for m in group {
@@ -594,14 +600,14 @@ pub(crate) fn fixpoint(
         local.replace_relation(Relation::named_intermediate(&m.name, arity));
     }
     let cur: Vec<Vec<Tuple>> = {
-        let ev = Evaluator::new(local).with_governor(governor.clone());
+        let ev = env.evaluator(local, governor);
         let mut out = Vec::with_capacity(group.len());
         for m in group {
             out.push(ev.eval(&m.plan)?.iter().cloned().collect());
         }
         out
     };
-    seminaive_rounds(local, group, cur, governor, on_round, rounds)
+    seminaive_rounds(local, group, cur, governor, env, rounds)
 }
 
 /// Re-derive a recursive group's extents from scratch on a scratch
@@ -609,12 +615,12 @@ pub(crate) fn fixpoint(
 fn refixpoint(
     working: &Database,
     group: &[MatView],
-    on_round: &mut dyn FnMut(&str, u64, usize),
+    env: Env<'_>,
     rounds: &mut u64,
 ) -> Result<Vec<Relation>, EngineError> {
     let mut local = working.clone();
     let unlimited = Governor::unlimited();
-    fixpoint(&mut local, group, &unlimited, on_round, rounds)?;
+    fixpoint(&mut local, group, &unlimited, env, rounds)?;
     group
         .iter()
         .map(|m| Ok(local.relation(&m.name)?.clone()))
@@ -632,7 +638,7 @@ fn continue_insert_only(
     deltas: &[MutationDelta],
     group: &[MatView],
     governor: &Governor,
-    on_round: &mut dyn FnMut(&str, u64, usize),
+    env: Env<'_>,
     rounds: &mut u64,
 ) -> Result<Vec<Relation>, EngineError> {
     #[cfg(feature = "chaos")]
@@ -656,7 +662,7 @@ fn continue_insert_only(
     materialize_old(&mut ddb, old, &wanted)?;
     let mut cur = Vec::with_capacity(group.len());
     {
-        let ev = Evaluator::new(&ddb).with_governor(governor.clone());
+        let ev = env.evaluator(&ddb, governor);
         for (m, dp) in group.iter().zip(&plans) {
             let plus = dp.insert.as_ref().map(|p| ev.eval(p)).transpose()?;
             let extent = local.relation(&m.name)?;
@@ -680,7 +686,7 @@ fn continue_insert_only(
             });
         }
     }
-    seminaive_rounds(&mut local, group, cur, governor, on_round, rounds)?;
+    seminaive_rounds(&mut local, group, cur, governor, env, rounds)?;
     group
         .iter()
         .map(|m| Ok(local.relation(&m.name)?.clone()))
@@ -691,15 +697,16 @@ fn continue_insert_only(
 /// materialized view, patching extents in `working` (the post-mutation
 /// catalog) in dependency order. Each patched view's *own* net delta is
 /// appended to the delta set, so downstream views see upstream changes.
-/// `old` is the pre-mutation published catalog. The caller publishes
-/// `working` only when this returns `Ok`, keeping readers atomic.
+/// `old` is the pre-mutation published catalog. The caller writes the
+/// outcomes' new extents back only when this returns `Ok`, keeping
+/// readers atomic.
 pub(crate) fn maintain(
     working: &mut Database,
     old: &Database,
     base_deltas: Vec<MutationDelta>,
     units: &[Unit],
     governor: &Governor,
-    on_round: &mut dyn FnMut(&str, u64, usize),
+    env: Env<'_>,
 ) -> Result<Vec<ApplyOutcome>, EngineError> {
     let mut deltas: Vec<MutationDelta> =
         base_deltas.into_iter().filter(|d| !d.is_empty()).collect();
@@ -716,21 +723,19 @@ pub(crate) fn maintain(
                 }
                 let extent = working.relation_arc(&v.name)?;
                 let mut fallback = None;
-                let tried = if v.strategy == MaintenanceStrategy::Incremental {
-                    match incremental_single(working, old, &deltas, v, &extent, governor) {
-                        Ok(p) => Some(p),
+                let (patched, mode) =
+                    match incremental_single(working, old, &deltas, v, &extent, governor, env) {
+                        Ok(p) => (p, "incremental"),
                         Err(e) => {
                             fallback = Some(e.to_string());
-                            None
+                            (recompute_single(working, v, &extent, env)?, "recompute")
                         }
-                    }
-                } else {
-                    None
-                };
-                let (patched, mode) = match tried {
-                    Some(p) => (p, "incremental"),
-                    None => (recompute_single(working, v, &extent)?, "recompute"),
-                };
+                    };
+                // A maintenance that changed nothing keeps the stored
+                // extent — its row order is the stable one — so the view's
+                // version stamp and the catalog epoch do not move and no
+                // cached plan reading the view is evicted.
+                let changed = (!patched.delta.is_empty()).then(|| Arc::new(patched.extent));
                 out.push(ApplyOutcome {
                     view: v.name.clone(),
                     added: patched.delta.inserted.len(),
@@ -738,13 +743,10 @@ pub(crate) fn maintain(
                     mode,
                     fallback,
                     rounds: 0,
+                    extent: changed.clone(),
                 });
-                // A maintenance that changed nothing keeps the stored
-                // extent — its row order is the stable one — so the view's
-                // version stamp and the catalog epoch do not move and no
-                // cached plan reading the view is evicted.
-                if !patched.delta.is_empty() {
-                    working.replace_relation_arc(Arc::new(patched.extent));
+                if let Some(extent) = changed {
+                    working.replace_relation_arc(extent);
                     deltas.push(patched.delta);
                 }
             }
@@ -772,18 +774,14 @@ pub(crate) fn maintain(
                     .collect::<Result<_, _>>()?;
                 let mut fallback = None;
                 let mut rounds = 0u64;
-                let strategy = group
-                    .first()
-                    .map(|m| m.strategy)
-                    .unwrap_or(MaintenanceStrategy::Recompute);
-                let tried = if strategy == MaintenanceStrategy::Incremental && insert_only {
+                let tried = if insert_only {
                     match continue_insert_only(
                         working,
                         old,
                         &deltas,
                         group,
                         governor,
-                        on_round,
+                        env,
                         &mut rounds,
                     ) {
                         Ok(e) => Some(e),
@@ -800,7 +798,7 @@ pub(crate) fn maintain(
                     None => {
                         rounds = 0;
                         (
-                            refixpoint(working, group, on_round, &mut rounds)?,
+                            refixpoint(working, group, env, &mut rounds)?,
                             "fixpoint-recompute",
                         )
                     }
@@ -808,6 +806,7 @@ pub(crate) fn maintain(
                 for ((m, old_extent), new_extent) in group.iter().zip(&old_extents).zip(new_extents)
                 {
                     let delta = MutationDelta::replaced(&m.name, old_extent, &new_extent);
+                    let changed = (!delta.is_empty()).then(|| Arc::new(new_extent));
                     out.push(ApplyOutcome {
                         view: m.name.clone(),
                         added: delta.inserted.len(),
@@ -815,64 +814,11 @@ pub(crate) fn maintain(
                         mode,
                         fallback: fallback.clone(),
                         rounds,
+                        extent: changed.clone(),
                     });
-                    if !delta.is_empty() {
-                        working.replace_relation_arc(Arc::new(new_extent));
+                    if let Some(extent) = changed {
+                        working.replace_relation_arc(extent);
                         deltas.push(delta);
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Re-derive every extent from scratch — used after raw catalog access
-/// ([`crate::QueryEngine::db_mut`]) where no deltas were captured.
-/// Unlimited: this runs at commit time and must not fail on budgets.
-pub(crate) fn recompute_all(
-    working: &mut Database,
-    units: &[Unit],
-    on_round: &mut dyn FnMut(&str, u64, usize),
-) -> Result<Vec<ApplyOutcome>, EngineError> {
-    let mut out = Vec::new();
-    for unit in units {
-        match unit {
-            Unit::Single(v) => {
-                let extent = working.relation_arc(&v.name)?;
-                let patched = recompute_single(working, v, &extent)?;
-                out.push(ApplyOutcome {
-                    view: v.name.clone(),
-                    added: patched.delta.inserted.len(),
-                    removed: patched.delta.removed.len(),
-                    mode: "recompute",
-                    fallback: None,
-                    rounds: 0,
-                });
-                if !patched.delta.is_empty() {
-                    working.replace_relation_arc(Arc::new(patched.extent));
-                }
-            }
-            Unit::Recursive(group) => {
-                let mut rounds = 0u64;
-                let old_extents: Vec<Arc<Relation>> = group
-                    .iter()
-                    .map(|m| working.relation_arc(&m.name))
-                    .collect::<Result<_, _>>()?;
-                let new_extents = refixpoint(working, group, on_round, &mut rounds)?;
-                for ((m, old_extent), new_extent) in group.iter().zip(&old_extents).zip(new_extents)
-                {
-                    let delta = MutationDelta::replaced(&m.name, old_extent, &new_extent);
-                    out.push(ApplyOutcome {
-                        view: m.name.clone(),
-                        added: delta.inserted.len(),
-                        removed: delta.removed.len(),
-                        mode: "fixpoint-recompute",
-                        fallback: None,
-                        rounds,
-                    });
-                    if !delta.is_empty() {
-                        working.replace_relation_arc(Arc::new(new_extent));
                     }
                 }
             }
@@ -893,7 +839,6 @@ mod tests {
             vars: vec![Var::new("x")],
             plan,
             reads,
-            strategy: MaintenanceStrategy::Incremental,
         }
     }
 

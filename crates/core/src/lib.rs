@@ -59,7 +59,7 @@ mod request;
 mod views;
 
 pub use constraints::{Constraint, ConstraintReport, ConstraintSet};
-pub use engine::{DbMut, QueryEngine, QueryResult, Snapshot, Strategy};
+pub use engine::{QueryEngine, QueryResult, Snapshot, Strategy};
 pub use error::EngineError;
 pub use explain::explain_analyze;
 pub use gq_algebra::ExecConfig;
@@ -68,7 +68,6 @@ pub use gq_governor::{CancelToken, GovernorError, QueryLimits, Resource, SharedB
 pub use gq_obs::{
     Event, EventKind, Journal, MetricsSnapshot, QueryTrace, SlowLog, SlowLogEntry, WindowStats,
 };
-pub use ivm::MaintenanceStrategy;
 pub use plan_cache::{PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use request::{PreparedQuery, Request, Response};
 pub use views::{View, ViewError, ViewRegistry};

@@ -93,6 +93,9 @@ pub enum ViewError {
         /// The group member read at a non-monotone position.
         relation: String,
     },
+    /// A typed write named a materialized view: its extent changes only
+    /// through maintenance.
+    ExtentWrite(String),
     /// A `with recursive` definition is malformed (duplicate or reserved
     /// names, parameter/body mismatch, …).
     BadRecursiveDef {
@@ -136,6 +139,10 @@ impl std::fmt::Display for ViewError {
                      aggregate) — the group cannot be stratified"
                 )
             }
+            ViewError::ExtentWrite(v) => write!(
+                f,
+                "`{v}` is a materialized view: its extent changes only through maintenance"
+            ),
             ViewError::BadRecursiveDef { view, detail } => {
                 write!(f, "recursive definition `{view}`: {detail}")
             }

@@ -581,9 +581,11 @@ impl fmt::Debug for Governor {
 }
 
 /// A coarse per-tuple memory estimate used to charge
-/// [`QueryLimits::max_memory_bytes`]: a `Vec` header plus a fixed cost
-/// per column. Deliberately deterministic (no allocator introspection)
-/// so budgets trip identically across runs and thread counts.
+/// [`QueryLimits::max_memory_bytes`]: a fixed 48-byte charge per tuple
+/// plus 32 bytes per column. The figures are a flat charge, not a
+/// measured layout of the tuple type. Deliberately deterministic (no
+/// allocator introspection) so budgets trip identically across runs and
+/// thread counts.
 pub fn estimate_tuple_bytes(arity: usize) -> u64 {
     48 + 32 * arity as u64
 }

@@ -50,8 +50,15 @@ impl Database {
 
     /// Restore a persisted epoch (text-format header, WAL replay). Only
     /// the persistence and durability layers may rewind or fast-forward
-    /// the counter — everything else sees a strictly monotone epoch.
+    /// the counter — everything else sees a strictly monotone epoch. A
+    /// rewind also lowers every version stamp above `epoch` to it, so no
+    /// relation is stamped later than the catalog.
     pub(crate) fn set_epoch(&mut self, epoch: u64) {
+        if epoch < self.epoch {
+            for v in self.versions.values_mut() {
+                *v = (*v).min(epoch);
+            }
+        }
         self.epoch = epoch;
     }
 

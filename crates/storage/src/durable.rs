@@ -35,11 +35,20 @@
 //! increase. The recovered catalog resumes its epoch sequence past the
 //! WAL high-water mark, so epoch-keyed caches (the plan cache) can never
 //! confuse pre- and post-crash catalog states.
+//!
+//! ## Volatile extents
+//!
+//! A materialized view's extent is derived state: [`DurableDatabase::put_extent`]
+//! writes it into the live catalog without a WAL record, and a checkpoint
+//! snapshot leaves it out. Recovery therefore never sees an extent — the
+//! view is re-defined over the recovered base relations.
 
 use crate::wal::{read_wal, WalOp, WalRecord, WalWriter};
 use crate::{crc::crc32, fsutil, persist};
 use crate::{Database, Relation, Schema, StorageError, Tuple};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const MANIFEST: &str = "MANIFEST";
 const MANIFEST_MAGIC: &str = "gq-manifest v1";
@@ -138,6 +147,9 @@ pub struct DurableDatabase {
     generation: u64,
     wal: WalWriter,
     stats: DurabilityStats,
+    /// Relations written by [`DurableDatabase::put_extent`]: in the live
+    /// catalog, never in the WAL or a checkpoint snapshot.
+    volatile: BTreeSet<String>,
 }
 
 impl DurableDatabase {
@@ -158,7 +170,12 @@ impl DurableDatabase {
     fn init_fresh(dir: &Path) -> Result<(Self, RecoveryStats), StorageError> {
         let db = Database::new();
         let generation = 1;
-        write_snapshot(&dir.join(snapshot_name(generation)), &db, "init.snapshot")?;
+        write_snapshot(
+            &dir.join(snapshot_name(generation)),
+            &db,
+            &BTreeSet::new(),
+            "init.snapshot",
+        )?;
         let wal = WalWriter::create(&dir.join(wal_name(generation)))?;
         write_manifest(dir, generation)?;
         let this = DurableDatabase {
@@ -167,6 +184,7 @@ impl DurableDatabase {
             generation,
             wal,
             stats: DurabilityStats::default(),
+            volatile: BTreeSet::new(),
         };
         let recovery = RecoveryStats {
             generation,
@@ -229,6 +247,7 @@ impl DurableDatabase {
             generation,
             wal,
             stats,
+            volatile: BTreeSet::new(),
         };
         Ok((this, recovery))
     }
@@ -238,12 +257,13 @@ impl DurableDatabase {
         &self.db
     }
 
-    /// Escape hatch for callers that mutate the catalog *without*
-    /// durability (materialized scratch state, tests). Changes made
-    /// through this handle are NOT logged and will not survive a crash —
-    /// use the typed mutation methods for anything that must.
-    pub fn db_mut_volatile(&mut self) -> &mut Database {
-        &mut self.db
+    /// Insert or replace a materialized view's extent — the one write
+    /// that is not durable. No WAL record is appended and no checkpoint
+    /// snapshot writes the relation, so it is gone after a reopen. The
+    /// caller owns the name: it must not be a base relation's.
+    pub fn put_extent(&mut self, extent: Arc<Relation>) {
+        self.volatile.insert(extent.name().to_string());
+        self.db.replace_relation_arc(extent);
     }
 
     /// The live generation number.
@@ -363,15 +383,17 @@ impl DurableDatabase {
         self.db.remove(relation, t)
     }
 
-    /// Take an atomic checkpoint: snapshot the full catalog to
-    /// `snapshot-<g+1>.gq`, start an empty `wal-<g+1>.log`, and commit by
-    /// atomically replacing the manifest. A crash anywhere before the
-    /// manifest rename leaves generation `g` untouched.
+    /// Take an atomic checkpoint: snapshot the catalog's base relations
+    /// (every relation but the volatile extents) to `snapshot-<g+1>.gq`,
+    /// start an empty `wal-<g+1>.log`, and commit by atomically
+    /// replacing the manifest. A crash anywhere before the manifest
+    /// rename leaves generation `g` untouched.
     pub fn checkpoint(&mut self) -> Result<CheckpointStats, StorageError> {
         let fsyncs_before = fsutil::fsyncs_issued();
         let next = self.generation + 1;
         let snap_path = self.dir.join(snapshot_name(next));
-        let snapshot_bytes = write_snapshot(&snap_path, &self.db, "checkpoint.snapshot")?;
+        let snapshot_bytes =
+            write_snapshot(&snap_path, &self.db, &self.volatile, "checkpoint.snapshot")?;
         let new_wal = WalWriter::create(&self.dir.join(wal_name(next)))?;
         write_manifest(&self.dir, next)?; // commit point
         let old = self.generation;
@@ -430,10 +452,15 @@ fn apply_op(db: &mut Database, op: &WalOp) -> Result<(), StorageError> {
 
 // ------------------------------------------------------------- snapshot
 
-/// Serialize `db` and write it atomically with a CRC trailer. Returns
-/// the snapshot size in bytes.
-fn write_snapshot(path: &Path, db: &Database, site: &str) -> Result<u64, StorageError> {
-    let mut text = persist::to_text(db);
+/// Serialize `db` without the relations in `volatile` and write it
+/// atomically with a CRC trailer. Returns the snapshot size in bytes.
+fn write_snapshot(
+    path: &Path,
+    db: &Database,
+    volatile: &BTreeSet<String>,
+    site: &str,
+) -> Result<u64, StorageError> {
+    let mut text = persist::to_text_except(db, volatile);
     let crc = crc32(text.as_bytes());
     let len = text.len();
     text.push_str(&format!("# crc32 {crc:08x} {len}\n"));
@@ -713,6 +740,34 @@ mod tests {
         let v = d.db().relation("v").unwrap();
         assert_eq!(v.len(), 2);
         assert!(v.contains(&tuple![7]) && v.contains(&tuple![8]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn extents_are_neither_logged_nor_checkpointed() {
+        let dir = fresh_dir("extent");
+        {
+            let (mut d, _) = DurableDatabase::open(&dir).unwrap();
+            d.create_relation("p", Schema::anonymous(1)).unwrap();
+            d.insert("p", tuple![1]).unwrap();
+            let appends = d.stats().wal_appends;
+            let extent =
+                Relation::with_tuples("mv", Schema::anonymous(1), vec![tuple![1]]).unwrap();
+            d.put_extent(Arc::new(extent));
+            assert_eq!(
+                d.stats().wal_appends,
+                appends,
+                "an extent write is not logged"
+            );
+            assert_eq!(d.db().relation("mv").unwrap().len(), 1);
+            d.checkpoint().unwrap();
+            // Numbered past the extent write's epoch: replays in order.
+            d.insert("p", tuple![2]).unwrap();
+        }
+        let (d, rec) = DurableDatabase::open(&dir).unwrap();
+        assert_eq!(rec.wal_records_replayed, 1);
+        assert!(!d.db().has_relation("mv"), "a checkpoint wrote the extent");
+        assert_eq!(d.db().relation("p").unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

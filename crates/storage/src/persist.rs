@@ -21,17 +21,19 @@
 //! relations by construction.
 //!
 //! The `# epoch <n>` header persists the catalog epoch: a database
-//! reloaded from text resumes its epoch sequence instead of resetting to
-//! the replayed mutation count, so epoch-keyed caches (the plan cache)
-//! can never see a reloaded catalog collide with an epoch they already
-//! served. Files without the header (hand-written fixtures) still load;
-//! their epoch is the natural mutation count of the parse.
+//! reloaded from text resumes its epoch sequence exactly instead of
+//! taking the replayed mutation count, so epoch-keyed caches (the plan
+//! cache) can never see a reloaded catalog collide with an epoch they
+//! already served, and WAL records numbered after a checkpoint replay in
+//! order over it. Files without the header (hand-written fixtures) still
+//! load; their epoch is the natural mutation count of the parse.
 //!
 //! Saves are *atomic*: the text is written to a temp file, fsynced, and
 //! renamed over the target, so a crash or full disk mid-save can destroy
 //! at worst the temp file — never the previous good database file.
 
 use crate::{fsutil, Database, Schema, StorageError, Tuple, Value};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -199,9 +201,15 @@ impl std::error::Error for PersistError {}
 /// Serialize a database to the text format, including the `# epoch <n>`
 /// header so a reload resumes the catalog's epoch sequence.
 pub fn to_text(db: &Database) -> String {
+    to_text_except(db, &BTreeSet::new())
+}
+
+/// [`to_text`] without the relations named in `skip` — the volatile
+/// view extents a durable checkpoint leaves out.
+pub(crate) fn to_text_except(db: &Database, skip: &BTreeSet<String>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# epoch {}", db.epoch());
-    for rel in db.relations() {
+    for rel in db.relations().filter(|r| !skip.contains(r.name())) {
         let attrs: Vec<&str> = rel.schema().attributes().collect();
         // Writing into a String is infallible.
         let _ = writeln!(out, "relation {}({})", rel.name(), attrs.join(", "));
@@ -216,9 +224,12 @@ pub fn to_text(db: &Database) -> String {
 /// Parse a database from the text format.
 ///
 /// If the text carries a `# epoch <n>` header the parsed database's epoch
-/// is set to `max(n, natural)` — where *natural* is the epoch the parse's
-/// own create/insert mutations produced — so a reload can never rewind
-/// the epoch below a value the original database already handed out.
+/// is exactly `n`, the epoch the saved database had. The parse's own
+/// create/insert count (*natural*) is no guide: a bulk write (`dom`'s
+/// refresh, an added relation) moves the epoch once for many tuples, so
+/// *natural* can overshoot `n`, and the WAL records written after a
+/// checkpoint — numbered from `n` — would then replay as a regression.
+/// Without a header the epoch is *natural*.
 pub fn from_text(text: &str) -> Result<Database, PersistError> {
     let mut db = Database::new();
     let mut current: Option<String> = None;
@@ -264,8 +275,7 @@ pub fn from_text(text: &str) -> Result<Database, PersistError> {
         }
     }
     if let Some(h) = header_epoch {
-        let natural = db.epoch();
-        db.set_epoch(h.max(natural));
+        db.set_epoch(h);
     }
     Ok(db)
 }

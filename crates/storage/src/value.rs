@@ -21,7 +21,9 @@ use std::sync::Arc;
 pub enum Value {
     /// 64-bit signed integer constant.
     Int(i64),
-    /// Interned string constant.
+    /// String constant in a shared `Arc<str>`. Not interned: clones of
+    /// one value share its text, but equal texts built apart are
+    /// separate allocations.
     Str(Arc<str>),
     /// The paper's `∅`: outer-join null padding. Internal only.
     Null,
@@ -30,7 +32,8 @@ pub enum Value {
 }
 
 impl Value {
-    /// Build a string value (interning the text).
+    /// Build a string value: allocates a fresh `Arc<str>` holding a copy
+    /// of the text on every call (no interning).
     pub fn str(s: impl AsRef<str>) -> Self {
         Value::Str(Arc::from(s.as_ref()))
     }

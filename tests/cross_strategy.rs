@@ -84,10 +84,9 @@ fn agreement_other_seeds() {
 fn agreement_after_mutation() {
     let mut scale = UniversityScale::of_size(25);
     scale.seed = 9;
-    let mut engine = QueryEngine::new(university(&scale));
+    let engine = QueryEngine::new(university(&scale));
     check_engine(&engine);
     engine
-        .db_mut()
         .insert("student", gq_storage::tuple!["newcomer"])
         .unwrap();
     check_engine(&engine);

@@ -9,7 +9,7 @@
 //! tests serialize on a process-wide mutex because the gq-chaos
 //! registry is global, and read `GQ_CHAOS_SEED` so CI can sweep seeds.
 
-use gq_core::{ExecConfig, QueryEngine};
+use gq_core::{EngineError, ExecConfig, QueryEngine, ViewError};
 use gq_storage::{tuple, Database, DurableDatabase, Schema, StorageError, Tuple};
 use std::path::PathBuf;
 
@@ -275,6 +275,95 @@ fn recovered_database_answers_identically_across_threads() {
         assert_eq!(base, answers_at(dd.db(), query, 2), "{query} @ 2 threads");
         assert_eq!(base, answers_at(dd.db(), query, 8), "{query} @ 8 threads");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A bulk write (`dom`'s refresh logs one record for many tuples)
+/// followed by a checkpoint leaves a snapshot whose tuple count exceeds
+/// its epoch. The reload must take the snapshot's epoch as written, or
+/// the first post-checkpoint WAL record replays as a regression and the
+/// committed insert is unreachable.
+#[test]
+fn a_bulk_write_before_a_checkpoint_still_reopens() {
+    let dir = fresh_dir("bulk_checkpoint");
+    let epoch = {
+        let (e, _) = QueryEngine::open_durable(&dir).unwrap();
+        e.create_relation("p", Schema::new(vec!["a"]).unwrap())
+            .unwrap();
+        for v in 1..=3i64 {
+            e.insert("p", tuple![v]).unwrap();
+        }
+        e.refresh_domain_view().unwrap();
+        e.checkpoint().unwrap();
+        e.insert("p", tuple![4i64]).unwrap();
+        e.snapshot().epoch()
+    };
+    let (e, rec) = QueryEngine::open_durable(&dir).unwrap();
+    assert_eq!(rec.wal_records_replayed, 1, "stats: {rec}");
+    assert_eq!(rec.recovered_epoch, epoch);
+    assert_eq!(e.query("p(x)").unwrap().len(), 4);
+    assert_eq!(e.query("dom(x)").unwrap().len(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A materialized view's extent is volatile: a checkpoint does not write
+/// it, so after a reopen the catalog holds only base relations and the
+/// view is defined again over them — with an extent equal to its body.
+#[test]
+fn checkpointed_view_extents_rebuild_on_reopen() {
+    const BODY: &str = "p(x) & !q(x)";
+    let dir = fresh_dir("view_checkpoint");
+    {
+        let (e, _) = QueryEngine::open_durable(&dir).unwrap();
+        e.create_relation("p", Schema::new(vec!["a"]).unwrap())
+            .unwrap();
+        e.create_relation("q", Schema::new(vec!["a"]).unwrap())
+            .unwrap();
+        for v in 0..6i64 {
+            e.insert("p", tuple![v]).unwrap();
+        }
+        e.define_materialized_view("mv", BODY).unwrap();
+        e.checkpoint().unwrap();
+        e.insert("q", tuple![2i64]).unwrap();
+        assert_eq!(e.query("mv(x)").unwrap().len(), 5);
+    }
+    let (e, _) = QueryEngine::open_durable(&dir).unwrap();
+    assert!(
+        !e.snapshot().has_relation("mv"),
+        "the checkpoint wrote the extent"
+    );
+    e.define_materialized_view("mv", BODY).unwrap();
+    let snap = e.snapshot();
+    assert_eq!(answers_at(&snap, "mv(x)", 1), answers_at(&snap, BODY, 1));
+    assert_eq!(e.query("mv(x)").unwrap().len(), 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A typed write naming a materialized view is refused: the extent is
+/// volatile, so a logged write to it would name a relation the
+/// recovered catalog does not have and make the WAL unreplayable.
+#[test]
+fn a_write_into_a_view_extent_is_refused_and_the_log_still_replays() {
+    let dir = fresh_dir("extent_write");
+    {
+        let (e, _) = QueryEngine::open_durable(&dir).unwrap();
+        e.create_relation("p", Schema::new(vec!["a"]).unwrap())
+            .unwrap();
+        e.insert("p", tuple![1i64]).unwrap();
+        e.define_materialized_view("mv", "p(x)").unwrap();
+        let appends = e.durability_stats().unwrap().wal_appends;
+        for refused in [e.insert("mv", tuple![2i64]), e.remove("mv", &tuple![1i64])] {
+            assert!(
+                matches!(refused, Err(EngineError::View(ViewError::ExtentWrite(ref v))) if v == "mv"),
+                "got {refused:?}"
+            );
+        }
+        assert_eq!(e.durability_stats().unwrap().wal_appends, appends);
+        assert_eq!(e.query("mv(x)").unwrap().len(), 1);
+    }
+    let (e, rec) = QueryEngine::open_durable(&dir).unwrap();
+    assert_eq!(rec.wal_records_replayed, 2, "stats: {rec}");
+    assert_eq!(e.query("p(x)").unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

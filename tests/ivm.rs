@@ -1,15 +1,17 @@
-//! IVM suite: materialized views, incremental-vs-recompute equivalence,
-//! `with recursive` semi-naive fixpoint, stratification rejection,
-//! governor-bounded recursion, and (behind `--features chaos`)
-//! delta-apply fault injection.
+//! IVM suite: materialized views, incremental extents against fresh
+//! evaluation of their bodies (under random interleavings and beside a
+//! concurrent writer), `with recursive` semi-naive fixpoint,
+//! stratification rejection, governor-bounded recursion, and (behind
+//! `--features chaos`) delta-apply fault injection.
 //!
 //! `GQ_TEST_THREADS` (CI sweeps 1/2/8) narrows the thread matrix to one
-//! count; unset, each test sweeps all three. Chaos tests additionally
-//! read `GQ_CHAOS_SEED`.
+//! count; unset, each test sweeps all three. The count is the engine's,
+//! so it pins the threads view definition and maintenance run on too.
+//! Chaos tests additionally read `GQ_CHAOS_SEED`.
 
 use gq_core::{
-    EngineError, EventKind, ExecConfig, MaintenanceStrategy, QueryEngine, QueryLimits, Request,
-    Resource, Strategy, ViewError,
+    EngineError, EventKind, ExecConfig, QueryEngine, QueryLimits, Request, Resource, Strategy,
+    ViewError,
 };
 use gq_storage::{tuple, Database, Schema, Tuple};
 
@@ -135,15 +137,15 @@ fn duplicate_and_unknown_names_are_rejected() {
     assert_eq!(e.materialized_views().len(), 1);
 }
 
-/// The incremental-vs-recompute property: the same random mutation
-/// interleaving applied to an incrementally maintained engine, a
-/// recompute-maintained engine, and an unmaterialized oracle must leave
-/// all three with bit-identical answer sets — across thread counts and
-/// seeds, for view bodies exercising join, negation (complement-join),
-/// and disjunction delta rules, and projections that are injective
-/// (the join view keeps every column; `r(x,5)` drops one pinned to a
-/// constant) or not (`exists y`, with and without a range filter), under
-/// inserts and removes on every relation.
+/// The incremental-maintenance property: the same random mutation
+/// interleaving applied to an incrementally maintained engine and an
+/// unmaterialized oracle must leave every extent equal to the oracle's
+/// answer for the view's body — across thread counts and seeds, for view
+/// bodies exercising join, negation (complement-join), and disjunction
+/// delta rules, and projections that are injective (the join view keeps
+/// every column; `r(x,5)` drops one pinned to a constant) or not
+/// (`exists y`, with and without a range filter), under inserts and
+/// removes on every relation.
 #[test]
 fn incremental_matches_recompute_under_random_interleavings() {
     let bodies = [
@@ -157,13 +159,9 @@ fn incremental_matches_recompute_under_random_interleavings() {
     for threads in thread_counts() {
         for seed in [7u64, 42, 1337] {
             let inc = engine_with(threads);
-            let rec = engine_with(threads);
             let oracle = engine_with(threads);
             for (name, body, _) in bodies {
-                inc.define_materialized_view_with(name, body, MaintenanceStrategy::Incremental)
-                    .unwrap();
-                rec.define_materialized_view_with(name, body, MaintenanceStrategy::Recompute)
-                    .unwrap();
+                inc.define_materialized_view(name, body).unwrap();
             }
             let mut rng = Rng(seed);
             for step in 0..120 {
@@ -171,7 +169,7 @@ fn incremental_matches_recompute_under_random_interleavings() {
                 // Six second columns per first: a removed r tuple often
                 // leaves a sibling that still projects to the same x.
                 let w = rng.below(6);
-                let engines = [&inc, &rec, &oracle];
+                let engines = [&inc, &oracle];
                 match rng.below(6) {
                     0 => engines.iter().for_each(|e| {
                         e.insert("p", tuple![v]).unwrap();
@@ -194,33 +192,96 @@ fn incremental_matches_recompute_under_random_interleavings() {
                 }
                 if step % 10 == 9 {
                     for (name, body, view_q) in bodies {
-                        let want = answers(&oracle, body);
-                        let got_inc = answers(&inc, view_q);
-                        let got_rec = answers(&rec, view_q);
                         assert_eq!(
-                            got_inc, want,
+                            answers(&inc, view_q),
+                            answers(&oracle, body),
                             "incremental diverged: threads={threads} seed={seed} \
                              step={step} view={name}"
-                        );
-                        assert_eq!(
-                            got_rec, want,
-                            "recompute diverged: threads={threads} seed={seed} \
-                             step={step} view={name}"
-                        );
-                        // ExecStats invariant: both extents are plain base
-                        // scans of identical relations, so the dispatch-
-                        // independent counters agree exactly.
-                        let s1 = inc.query(view_q).unwrap().stats;
-                        let s2 = rec.query(view_q).unwrap().stats;
-                        assert_eq!(
-                            s1.without_dispatch_counters(),
-                            s2.without_dispatch_counters(),
-                            "extent-scan stats diverged: view={name}"
                         );
                     }
                 }
             }
         }
+    }
+}
+
+/// Views read beside a writer: one thread commits seeded inserts and
+/// removes on `p`, `q` and `r` under a join, a complement-join and a
+/// non-injective `∃` view, while two readers pin snapshots. Every pinned
+/// snapshot must hold each extent equal to the view's body evaluated
+/// over that same snapshot by a fresh engine — base write and
+/// maintenance publish together or not at all.
+#[test]
+fn pinned_snapshots_hold_extents_equal_to_their_bodies_beside_a_writer() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    let views = [
+        ("j", "p(x) & r(x,y)"),
+        ("n", "p(x) & !q(x)"),
+        ("e", "exists y. r(x,y)"),
+    ];
+    let sorted = |e: &QueryEngine, q: &str| {
+        let mut rows: Vec<Tuple> = e.query(q).unwrap().answers.iter().cloned().collect();
+        rows.sort();
+        rows
+    };
+    for threads in thread_counts() {
+        let e = engine_with(threads);
+        for (name, body) in views {
+            e.define_materialized_view(name, body).unwrap();
+        }
+        let done = AtomicBool::new(false);
+        // Readers and writer start together, so reads overlap the writes.
+        let start = Barrier::new(3);
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut checked = 0usize;
+                        while !done.load(Ordering::Acquire) || checked < 3 {
+                            let snapshot = e.snapshot();
+                            let fresh = QueryEngine::new((*snapshot).clone());
+                            for (name, body) in views {
+                                let mut extent: Vec<Tuple> =
+                                    snapshot.relation(name).unwrap().iter().cloned().collect();
+                                extent.sort();
+                                assert_eq!(
+                                    extent,
+                                    sorted(&fresh, body),
+                                    "threads={threads} epoch={} view={name}",
+                                    snapshot.epoch()
+                                );
+                            }
+                            checked += 1;
+                        }
+                        checked
+                    })
+                })
+                .collect();
+            let mut rng = Rng(0xf9 + threads as u64);
+            start.wait();
+            // Collected, not unwrapped in the loop: a failed write must
+            // still release the readers.
+            let writes: Result<Vec<bool>, EngineError> = (0..150)
+                .map(|_| {
+                    let (v, w) = (rng.below(10), rng.below(4));
+                    match rng.below(6) {
+                        0 => e.insert("p", tuple![v]),
+                        1 => e.insert("q", tuple![v]),
+                        2 => e.insert("r", tuple![v, w]),
+                        3 => e.remove("p", &tuple![v]),
+                        4 => e.remove("q", &tuple![v]),
+                        _ => e.remove("r", &tuple![v, w]),
+                    }
+                })
+                .collect();
+            done.store(true, Ordering::Release);
+            writes.unwrap();
+            for reader in readers {
+                assert!(reader.join().unwrap() >= 3);
+            }
+        });
     }
 }
 
@@ -286,13 +347,33 @@ fn transitive_closure_is_maintained_incrementally() {
 
     // The registry reports the group as recursive.
     let described = e.materialized_views();
-    assert!(described.iter().any(|(n, cols, _, recursive)| {
+    assert!(described.iter().any(|(n, cols, recursive)| {
         n == "path" && cols == &["x".to_string(), "y".to_string()] && *recursive
     }));
     // Fixpoint rounds were journaled.
     let events = e.journal().events();
     assert!(events.iter().any(|ev| ev.kind.name() == "ivm.round"));
     assert!(events.iter().any(|ev| ev.kind.name() == "ivm.apply"));
+}
+
+/// `define_materialized_view` is a one-member recursive batch: a body
+/// that names the view itself is a recursive unit, maintained like the
+/// `with recursive` form.
+#[test]
+fn a_materialized_view_may_name_itself() {
+    let e = engine_with(1);
+    for v in 0..5i64 {
+        e.insert("r", tuple![v, v + 1]).unwrap();
+    }
+    e.define_materialized_view("reach", "r(x,y) | (exists z. r(x,z) & reach(z,y))")
+        .unwrap();
+    assert_eq!(
+        e.materialized_views(),
+        [("reach".into(), vec!["x".into(), "y".into()], true)]
+    );
+    assert_eq!(answers(&e, "reach(x,y)").len(), 15);
+    e.insert("r", tuple![5, 6]).unwrap();
+    assert_eq!(answers(&e, "reach(x,y)").len(), 21);
 }
 
 #[test]
@@ -314,7 +395,7 @@ fn mutual_recursion_forms_one_group() {
     ))
     .unwrap();
     let described = e.materialized_views();
-    assert!(described.iter().all(|(_, _, _, recursive)| *recursive));
+    assert!(described.iter().all(|(_, _, recursive)| *recursive));
     assert_eq!(described.len(), 2);
     // odd: pairs at odd distance along the chain 0→1→2→3→4.
     let mut want = Vec::new();
@@ -396,25 +477,6 @@ fn runaway_fixpoint_trips_governor_instead_of_hanging() {
 }
 
 #[test]
-fn db_mut_recomputes_extents() {
-    let e = engine_with(1);
-    e.insert("p", tuple![1]).unwrap();
-    e.define_materialized_view("mv", "p(x) & !q(x)").unwrap();
-    assert_eq!(answers(&e, "mv(x)").len(), 1);
-    {
-        // Raw catalog access captures no deltas — the guard drop must
-        // re-derive the extent from scratch.
-        let mut e2 = e;
-        {
-            let mut db = e2.db_mut();
-            db.insert("p", tuple![2]).unwrap();
-            db.insert("q", tuple![1]).unwrap();
-        }
-        assert_eq!(answers(&e2, "mv(x)"), vec![tuple![2]]);
-    }
-}
-
-#[test]
 fn prepared_plans_refresh_when_extents_move() {
     let e = engine_with(1);
     e.insert("p", tuple![1]).unwrap();
@@ -450,40 +512,33 @@ fn a_maintenance_that_changes_nothing_leaves_the_view_untouched() {
     let e = engine_with(1);
     e.insert("p", tuple![1]).unwrap();
     e.insert("r", tuple![1, 10]).unwrap();
-    for (view, strategy) in [
-        ("inc", MaintenanceStrategy::Incremental),
-        ("rec", MaintenanceStrategy::Recompute),
-    ] {
-        e.define_materialized_view_with(view, "p(x) & r(x,y)", strategy)
-            .unwrap();
-    }
-    let prepared = ["inc(x,y)", "rec(x,y)"].map(|q| e.prepare(q, Strategy::Improved).unwrap());
-    for p in &prepared {
-        assert_eq!(e.run(&Request::prepared(p)).unwrap().result.len(), 1);
-    }
-    let versions = |e: &QueryEngine| {
-        let snap = e.snapshot();
-        (snap.relation_version("inc"), snap.relation_version("rec"))
-    };
+    e.define_materialized_view("inc", "p(x) & r(x,y)").unwrap();
+    let prepared = e.prepare("inc(x,y)", Strategy::Improved).unwrap();
+    assert_eq!(
+        e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+        1
+    );
+    let version = |e: &QueryEngine| e.snapshot().relation_version("inc");
     // 2 is not in `p`: the delta plan over `r` runs and derives nothing.
     let absent = tuple![2, 20];
     for insert in [true, false] {
-        let (before, epoch, warm) = (versions(&e), e.snapshot().epoch(), e.plan_cache_stats());
+        let (before, epoch, warm) = (version(&e), e.snapshot().epoch(), e.plan_cache_stats());
         let seen = e.journal().events().len();
         if insert {
             assert!(e.insert("r", absent.clone()).unwrap());
         } else {
             assert!(e.remove("r", &absent).unwrap());
         }
-        assert_eq!(versions(&e), before, "insert={insert}");
+        assert_eq!(version(&e), before, "insert={insert}");
         assert_eq!(e.snapshot().epoch(), epoch + 1, "insert={insert}");
-        for p in &prepared {
-            assert_eq!(e.run(&Request::prepared(p)).unwrap().result.len(), 1);
-        }
+        assert_eq!(
+            e.run(&Request::prepared(&prepared)).unwrap().result.len(),
+            1
+        );
         let stats = e.plan_cache_stats();
         assert_eq!(
             (stats.hits, stats.misses),
-            (warm.hits + 2, warm.misses),
+            (warm.hits + 1, warm.misses),
             "insert={insert}"
         );
         let applied: Vec<String> = e.journal().events()[seen..]
@@ -491,17 +546,14 @@ fn a_maintenance_that_changes_nothing_leaves_the_view_untouched() {
             .filter(|ev| ev.kind == EventKind::IvmApply)
             .map(|ev| ev.detail.clone())
             .collect();
-        assert_eq!(applied.len(), 2, "{applied:?}");
+        assert_eq!(applied.len(), 1, "{applied:?}");
         assert!(applied[0].starts_with("view `inc`: +0 −0 via incremental"));
-        assert!(applied[1].starts_with("view `rec`: +0 −0 via recompute"));
     }
-    // A write that does reach the views still moves them.
-    let before = versions(&e);
+    // A write that does reach the view still moves it.
+    let before = version(&e);
     e.insert("r", tuple![1, 11]).unwrap();
-    let after = versions(&e);
-    assert!(after.0 > before.0 && after.1 > before.1);
+    assert!(version(&e) > before);
     assert_eq!(answers(&e, "inc(x,y)"), answers(&e, "p(x) & r(x,y)"));
-    assert_eq!(answers(&e, "rec(x,y)"), answers(&e, "p(x) & r(x,y)"));
 }
 
 /// One write under maintained views costs O(Δ), shown by what two
@@ -594,14 +646,16 @@ fn a_remove_under_injective_views_reads_only_the_delta() {
     }
 
     let db = university(&UniversityScale::of_size(2000));
-    // Compiled as `define_materialized_view` compiles a body: canonical
-    // form, improved translation, no optimizer pass.
+    // Compiled as `define_materialized_view` compiles a body — as every
+    // query compiles: canonical form, cost-ordered improved translation,
+    // optimizer pass.
     let compile = |text: &str| {
         let canonical = gq_rewrite::canonicalize(&gq_calculus::parse(text).unwrap()).unwrap();
-        gq_translate::ImprovedTranslator::new(&db)
+        let (_, plan) = gq_translate::ImprovedTranslator::new(&db)
+            .with_cost_ordering(true)
             .translate_open(&canonical)
-            .unwrap()
-            .1
+            .unwrap();
+        gq_algebra::optimize(&plan)
     };
     // Remove `row` from `relation` and rewrite `plan` for that mutation
     // as maintenance does.

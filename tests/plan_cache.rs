@@ -49,20 +49,16 @@ fn engine(threads: usize) -> QueryEngine {
         .with_exec_config(ExecConfig::with_threads(threads).with_morsel_size(MORSEL))
 }
 
-/// Apply one seeded random mutation; every path bumps the catalog epoch.
-fn mutate(db: &mut Database, rng: &mut StdRng) {
+/// Apply one seeded random mutation through the engine; every path
+/// bumps the catalog epoch.
+fn mutate(e: &QueryEngine, rng: &mut StdRng) {
     let v = rng.gen_range(0i64..40);
     match rng.gen_range(0u32..3) {
-        0 => {
-            db.insert("p", tuple![v]).unwrap();
-        }
-        1 => {
-            db.insert("q", tuple![v]).unwrap();
-        }
-        _ => {
-            db.insert("r", tuple![v, (v * 7) % 40]).unwrap();
-        }
+        0 => e.insert("p", tuple![v]),
+        1 => e.insert("q", tuple![v]),
+        _ => e.insert("r", tuple![v, (v * 7) % 40]),
     }
+    .unwrap();
 }
 
 /// The central property: prepare once, then under an arbitrary
@@ -73,14 +69,14 @@ fn mutate(db: &mut Database, rng: &mut StdRng) {
 fn prepared_equals_fresh_across_mutations_strategies_and_threads() {
     for threads in THREAD_COUNTS {
         for strategy in Strategy::ALL {
-            let mut e = engine(threads);
+            let e = engine(threads);
             let prepared: Vec<_> = QUERIES
                 .iter()
                 .map(|text| e.prepare(text, strategy).unwrap())
                 .collect();
             let mut rng = StdRng::seed_from_u64(0xCA05E + threads as u64);
             for _step in 0..8 {
-                mutate(&mut e.db_mut(), &mut rng);
+                mutate(&e, &mut rng);
                 for (text, p) in QUERIES.iter().zip(&prepared) {
                     let fresh = e.query_with(text, strategy).unwrap();
                     // Twice: the first recompiles (epoch moved), the
@@ -142,10 +138,10 @@ fn prepared_stats_are_thread_count_invariant() {
 /// stale plan — the integration-level twin of the engine unit test.
 #[test]
 fn epoch_invalidation_is_observable_through_results() {
-    let mut e = engine(1);
+    let e = engine(1);
     let p = e.prepare("p(x) & q(x)", Strategy::Improved).unwrap();
     let before = e.run(&Request::prepared(&p)).unwrap().result.len();
-    e.db_mut().insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
+    e.insert("q", tuple![1]).unwrap(); // 1 was odd → not in q
     let after = e.run(&Request::prepared(&p)).unwrap().result.len();
     assert_eq!(after, before + 1, "stale cached plan served");
     let s = e.plan_cache_stats();
