@@ -5,6 +5,7 @@
 
 use crate::plan_cache::{CompiledPlan, PlanCache, PlanCacheStats, PlanKey};
 use crate::request::{Input, PreparedQuery, Request, Response};
+use crate::views::{Definitions, View, DOM};
 use crate::EngineError;
 use gq_algebra::{Evaluator, ExecConfig, ExecStats, PipelineEvent, PipelineHook, PlanProfiler};
 use gq_calculus::{alpha_canonical, parse, parse_program, Formula, RecursiveDef, Var};
@@ -23,7 +24,7 @@ use gq_storage::{
 };
 use gq_translate::{ClassicalTranslator, ImprovedTranslator, PlanShape, TranslateError};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
 /// The evaluation strategy for a query.
@@ -140,16 +141,6 @@ impl Store {
         }
     }
 
-    fn replace_relation(&mut self, relation: Relation) -> Result<(), StorageError> {
-        match self {
-            Store::Plain(db) => {
-                db.replace_relation(relation);
-                Ok(())
-            }
-            Store::Durable(d) => d.replace_relation(relation),
-        }
-    }
-
     /// Insert or replace a materialized view's extent: never WAL-logged,
     /// never written by a checkpoint ([`DurableDatabase::put_extent`]).
     fn put_extent(&mut self, extent: Arc<Relation>) {
@@ -160,18 +151,86 @@ impl Store {
     }
 }
 
-/// An immutable, epoch-stamped view of the catalog, pinned at the start
-/// of a query. Cloning is one refcount bump; the snapshot stays fully
-/// readable (and internally consistent) while writers commit newer
-/// epochs through the engine. Dereferences to [`Database`].
+/// The writer side: the store and the definitions over it, changed
+/// together under one lock and published together.
+struct Writer {
+    store: Store,
+    /// Copy-on-write: every published snapshot shares it until the next
+    /// definition.
+    defs: Arc<Definitions>,
+}
+
+impl Writer {
+    /// A new snapshot of the current relations and definitions.
+    fn pin(&self) -> Snapshot {
+        Snapshot(Arc::new(Pinned {
+            db: self.store.db().clone(),
+            defs: Arc::clone(&self.defs),
+            closed: OnceLock::new(),
+        }))
+    }
+
+    /// A typed write may not name a materialized view: its extent is
+    /// maintained state, and on a durable engine a logged write to it
+    /// would name a relation recovery does not rebuild.
+    fn check_base(&self, relation: &str) -> Result<(), EngineError> {
+        if self.defs.is_extent(relation) {
+            return Err(crate::views::ViewError::ExtentWrite(relation.to_string()).into());
+        }
+        Ok(())
+    }
+}
+
+/// An immutable, epoch-stamped view of the catalog — its relations and
+/// its definitions — pinned at the start of a query. Cloning is one
+/// refcount bump; the snapshot stays fully readable (and internally
+/// consistent) while writers commit newer epochs through the engine.
+/// Dereferences to [`Database`].
 #[derive(Debug, Clone)]
-pub struct Snapshot(Arc<Database>);
+pub struct Snapshot(Arc<Pinned>);
+
+#[derive(Debug)]
+struct Pinned {
+    db: Database,
+    defs: Arc<Definitions>,
+    /// The computed domain, and `db` with it as `dom`: built by the first
+    /// domain-closure request against this snapshot, never stored in the
+    /// catalog or logged.
+    closed: OnceLock<(Arc<Relation>, Database)>,
+}
 
 impl std::ops::Deref for Snapshot {
     type Target = Database;
 
     fn deref(&self) -> &Database {
-        &self.0
+        &self.0.db
+    }
+}
+
+impl Snapshot {
+    /// Every definition — virtual, materialized and recursive — in name
+    /// order.
+    pub fn views(&self) -> Vec<View> {
+        self.0.defs.list()
+    }
+
+    /// The database domain (§2.1): every value of this snapshot's base
+    /// relations. Computed on first use, then kept for the snapshot's
+    /// lifetime; a domain-closure request ranges over it.
+    pub fn domain(&self) -> &Relation {
+        &self.closed().0
+    }
+
+    /// The domain and the catalog a domain-closure request reads. In that
+    /// catalog `dom` is stamped one past the snapshot's epoch, so a cached
+    /// plan over it is keyed to this epoch's domain.
+    fn closed(&self) -> &(Arc<Relation>, Database) {
+        self.0.closed.get_or_init(|| {
+            let dom = Arc::new(self.0.defs.domain(&self.0.db));
+            let mut db = self.0.db.clone();
+            db.replace_relation_arc(Arc::clone(&dom));
+            (dom, db)
+        })
     }
 }
 
@@ -185,19 +244,15 @@ impl std::ops::Deref for Snapshot {
 /// one `Arc<QueryEngine>` — reads never block reads, and a reader never
 /// observes a half-applied write.
 pub struct QueryEngine {
-    /// Writer side: the authoritative catalog (plus WAL when durable).
-    /// Every mutation serializes on this lock and holds it across the
-    /// durable commit point.
-    store: Mutex<Store>,
+    /// Writer side: the authoritative catalog (plus WAL when durable)
+    /// and the definitions over it. Every mutation and definition
+    /// serializes on this lock and holds it across the durable commit
+    /// point.
+    store: Mutex<Writer>,
     /// Reader side: the published snapshot — a cheap COW clone of the
-    /// catalog (relation payloads are shared `Arc`s), swapped in *after*
-    /// each committed mutation, never mutated in place.
-    snapshot: RwLock<Arc<Database>>,
-    views: crate::views::ViewRegistry,
-    /// Materialized views (incl. recursive groups) in maintenance order;
-    /// extents live in the catalog under the view's own name and are
-    /// patched at every mutation commit, before the snapshot republish.
-    matviews: crate::ivm::MaterializedViews,
+    /// catalog (relation payloads are shared `Arc`s) and the definitions,
+    /// swapped in *after* each committed change, never mutated in place.
+    snapshot: RwLock<Snapshot>,
     metrics: Registry,
     exec: ExecConfig,
     /// Per-query resource budgets (unlimited by default); snapshotted
@@ -207,7 +262,7 @@ pub struct QueryEngine {
     /// set after a cancellation until [`CancelToken::reset`] is called.
     cancel: CancelToken,
     /// Compiled plans of prepared queries, keyed by α-canonical formula,
-    /// strategy, the versions of the relations read and view generation.
+    /// strategy and the versions of the relations read.
     /// Consulted only by [`QueryEngine::prepare`] and prepared
     /// [`Request`]s; every other request compiles fresh.
     plan_cache: PlanCache,
@@ -270,12 +325,13 @@ impl QueryEngine {
     fn with_store(store: Store) -> Self {
         let journal = Arc::new(Journal::default());
         journal.enable();
-        let snapshot = RwLock::new(Arc::new(store.db().clone()));
+        let writer = Writer {
+            store,
+            defs: Arc::default(),
+        };
         QueryEngine {
-            store: Mutex::new(store),
-            snapshot,
-            views: crate::views::ViewRegistry::new(),
-            matviews: crate::ivm::MaterializedViews::default(),
+            snapshot: RwLock::new(writer.pin()),
+            store: Mutex::new(writer),
             metrics: Registry::new(),
             exec: ExecConfig::default(),
             limits: QueryLimits::UNLIMITED,
@@ -370,18 +426,16 @@ impl QueryEngine {
     /// the body references must already exist (as a catalog relation or
     /// an earlier view) — unresolvable names fail here with
     /// [`ViewError::UnknownRelation`](crate::views::ViewError), not at
-    /// first query.
+    /// first query. Queries pinned after this call see the view.
     pub fn define_view(&self, name: impl Into<String>, text: &str) -> Result<(), EngineError> {
+        let body = parse(text)?;
         let name = name.into();
-        if self.matviews.contains(&name) {
-            return Err(EngineError::View(crate::views::ViewError::Duplicate(name)));
-        }
-        self.views.define(name, text, &self.snapshot())
-    }
-
-    /// The registered views.
-    pub fn views(&self) -> &crate::views::ViewRegistry {
-        &self.views
+        let mut guard = self.store_lock();
+        let w = &mut *guard;
+        w.defs.check_name_free(&name, w.store.db())?;
+        Arc::make_mut(&mut w.defs).define_view(name, body, w.store.db())?;
+        self.publish(w);
+        Ok(())
     }
 
     /// Define a *materialized* view: like [`QueryEngine::define_view`],
@@ -438,14 +492,15 @@ impl QueryEngine {
         if defs.is_empty() {
             return Ok(());
         }
-        let mut store = self.store_lock();
+        let mut guard = self.store_lock();
+        let w = &mut *guard;
         // Validate names and parameter lists before touching anything.
         let mut seen = std::collections::BTreeSet::new();
         for def in defs {
             if !seen.insert(def.name.as_str()) {
                 return Err(EngineError::View(ViewError::Duplicate(def.name.clone())));
             }
-            self.check_view_name_free(&def.name, store.db())?;
+            w.defs.check_name_free(&def.name, w.store.db())?;
             let mut params = std::collections::BTreeSet::new();
             for p in &def.params {
                 if !params.insert(p.clone()) {
@@ -475,15 +530,15 @@ impl QueryEngine {
         // member's (empty) extent registered, so bodies can reference
         // each other; nothing is written back unless the whole batch
         // succeeds.
-        let mut working = store.db().clone();
+        let mut working = w.store.db().clone();
         for def in defs {
             working.add_relation(Relation::named_intermediate(&def.name, def.params.len()))?;
         }
         let mut compiled = Vec::with_capacity(defs.len());
         for def in defs {
-            let (_, expanded) = self.views.expand_with_generation(&def.body)?;
+            let expanded = w.defs.expand(&def.body)?;
             for referenced in expanded.relation_names() {
-                if !working.has_relation(referenced) {
+                if !w.defs.resolves(referenced, &working) {
                     return Err(EngineError::View(ViewError::UnknownRelation {
                         view: def.name.clone(),
                         relation: referenced.to_string(),
@@ -522,6 +577,7 @@ impl QueryEngine {
             compiled.push(crate::ivm::MatView {
                 name: def.name.clone(),
                 vars: def.params.clone(),
+                body: def.body.clone(),
                 plan,
                 reads,
             });
@@ -553,28 +609,11 @@ impl QueryEngine {
                         if recursive { "recursive" } else { "stratified" },
                     ))
                 });
-                store.put_extent(extent);
+                w.store.put_extent(extent);
             }
         }
-        self.matviews.extend(units);
-        self.publish(&store);
-        Ok(())
-    }
-
-    /// `(name, columns, recursive?)` for every registered materialized
-    /// view, in maintenance order.
-    pub fn materialized_views(&self) -> Vec<(String, Vec<String>, bool)> {
-        self.matviews.describe()
-    }
-
-    /// A name for a new view must collide with neither a catalog
-    /// relation nor a registered (plain or materialized) view.
-    fn check_view_name_free(&self, name: &str, db: &Database) -> Result<(), EngineError> {
-        if db.has_relation(name) || self.views.contains(name) || self.matviews.contains(name) {
-            return Err(EngineError::View(crate::views::ViewError::Duplicate(
-                name.to_string(),
-            )));
-        }
+        Arc::make_mut(&mut w.defs).units.extend(units);
+        self.publish(w);
         Ok(())
     }
 
@@ -598,11 +637,11 @@ impl QueryEngine {
     /// committed and the error surfaces to the caller.
     fn maintain_after_mutation(
         &self,
-        store: &mut Store,
+        w: &mut Writer,
         deltas: Vec<MutationDelta>,
     ) -> Result<(), EngineError> {
-        let units = self.matviews.units();
-        if units.is_empty() {
+        let Writer { store, defs } = w;
+        if defs.units.is_empty() {
             return Ok(());
         }
         let old = self.snapshot();
@@ -612,7 +651,7 @@ impl QueryEngine {
             &mut working,
             &old,
             deltas,
-            &units,
+            &defs.units,
             &governor,
             self.ivm_env(),
         )?;
@@ -644,43 +683,45 @@ impl QueryEngine {
     /// never left half-mutated by any path holding the lock: durable
     /// mutations apply only after their WAL record is committed, and
     /// plain mutations are single catalog calls).
-    fn store_lock(&self) -> MutexGuard<'_, Store> {
+    fn store_lock(&self) -> MutexGuard<'_, Writer> {
         self.store.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Republish `store`'s current catalog as the read snapshot (a COW
-    /// clone — relation payloads are shared `Arc`s). Called after every
-    /// committed mutation, while still holding the store lock, so
-    /// snapshots are published in commit order.
-    fn publish(&self, store: &Store) {
-        let snap = Arc::new(store.db().clone());
+    /// Republish the writer's current catalog and definitions as the
+    /// read snapshot (a COW clone — relation payloads are shared `Arc`s).
+    /// Called after every committed change, while still holding the
+    /// store lock, so snapshots are published in commit order.
+    fn publish(&self, w: &Writer) {
+        let snap = w.pin();
         *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snap;
     }
 
     /// Pin the current committed snapshot: an immutable, epoch-stamped
-    /// view of the whole catalog. Every query runs against exactly one
-    /// snapshot; concurrent mutations only affect queries pinned later.
+    /// view of the whole catalog and its definitions. Every query runs
+    /// against exactly one snapshot; concurrent changes only affect
+    /// queries pinned later.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot(Arc::clone(
-            &self.snapshot.read().unwrap_or_else(|e| e.into_inner()),
-        ))
+        self.snapshot
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// Is a [`DurableDatabase`] attached?
     pub fn is_durable(&self) -> bool {
-        matches!(&*self.store_lock(), Store::Durable(_))
+        matches!(&self.store_lock().store, Store::Durable(_))
     }
 
     /// Durability counters of the attached durable database, if any.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.store_lock().stats()
+        self.store_lock().store.stats()
     }
 
     /// Take an atomic checkpoint of the attached durable database: the
     /// catalog snapshots to a new generation and the WAL restarts empty.
     /// Errors when the engine is not durable.
     pub fn checkpoint(&self) -> Result<CheckpointStats, EngineError> {
-        match &mut *self.store_lock() {
+        match &mut self.store_lock().store {
             Store::Plain(_) => Err(EngineError::Storage(StorageError::Io(
                 "no durable database attached (open one with open_durable)".into(),
             ))),
@@ -701,16 +742,18 @@ impl QueryEngine {
     }
 
     /// Create a relation through the store — WAL-logged when durable.
-    /// On success the new catalog state is published for readers;
-    /// in-flight queries keep their pinned snapshots.
+    /// The name must be free: not a relation's, not a view's, and not the
+    /// reserved `dom`. On success the new catalog state is published for
+    /// readers; in-flight queries keep their pinned snapshots.
     pub fn create_relation(
         &self,
         name: impl Into<String>,
         schema: Schema,
     ) -> Result<(), EngineError> {
         let name = name.into();
-        self.commit("create-relation", |store| {
-            store.create_relation(name, schema)?;
+        self.commit("create-relation", |w| {
+            w.defs.check_name_free(&name, w.store.db())?;
+            w.store.create_relation(name, schema)?;
             Ok(((), vec![]))
         })
     }
@@ -719,12 +762,12 @@ impl QueryEngine {
     /// success the new catalog state is published for readers; in-flight
     /// queries keep their pinned snapshots.
     pub fn insert(&self, relation: &str, t: Tuple) -> Result<bool, EngineError> {
-        self.commit("insert", |store| {
-            self.check_base(relation)?;
+        self.commit("insert", |w| {
+            w.check_base(relation)?;
             // Capture the tuple for view maintenance only when views
             // exist — the clone is off the common path.
-            let captured = (!self.matviews.is_empty()).then(|| t.clone());
-            let fresh = store.insert(relation, t)?;
+            let captured = (!w.defs.units.is_empty()).then(|| t.clone());
+            let fresh = w.store.insert(relation, t)?;
             let deltas = match captured {
                 Some(t) if fresh => vec![MutationDelta::inserted_tuple(relation, t)],
                 _ => vec![],
@@ -737,29 +780,16 @@ impl QueryEngine {
     /// success the new catalog state is published for readers; in-flight
     /// queries keep their pinned snapshots.
     pub fn remove(&self, relation: &str, t: &Tuple) -> Result<bool, EngineError> {
-        self.commit("remove", |store| {
-            self.check_base(relation)?;
-            let gone = store.remove(relation, t)?;
-            let deltas = if gone && !self.matviews.is_empty() {
+        self.commit("remove", |w| {
+            w.check_base(relation)?;
+            let gone = w.store.remove(relation, t)?;
+            let deltas = if gone && !w.defs.units.is_empty() {
                 vec![MutationDelta::removed_tuple(relation, t.clone())]
             } else {
                 vec![]
             };
             Ok((gone, deltas))
         })
-    }
-
-    /// A typed write may not name a materialized view: its extent is
-    /// maintained state, and on a durable engine a logged write to it
-    /// would name a relation recovery does not rebuild. Checked under
-    /// the store lock, which view definition holds too.
-    fn check_base(&self, relation: &str) -> Result<(), EngineError> {
-        if self.matviews.contains(relation) {
-            return Err(EngineError::View(crate::views::ViewError::ExtentWrite(
-                relation.to_string(),
-            )));
-        }
-        Ok(())
     }
 
     /// The mutation lifecycle, written once. Under the store lock: run
@@ -771,21 +801,22 @@ impl QueryEngine {
     fn commit<T>(
         &self,
         op: &'static str,
-        write: impl FnOnce(&mut Store) -> Result<(T, Vec<MutationDelta>), EngineError>,
+        write: impl FnOnce(&mut Writer) -> Result<(T, Vec<MutationDelta>), EngineError>,
     ) -> Result<T, EngineError> {
-        let mut store = self.store_lock();
-        let before = store.stats();
-        let out = write(&mut store);
-        if let (Some(before), Some(after)) = (before, store.stats()) {
+        let mut guard = self.store_lock();
+        let w = &mut *guard;
+        let before = w.store.stats();
+        let out = write(w);
+        if let (Some(before), Some(after)) = (before, w.store.stats()) {
             self.record_durability(op, before, after);
         }
         let (value, deltas) = out?;
         let maintenance = if deltas.is_empty() {
             Ok(())
         } else {
-            self.maintain_after_mutation(&mut store, deltas)
+            self.maintain_after_mutation(w, deltas)
         };
-        self.publish(&store);
+        self.publish(w);
         maintenance?;
         Ok(value)
     }
@@ -846,37 +877,6 @@ impl QueryEngine {
         count("durability.torn_tail_truncations", |s| {
             s.torn_tail_truncations
         });
-    }
-
-    /// (Re)materialize the `dom` view — the unary relation of every value
-    /// in the database (§2.1, Domain Closure Assumption). Call again after
-    /// updates; requests made with [`Request::with_domain_closure`] use this
-    /// relation as the implicit range of otherwise-unrestricted variables.
-    ///
-    /// On a durable engine the refreshed view is WAL-logged like any
-    /// other mutation (recovery must reproduce the exact catalog), so the
-    /// refresh can fail with an I/O error.
-    pub fn refresh_domain_view(&self) -> Result<(), EngineError> {
-        // Compute and replace under one store lock so a racing insert
-        // cannot slip between reading the domain and publishing `dom`.
-        self.commit("replace-relation", |store| {
-            let mut named = Relation::new("dom", Schema::anonymous(1));
-            for t in store.db().domain().iter() {
-                // Domain tuples are unary by construction; insert cannot fail.
-                let _ = named.insert(t.clone());
-            }
-            // Capture the refresh as a delta for view maintenance: the
-            // exact symmetric difference against the previous `dom` extent.
-            let deltas = if self.matviews.is_empty() {
-                vec![]
-            } else {
-                let empty = Relation::new("dom", Schema::anonymous(1));
-                let old = store.db().relation("dom").unwrap_or(&empty);
-                vec![MutationDelta::replaced("dom", old, &named)]
-            };
-            store.replace_relation(named)?;
-            Ok(((), deltas))
-        })
     }
 
     /// Parse and evaluate a query with the default (improved) strategy.
@@ -986,26 +986,18 @@ impl QueryEngine {
         query_id: u64,
     ) -> Result<QueryResult, EngineError> {
         let strategy = request.strategy;
-        let (views_generation, expanded) =
+        let (db, expanded) =
             self.preprocess(snap, formula, request.domain_closure, governor, tb)?;
         let cached;
         let fresh;
         let compiled: &CompiledPlan = if let Input::Prepared(_) = request.input {
-            cached = self.lookup_or_compile(
-                snap,
-                &expanded,
-                views_generation,
-                strategy,
-                governor,
-                tb,
-                query_id,
-            )?;
+            cached = self.lookup_or_compile(db, &expanded, strategy, governor, tb, query_id)?;
             &cached
         } else {
-            fresh = self.compile(snap, &expanded, strategy, governor, tb)?;
+            fresh = self.compile(db, &expanded, strategy, governor, tb)?;
             &fresh
         };
-        self.execute_compiled(snap, compiled, governor, tb, query_id)
+        self.execute_compiled(db, compiled, governor, tb, query_id)
     }
 
     /// A governor over the request's limits, cancel token and shared
@@ -1134,33 +1126,36 @@ impl QueryEngine {
         }
     }
 
-    /// Phase 0: view expansion, Domain Closure completion when asked, and
-    /// the formula-depth guard on the result — expansion can deepen a
-    /// query well past what the user typed. Returns the view-registry
-    /// generation the expansion ran against (observed under the
-    /// registry's lock, so generation and expansion are consistent — the
-    /// plan cache keys its entries on exactly this value) alongside the
-    /// expanded formula.
-    pub(crate) fn preprocess(
+    /// Phase 0: view expansion against the snapshot's definitions,
+    /// Domain Closure completion when asked, and the formula-depth guard
+    /// on the result — expansion can deepen a query well past what the
+    /// user typed. Returns the catalog the query compiles and runs
+    /// against — the snapshot's, or under domain closure the snapshot's
+    /// plus its computed `dom` — and the expanded formula. Without domain
+    /// closure `dom` names no relation.
+    pub(crate) fn preprocess<'s>(
         &self,
-        snap: &Snapshot,
+        snap: &'s Snapshot,
         formula: &Formula,
         domain_closure: bool,
         governor: &Governor,
         tb: Option<&TraceBuilder>,
-    ) -> Result<(u64, Formula), EngineError> {
+    ) -> Result<(&'s Database, Formula), EngineError> {
         let _span = span(tb, "view-expand");
-        let (views_generation, mut expanded) = self.views.expand_with_generation(formula)?;
-        if domain_closure {
-            if !snap.has_relation("dom") {
-                return Err(EngineError::Storage(StorageError::UnknownRelation(
-                    "dom (call refresh_domain_view first)".into(),
-                )));
+        let mut expanded = snap.0.defs.expand(formula)?;
+        let db = if domain_closure {
+            expanded = gq_rewrite::restrict_with_domain(&expanded, DOM);
+            &snap.closed().1
+        } else {
+            // Only a directory written before `dom` was reserved can hold
+            // a stored `dom`; queries never read it.
+            if snap.has_relation(DOM) && expanded.relation_names().contains(&DOM) {
+                return Err(StorageError::UnknownRelation(DOM.to_string()).into());
             }
-            expanded = gq_rewrite::restrict_with_domain(&expanded, "dom");
-        }
+            &**snap
+        };
         governor.check_depth("parse", Resource::FormulaDepth, expanded.depth() as u64)?;
-        Ok((views_generation, expanded))
+        Ok((db, expanded))
     }
 
     /// Phases 1–3 — normalize, translate, optimize — producing the
@@ -1216,7 +1211,7 @@ impl QueryEngine {
     /// cache) — so cached and fresh executions are bit-identical.
     fn execute_compiled(
         &self,
-        snap: &Snapshot,
+        snap: &Database,
         compiled: &CompiledPlan,
         governor: &Governor,
         tb: Option<&TraceBuilder>,
@@ -1343,43 +1338,28 @@ impl QueryEngine {
         // Preparation is not a query: journal events it produces
         // (plan-cache miss, governor trips) carry query id 0.
         let governor = self.start_governor(0, None, None, None);
-        let (views_generation, expanded) =
-            self.preprocess(&snap, &prepared.formula, false, &governor, None)?;
-        self.lookup_or_compile(
-            &snap,
-            &expanded,
-            views_generation,
-            strategy,
-            &governor,
-            None,
-            0,
-        )?;
+        let (db, expanded) = self.preprocess(&snap, &prepared.formula, false, &governor, None)?;
+        self.lookup_or_compile(db, &expanded, strategy, &governor, None, 0)?;
         Ok(prepared)
     }
 
     /// The plan-cache gate: answer from the cache when every compilation
-    /// input matches (α-canonical formula — `dom` included when domain
-    /// closure spliced it in — strategy, the version stamps of the
-    /// relations the formula reads, view generation),
-    /// compile-and-insert otherwise. The insert happens after a
-    /// *successful* compile and before evaluation, so an evaluation error
-    /// never poisons the cached plan — and a failed compile caches
-    /// nothing.
+    /// input matches (α-canonical view-expanded formula — `dom` included
+    /// when domain closure spliced it in — strategy, the version stamps
+    /// of the relations the formula reads), compile-and-insert otherwise.
+    /// The insert happens after a *successful* compile and before
+    /// evaluation, so an evaluation error never poisons the cached plan —
+    /// and a failed compile caches nothing.
     ///
     /// Keying on per-relation versions instead of the global catalog
     /// epoch means a mutation only invalidates the plans that read the
     /// mutated relation; plans over untouched relations keep hitting.
-    /// `views_generation` must be the generation returned by
-    /// [`QueryEngine::preprocess`] — observed under the registry lock
-    /// *during* expansion, never re-read here, so a racing view
-    /// definition can't let a plan compiled against new views be cached
-    /// under the old generation.
-    #[allow(clippy::too_many_arguments)]
+    /// Definitions need no stamp of their own: the key holds the
+    /// *expanded* formula, and a name, once defined, is never redefined.
     fn lookup_or_compile(
         &self,
-        snap: &Snapshot,
+        snap: &Database,
         expanded: &Formula,
-        views_generation: u64,
         strategy: Strategy,
         governor: &Governor,
         tb: Option<&TraceBuilder>,
@@ -1387,8 +1367,9 @@ impl QueryEngine {
     ) -> Result<Arc<CompiledPlan>, EngineError> {
         // Sorted, deduplicated (relation, version) stamps for every
         // relation the expanded formula scans — including `dom` when
-        // domain closure spliced it in, and materialized-view extents
-        // (their versions bump when maintenance patches them).
+        // domain closure spliced it in (stamped one past its snapshot's
+        // epoch), and materialized-view extents (their versions bump when
+        // maintenance patches them).
         let reads: Vec<(String, u64)> = expanded
             .relation_names()
             .into_iter()
@@ -1400,7 +1381,6 @@ impl QueryEngine {
             canonical: alpha_canonical(expanded),
             strategy,
             reads,
-            views_generation,
         };
         if let Some(hit) = self.plan_cache.get(&key) {
             self.metrics.incr("plan_cache.hit", 1);
@@ -1628,17 +1608,19 @@ mod tests {
             e.define_materialized_view(name, body).unwrap();
             let snap = e.snapshot();
             let governor = e.start_governor(0, None, None, None);
-            let (_, expanded) = e
+            let (db, expanded) = e
                 .preprocess(&snap, &parse(body).unwrap(), false, &governor, None)
                 .unwrap();
             let compiled = e
-                .compile(&snap, &expanded, Strategy::Improved, &governor, None)
+                .compile(db, &expanded, Strategy::Improved, &governor, None)
                 .unwrap();
             let CompiledPlan::Algebra { plan, .. } = compiled else {
                 panic!("`{body}` is open");
             };
-            let units = e.matviews.units();
-            let stored = units
+            let stored = snap
+                .0
+                .defs
+                .units
                 .iter()
                 .flat_map(|u| u.members())
                 .find(|m| m.name == name)
@@ -1796,7 +1778,6 @@ mod strategy_tests {
     #[test]
     fn domain_closure_enables_negation_only_queries() {
         let e = engine();
-        e.refresh_domain_view().unwrap();
         let closed = |text| {
             e.run(&Request::text(text).with_domain_closure())
                 .unwrap()
@@ -1816,12 +1797,31 @@ mod strategy_tests {
         assert!(!all_q.is_true());
     }
 
+    /// The domain is the snapshot's, computed when a request needs it:
+    /// a write is in the next query's domain with no refresh, and `dom`
+    /// names nothing outside domain closure.
     #[test]
-    fn domain_closure_requires_view() {
+    fn domain_closure_reads_the_snapshots_domain() {
         let e = engine();
-        assert!(e
-            .run(&Request::text("!q(x)").with_domain_closure())
-            .is_err());
+        let negated = |e: &QueryEngine| {
+            e.run(&Request::text("!p(x)").with_domain_closure())
+                .unwrap()
+                .result
+                .answers
+                .sorted_tuples()
+        };
+        assert!(negated(&e).is_empty());
+        let before = e.snapshot();
+        e.insert("q", tuple![42]).unwrap();
+        assert_eq!(negated(&e), vec![tuple![42]]);
+        assert_eq!(
+            (before.domain().len(), e.snapshot().domain().len()),
+            (10, 11)
+        );
+        assert!(matches!(
+            e.query("dom(x)"),
+            Err(EngineError::Translate(_) | EngineError::Storage(_))
+        ));
     }
 }
 
@@ -1934,7 +1934,7 @@ mod prepared_tests {
     }
 
     #[test]
-    fn view_redefinition_invalidates_cached_plans() {
+    fn an_unrelated_definition_keeps_a_prepared_plan_hot() {
         let e = engine();
         e.define_view("evens", "q(v)").unwrap();
         let prepared = e.prepare("p(x) & evens(x)", Strategy::Improved).unwrap();
@@ -1942,15 +1942,20 @@ mod prepared_tests {
             e.run(&Request::prepared(&prepared)).unwrap().result.len(),
             4
         );
-        // A *new* view definition bumps the registry generation; cached
-        // plans for unrelated queries must not survive either.
+        // The key holds the expanded formula and the versions it reads;
+        // a new definition changes neither.
         e.define_view("odds", "p(v) & !q(v)").unwrap();
         assert_eq!(
             e.run(&Request::prepared(&prepared)).unwrap().result.len(),
             4
         );
         let s = e.plan_cache_stats();
-        assert_eq!((s.misses, s.hits), (2, 1), "stats: {s:?}");
+        assert_eq!((s.misses, s.hits), (1, 2), "stats: {s:?}");
+        // A query that names the new view compiles afresh.
+        let odds = e.prepare("p(x) & odds(x)", Strategy::Improved).unwrap();
+        assert_eq!(e.run(&Request::prepared(&odds)).unwrap().result.len(), 4);
+        let s = e.plan_cache_stats();
+        assert_eq!((s.misses, s.hits), (2, 3), "stats: {s:?}");
     }
 
     #[test]
@@ -2127,23 +2132,6 @@ mod durable_tests {
         assert_eq!(rec.generation, 2);
         assert_eq!(rec.wal_records_replayed, 1);
         assert_eq!(e.query("p(x)").unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn durable_domain_closure_refresh_is_logged() {
-        let dir = fresh_dir("dom");
-        {
-            let (e, _) = QueryEngine::open_durable(&dir).unwrap();
-            e.create_relation("q", Schema::anonymous(1)).unwrap();
-            e.insert("q", tuple![1]).unwrap();
-            e.insert("q", tuple![2]).unwrap();
-            e.refresh_domain_view().unwrap();
-        }
-        let (e, _) = QueryEngine::open_durable(&dir).unwrap();
-        // The dom view survived the reopen via its WAL Replace record.
-        assert!(e.snapshot().has_relation("dom"));
-        assert_eq!(e.snapshot().relation("dom").unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

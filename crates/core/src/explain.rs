@@ -34,7 +34,7 @@ impl QueryEngine {
         let snap = self.snapshot();
         let parsed = parse(text)?;
         let governor = self.start_governor(0, None, None, None);
-        let (_, formula) = self.preprocess(&snap, &parsed, false, &governor, None)?;
+        let (db, formula) = self.preprocess(&snap, &parsed, false, &governor, None)?;
         let mut out = String::new();
         writeln!(out, "query: {parsed}").unwrap();
         if formula != parsed {
@@ -68,8 +68,8 @@ impl QueryEngine {
             ),
         ] {
             writeln!(out, "\n== {heading} ==").unwrap();
-            match self.compile(&snap, &formula, strategy, &governor, None) {
-                Ok(plan) => render_plan(&mut out, &plan, &snap),
+            match self.compile(db, &formula, strategy, &governor, None) {
+                Ok(plan) => render_plan(&mut out, &plan, db),
                 Err(e) => writeln!(out, "not translatable: {e}").unwrap(),
             }
         }

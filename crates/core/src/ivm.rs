@@ -32,13 +32,13 @@
 //! governor bounds each round's intermediate growth.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gq_algebra::{
     delta_database_lazy, delta_plan, materialize_old, referenced_old_names, AlgebraExpr, Evaluator,
     ExecConfig,
 };
-use gq_calculus::Var;
+use gq_calculus::{Formula, Var};
 use gq_governor::Governor;
 use gq_obs::{EventData, EventKind, Journal};
 use gq_storage::{Database, MutationDelta, Relation, StorageError, Tuple};
@@ -81,6 +81,8 @@ pub(crate) struct MatView {
     /// Output columns: the body's free variables, in extent column
     /// order.
     pub(crate) vars: Vec<Var>,
+    /// The defining formula, as written.
+    pub(crate) body: Formula,
     /// The compiled plan producing the extent.
     pub(crate) plan: AlgebraExpr,
     /// Catalog relations the plan scans (including other extents).
@@ -92,7 +94,7 @@ pub(crate) struct MatView {
 #[derive(Debug, Clone)]
 pub(crate) enum Unit {
     /// A non-recursive materialized view.
-    Single(MatView),
+    Single(Box<MatView>),
     /// One strongly connected component of mutually recursive views,
     /// monotone in its members, maintained by semi-naive fixpoint.
     Recursive(Vec<MatView>),
@@ -102,68 +104,9 @@ impl Unit {
     /// Member views (one for [`Unit::Single`]).
     pub(crate) fn members(&self) -> &[MatView] {
         match self {
-            Unit::Single(v) => std::slice::from_ref(v),
+            Unit::Single(v) => std::slice::from_ref(&**v),
             Unit::Recursive(g) => g,
         }
-    }
-}
-
-/// The engine's registry of materialized views, in dependency
-/// (definition) order — maintenance walks it front to back, so a
-/// view's upstream extents are always patched before its own delta
-/// plans run.
-#[derive(Debug, Default)]
-pub(crate) struct MaterializedViews {
-    units: Mutex<Vec<Unit>>,
-}
-
-impl MaterializedViews {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Unit>> {
-        self.units.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// No views registered — the common fast path for mutations.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Is `name` a registered materialized view?
-    pub(crate) fn contains(&self, name: &str) -> bool {
-        self.lock()
-            .iter()
-            .any(|u| u.members().iter().any(|m| m.name == name))
-    }
-
-    /// Snapshot the units for one maintenance run.
-    pub(crate) fn units(&self) -> Vec<Unit> {
-        self.lock().clone()
-    }
-
-    /// Append units (already in dependency order among themselves; they
-    /// may only read extents registered earlier).
-    pub(crate) fn extend(&self, new_units: Vec<Unit>) {
-        self.lock().extend(new_units);
-    }
-
-    /// `(name, columns, recursive?)` for every registered view, in
-    /// maintenance order.
-    pub(crate) fn describe(&self) -> Vec<(String, Vec<String>, bool)> {
-        self.lock()
-            .iter()
-            .flat_map(|u| {
-                let recursive = matches!(u, Unit::Recursive(_));
-                u.members()
-                    .iter()
-                    .map(move |m| {
-                        (
-                            m.name.clone(),
-                            m.vars.iter().map(|v| v.name().to_string()).collect(),
-                            recursive,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
     }
 }
 
@@ -387,7 +330,7 @@ pub(crate) fn stratify(views: Vec<MatView>) -> Result<Vec<Unit>, ViewError> {
         let self_loop = scc.len() == 1 && adj[scc[0]].contains(&scc[0]);
         if scc.len() == 1 && !self_loop {
             if let Some(v) = slots[scc[0]].take() {
-                units.push(Unit::Single(v));
+                units.push(Unit::Single(Box::new(v)));
             }
         } else {
             let members: BTreeSet<String> = scc
@@ -837,6 +780,7 @@ mod tests {
         MatView {
             name: name.into(),
             vars: vec![Var::new("x")],
+            body: Formula::atom("base", vec![gq_calculus::Term::Var(Var::new("x"))]),
             plan,
             reads,
         }

@@ -70,4 +70,4 @@ pub use gq_obs::{
 };
 pub use plan_cache::{PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use request::{PreparedQuery, Request, Response};
-pub use views::{View, ViewError, ViewRegistry};
+pub use views::{View, ViewError, ViewKind};

@@ -14,15 +14,22 @@
 //!   (a domain-closure request's `dom` ranges are part of that formula);
 //! * the [`Strategy`] — each compiles to a different plan;
 //! * the **per-relation version stamps** of every relation the expanded
-//!   formula reads ([`gq_storage::Database::relation_version`]) and the
-//!   view registry's generation. A plan is invalidated only by mutations
-//!   to relations it actually reads: an insert into `q` leaves a cached
-//!   plan over `p` hot. (An earlier revision keyed on the *global*
-//!   catalog epoch, which every mutation bumps — so any insert anywhere
-//!   evicted every plan, defeating the cache for mixed workloads.)
-//!   Entries whose recorded versions conflict with a newly inserted key
-//!   can never hit again (versions are monotone) and are purged on
-//!   insert.
+//!   formula reads ([`gq_storage::Database::relation_version`]). A plan
+//!   is invalidated only by mutations to relations it actually reads: an
+//!   insert into `q` leaves a cached plan over `p` hot. (An earlier
+//!   revision keyed on the *global* catalog epoch, which every mutation
+//!   bumps — so any insert anywhere evicted every plan, defeating the
+//!   cache for mixed workloads.) A domain-closure request's `dom` is
+//!   stamped one past its snapshot's epoch, so each epoch's domain keys
+//!   its own plans. Entries whose recorded versions conflict with a
+//!   newly inserted key can never hit again (versions are monotone) and
+//!   are purged on insert.
+//!
+//! Definitions take no part in the key. The key holds the formula *after*
+//! view expansion, so a query naming a view is keyed by the view's body;
+//! a name, once defined, is never redefined; and a query naming a name
+//! not yet defined fails to compile, which caches nothing. A new
+//! definition therefore leaves every cached plan hot.
 //!
 //! The cache is a bounded LRU guarded by a `Mutex`; hits, misses and
 //! evictions are tracked internally (always, for the REPL's `.cache`
@@ -51,8 +58,6 @@ pub struct PlanKey {
     /// Mutations to relations *not* listed here leave the key — and so
     /// the cached plan — valid.
     pub reads: Vec<(String, u64)>,
-    /// View-registry generation at compile time.
-    pub views_generation: u64,
 }
 
 /// The compiled form of one query, ready to execute without re-running
@@ -206,8 +211,7 @@ impl PlanCache {
     }
 
     /// Insert a freshly compiled plan. Purges entries whose recorded
-    /// relation versions or view generation conflict with the new key
-    /// first (versions are monotone, so a conflicting entry can never
+    /// relation versions conflict with the new key first (versions are monotone, so a conflicting entry can never
     /// hit again), then evicts least-recently-used entries down to
     /// capacity. Returns the number of entries removed (for the eviction
     /// metric).
@@ -218,13 +222,10 @@ impl PlanCache {
         let seq = inner.seq;
         let mut removed = 0u64;
         // Stale purge: an entry conflicts when it records a different
-        // version for a relation the new key also reads, or a different
-        // view generation. Entries over disjoint relations are untouched
-        // — that is the whole point of per-relation keying.
+        // version for a relation the new key also reads. Entries over
+        // disjoint relations are untouched — that is the whole point of
+        // per-relation keying.
         let conflicts = |k: &PlanKey| {
-            if k.views_generation != key.views_generation {
-                return true;
-            }
             // Both lists are sorted by name; a merge walk finds clashes.
             let (mut i, mut j) = (0, 0);
             while i < k.reads.len() && j < key.reads.len() {
@@ -320,7 +321,6 @@ mod tests {
             canonical: canonical.to_string(),
             strategy: Strategy::Improved,
             reads: reads.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
-            views_generation: 0,
         }
     }
 

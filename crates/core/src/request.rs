@@ -111,10 +111,12 @@ impl<'a> Request<'a> {
     }
 
     /// Apply the Domain Closure Assumption (§2.1): quantified or free
-    /// variables without a covering range get an explicit `dom(x)` range
-    /// over the materialized database domain. Requires
-    /// [`QueryEngine::refresh_domain_view`](crate::QueryEngine::refresh_domain_view)
-    /// to have been called.
+    /// variables without a covering range get an explicit `dom(x)` range.
+    /// `dom` is the domain of the request's pinned snapshot — every value
+    /// of its base relations ([`Snapshot::domain`](crate::Snapshot::domain)),
+    /// computed at most once per snapshot and never stored. The query
+    /// itself may name `dom` too; without domain closure it names
+    /// nothing.
     pub fn with_domain_closure(mut self) -> Self {
         self.domain_closure = true;
         self

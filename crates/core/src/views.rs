@@ -1,56 +1,75 @@
-//! Views: named open queries usable as atoms.
+//! Definitions: views, named open queries usable as atoms.
 //!
 //! Definition 1 allows a range to be "a relation or a view", and the
-//! paper's motivation includes "evaluating sophisticated views". Views are
-//! expanded at the *formula* level — an atom `v(t₁,…,tₙ)` whose name is a
-//! registered view is replaced by the view's body with its answer
+//! paper's motivation includes "evaluating sophisticated views". Virtual
+//! views are expanded at the *formula* level — an atom `v(t₁,…,tₙ)` whose
+//! name is a defined view is replaced by the view's body with its answer
 //! variables substituted by the atom's terms (bound variables renamed
 //! apart) — so every strategy (improved, classical, nested-loop) evaluates
 //! them identically, and views can use quantifiers, negation and other
 //! views freely.
+//!
+//! Every kind of definition — virtual, materialized, recursive — lives in
+//! one [`Definitions`] value. The writer changes it under the engine's
+//! store lock and publishes it inside each pinned snapshot, so a query
+//! reads its definitions, like its relations, from one committed state.
 
+use crate::ivm::Unit;
 use crate::EngineError;
-use gq_calculus::{check_restricted_open, parse, Formula, NameGen, Term, Var};
-use gq_storage::Database;
+use gq_calculus::{check_restricted_open, Formula, NameGen, Term, Var};
+use gq_storage::{Database, Relation, StorageError};
 use std::collections::BTreeMap;
-use std::sync::RwLock;
 
-/// A registry of named views.
-///
-/// Internally synchronized: definitions take a write lock, expansion and
-/// lookups a read lock, so one registry can serve concurrent sessions
-/// (e.g. `gq-server` connections sharing an `Arc<QueryEngine>`).
-///
-/// The generation counter lives *inside* the same lock as the view map:
-/// a reader observing generation `g` is guaranteed to see exactly the
-/// map state that produced `g`. (An earlier revision kept the counter in
-/// a separate atomic, which let a racing `define` publish a new map
-/// before the counter moved — a prepared query could then cache a plan
-/// compiled against the new views under the old generation.)
-#[derive(Debug, Default)]
-pub struct ViewRegistry {
-    inner: RwLock<Inner>,
-}
+/// The reserved name of the database domain (§2.1): the implicit range a
+/// domain-closure request gives otherwise unrestricted variables. No
+/// relation or view may take it.
+pub(crate) const DOM: &str = "dom";
 
-/// Lock payload: the view map and the definition counter, moved together.
-#[derive(Debug, Default)]
-struct Inner {
+/// Every named definition of one catalog state: the virtual views by
+/// name, and the materialized units in maintenance (dependency) order —
+/// a view's upstream extents are always patched before its own delta
+/// plans run. Extents live in the database under their views' names.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Definitions {
     views: BTreeMap<String, View>,
-    /// Monotone counter bumped by every definition — part of the plan
-    /// cache key, so cached plans never survive a view redefinition.
-    generation: u64,
+    pub(crate) units: Vec<Unit>,
 }
 
-/// One view: an open formula plus its answer variables (in name order —
-/// the view's "column" order).
+/// The kind of a definition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewKind {
+    /// Expanded into each query that names it.
+    Virtual,
+    /// Stored as an extent and maintained incrementally.
+    Materialized,
+    /// A member of a `with recursive` group, maintained by semi-naive
+    /// fixpoint.
+    Recursive,
+}
+
+impl ViewKind {
+    /// Short display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            ViewKind::Virtual => "virtual",
+            ViewKind::Materialized => "materialized",
+            ViewKind::Recursive => "recursive",
+        }
+    }
+}
+
+/// One definition: an open formula plus its answer variables (the view's
+/// column order).
 #[derive(Debug, Clone)]
 pub struct View {
     /// View name.
     pub name: String,
-    /// Answer variables, name order.
+    /// Answer variables, in column order.
     pub params: Vec<Var>,
     /// The defining open formula.
     pub body: Formula,
+    /// How the view is evaluated.
+    pub kind: ViewKind,
 }
 
 /// View-specific errors, folded into [`EngineError`].
@@ -72,6 +91,8 @@ pub enum ViewError {
     },
     /// A view with this name already exists.
     Duplicate(String),
+    /// The name is reserved for the database domain.
+    Reserved(String),
     /// A view body must be an open (answer-producing) formula.
     ClosedBody(String),
     /// A view body referenced a name that is neither a catalog relation
@@ -119,6 +140,9 @@ impl std::fmt::Display for ViewError {
             ),
             ViewError::Cycle { view } => write!(f, "cyclic view definition involving `{view}`"),
             ViewError::Duplicate(v) => write!(f, "view `{v}` already defined"),
+            ViewError::Reserved(v) => {
+                write!(f, "`{v}` is reserved: it names the database domain")
+            }
             ViewError::ClosedBody(v) => {
                 write!(
                     f,
@@ -155,105 +179,111 @@ impl std::error::Error for ViewError {}
 /// Expansion nesting limit (cycle backstop).
 const MAX_DEPTH: usize = 32;
 
-impl ViewRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        ViewRegistry::default()
-    }
-
-    /// Read-lock the registry, recovering from poisoning (a panicking
-    /// session must not wedge every other session's view expansion).
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Define a view from query text. The body must be an open, restricted
-    /// formula; its free variables (name order) become the view's columns.
-    /// Every relation the body references must already exist — as a
-    /// `catalog` relation or a previously defined view — so a typo'd or
-    /// forward reference fails *here* with
-    /// [`ViewError::UnknownRelation`], not at first query. (Eager
-    /// validation also makes definition cycles structurally impossible:
-    /// a view can only reference views defined before it.)
-    pub fn define(
-        &self,
-        name: impl Into<String>,
-        text: &str,
-        catalog: &Database,
-    ) -> Result<(), EngineError> {
-        let name = name.into();
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        if inner.views.contains_key(&name) {
-            return Err(EngineError::View(ViewError::Duplicate(name)));
+impl Definitions {
+    /// The one name check for anything new in the catalog — a relation,
+    /// a view of any kind: the name must not be the reserved `dom`, a
+    /// definition's, or a relation's. Run under the store lock.
+    pub(crate) fn check_name_free(&self, name: &str, db: &Database) -> Result<(), EngineError> {
+        if name == DOM {
+            return Err(ViewError::Reserved(name.to_string()).into());
         }
-        let body = parse(text)?;
-        let params: Vec<Var> = body.free_vars().into_iter().collect();
-        if params.is_empty() {
-            return Err(EngineError::View(ViewError::ClosedBody(name)));
+        if self.views.contains_key(name) || self.is_extent(name) {
+            return Err(ViewError::Duplicate(name.to_string()).into());
         }
-        for referenced in body.relation_names() {
-            if !catalog.has_relation(referenced) && !inner.views.contains_key(referenced) {
-                return Err(EngineError::View(ViewError::UnknownRelation {
-                    view: name,
-                    relation: referenced.to_string(),
-                }));
-            }
+        if db.has_relation(name) {
+            return Err(StorageError::RelationExists(name.to_string()).into());
         }
-        // The body itself must be restricted (views are ranges).
-        check_restricted_open(&body).map_err(gq_translate::TranslateError::from)?;
-        inner
-            .views
-            .insert(name.clone(), View { name, params, body });
-        // Bumped under the same write lock that updated the map, so no
-        // reader can ever pair a new map with an old generation.
-        inner.generation += 1;
         Ok(())
     }
 
-    /// Definition-counter: changes whenever the registry's contents do.
-    pub fn generation(&self) -> u64 {
-        self.read().generation
+    /// Is `name` a materialized view, whose extent only maintenance
+    /// writes?
+    pub(crate) fn is_extent(&self, name: &str) -> bool {
+        self.units
+            .iter()
+            .any(|u| u.members().iter().any(|m| m.name == name))
     }
 
-    /// Generation and view count, read atomically under one lock — the
-    /// pair is always consistent: each definition adds exactly one view
-    /// and bumps the generation by one, so `generation == len` holds for
-    /// every observer.
-    pub fn snapshot_stats(&self) -> (u64, usize) {
-        let inner = self.read();
-        (inner.generation, inner.views.len())
+    /// Does an atom over `name` resolve: to a relation of `db` other than
+    /// the reserved `dom`, or to a virtual view?
+    pub(crate) fn resolves(&self, name: &str, db: &Database) -> bool {
+        self.views.contains_key(name) || (name != DOM && db.has_relation(name))
     }
 
-    /// Registered views in name order (snapshot copy).
-    pub fn views(&self) -> Vec<View> {
-        self.read().views.values().cloned().collect()
-    }
-
-    /// Is `name` a view?
-    pub fn contains(&self, name: &str) -> bool {
-        self.read().views.contains_key(name)
-    }
-
-    /// Expand every view atom in `f`, recursively. The whole expansion
-    /// runs against one read-locked state of the registry, so a racing
-    /// `define` cannot produce a half-old, half-new expansion.
-    pub fn expand(&self, f: &Formula) -> Result<Formula, ViewError> {
-        self.expand_with_generation(f).map(|(_, f)| f)
-    }
-
-    /// [`ViewRegistry::expand`] plus the generation the expansion ran
-    /// against, observed under the *same* read lock. Plan-cache keying
-    /// must use this generation — reading it separately would let a
-    /// racing `define` slip between expansion and keying, caching a plan
-    /// compiled against the new views under the old generation.
-    pub fn expand_with_generation(&self, f: &Formula) -> Result<(u64, Formula), ViewError> {
-        let inner = self.read();
-        if inner.views.is_empty() {
-            return Ok((inner.generation, f.clone()));
+    /// Add a virtual view whose name passed [`Definitions::check_name_free`].
+    /// The body must be an open, restricted formula; its free variables
+    /// (name order) become the view's columns. Every name the body
+    /// references must already resolve, so a typo'd or forward reference
+    /// fails *here* with [`ViewError::UnknownRelation`], not at first
+    /// query. (That also makes definition cycles impossible: a view can
+    /// only reference views defined before it.)
+    pub(crate) fn define_view(
+        &mut self,
+        name: String,
+        body: Formula,
+        db: &Database,
+    ) -> Result<(), EngineError> {
+        let params: Vec<Var> = body.free_vars().into_iter().collect();
+        if params.is_empty() {
+            return Err(ViewError::ClosedBody(name).into());
         }
-        let mut gen = NameGen::new();
-        let expanded = Self::expand_depth(&inner.views, f, 0, &mut gen)?;
-        Ok((inner.generation, expanded))
+        if let Some(unknown) = body
+            .relation_names()
+            .into_iter()
+            .find(|r| !self.resolves(r, db))
+        {
+            return Err(ViewError::UnknownRelation {
+                view: name,
+                relation: unknown.to_string(),
+            }
+            .into());
+        }
+        // The body itself must be restricted (views are ranges).
+        check_restricted_open(&body).map_err(gq_translate::TranslateError::from)?;
+        let view = View {
+            name: name.clone(),
+            params,
+            body,
+            kind: ViewKind::Virtual,
+        };
+        self.views.insert(name, view);
+        Ok(())
+    }
+
+    /// Every definition, in name order.
+    pub(crate) fn list(&self) -> Vec<View> {
+        let mut out: Vec<View> = self.views.values().cloned().collect();
+        for unit in &self.units {
+            let kind = match unit {
+                Unit::Single(_) => ViewKind::Materialized,
+                Unit::Recursive(_) => ViewKind::Recursive,
+            };
+            out.extend(unit.members().iter().map(|m| View {
+                name: m.name.clone(),
+                params: m.vars.clone(),
+                body: m.body.clone(),
+                kind,
+            }));
+        }
+        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out
+    }
+
+    /// The database domain (§2.1): every value of `db`'s base relations —
+    /// not of extents, which hold derived values, nor of a `dom` relation
+    /// a directory written before `dom` was reserved may restore.
+    pub(crate) fn domain(&self, db: &Database) -> Relation {
+        let mut dom = db.domain_except(|name| name == DOM || self.is_extent(name));
+        dom.set_name(DOM);
+        dom
+    }
+
+    /// Expand every virtual-view atom in `f`, recursively.
+    pub(crate) fn expand(&self, f: &Formula) -> Result<Formula, ViewError> {
+        if self.views.is_empty() {
+            return Ok(f.clone());
+        }
+        Self::expand_depth(&self.views, f, 0, &mut NameGen::new())
     }
 
     fn expand_depth(
@@ -455,7 +485,7 @@ mod tests {
             Err(EngineError::View(super::ViewError::UnknownRelation { .. }))
         ));
         // the failed attempts left nothing behind
-        assert_eq!(e.views().snapshot_stats(), (0, 0));
+        assert!(e.snapshot().views().is_empty());
         // a typo'd relation is caught with the offending name
         assert!(matches!(
             e.define_view("v", "studnet(x)"),
@@ -465,49 +495,20 @@ mod tests {
     }
 
     #[test]
-    fn generation_and_contents_move_together_under_racing_defines() {
-        use std::sync::Arc;
-        // A definer thread adds views one by one while reader threads
-        // repeatedly observe (generation, len) atomically. Each define
-        // adds exactly one view and bumps the generation by one, so every
-        // observation must satisfy generation == len — the torn-read bug
-        // (generation in a separate atomic) made this fail under race.
-        let e = Arc::new(engine());
-        let definer = {
-            let e = Arc::clone(&e);
-            std::thread::spawn(move || {
-                for i in 0..64 {
-                    e.define_view(format!("v{i}"), "student(x)").unwrap();
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let e = Arc::clone(&e);
-                std::thread::spawn(move || {
-                    let mut last = 0u64;
-                    while last < 64 {
-                        let (generation, len) = e.views().snapshot_stats();
-                        assert_eq!(
-                            generation, len as u64,
-                            "torn read: generation {generation} with {len} views"
-                        );
-                        // expansion under the same lock agrees with the pair
-                        let (g2, _) = e
-                            .views()
-                            .expand_with_generation(&gq_calculus::parse("student(x)").unwrap())
-                            .unwrap();
-                        assert!(g2 >= generation);
-                        last = generation;
-                    }
-                })
-            })
-            .collect();
-        definer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(e.views().snapshot_stats(), (64, 64));
+    fn a_pinned_snapshot_keeps_its_definitions() {
+        let e = engine();
+        let before = e.snapshot();
+        e.define_view("v", "student(x)").unwrap();
+        let after = e.snapshot();
+        assert!(before.views().is_empty());
+        let views = after.views();
+        assert_eq!(views.len(), 1);
+        assert_eq!(
+            (views[0].name.as_str(), views[0].kind.name()),
+            ("v", "virtual")
+        );
+        // A definition writes no relation, so the epoch stays.
+        assert_eq!(before.epoch(), after.epoch());
     }
 
     #[test]

@@ -105,7 +105,7 @@ static COMMANDS: &[(&str, &str, &str, Cmd)] = &[
     (".remove", "name(value, …)", "remove a tuple", Cmd::Remove),
     (".relations", "", "list relations", Cmd::Relations),
     (".view", "name <query>", "define a view (usable as an atom)", Cmd::View),
-    (".views", "", "list views", Cmd::Views),
+    (".views", "", "list views of every kind", Cmd::Views),
     (".strategy", "[s]", "show / set: improved | classical | nested-loop", Cmd::Strategy),
     (".timeout", "<ms|off>", "per-query deadline", Cmd::Timeout),
     (".limits", "[output|rows|bytes <n|off>]", "show / set resource budgets", Cmd::Limits),
@@ -215,9 +215,10 @@ impl SessionState {
                 out = format!("view `{name}` defined");
             }
             Cmd::Views => {
-                for v in engine.views().views() {
+                for v in engine.snapshot().views() {
                     let params: Vec<&str> = v.params.iter().map(|p| p.name()).collect();
-                    let _ = writeln!(out, "{}({}) ≡ {}", v.name, params.join(", "), v.body);
+                    let (kind, name, body) = (v.kind.name(), v.name, v.body);
+                    let _ = writeln!(out, "{kind} {name}({}) ≡ {body}", params.join(", "));
                 }
             }
             Cmd::Strategy => {

@@ -109,8 +109,7 @@ impl Database {
         Ok(())
     }
 
-    /// Register or overwrite a relation under its own name (used for
-    /// refreshing materialized views like the `dom` relation).
+    /// Register or overwrite a relation under its own name.
     pub fn replace_relation(&mut self, relation: Relation) {
         self.replace_relation_arc(Arc::new(relation));
     }
@@ -197,8 +196,14 @@ impl Database {
     /// uses this as the `dom` view when a negated variable has no explicit
     /// range.
     pub fn domain(&self) -> Relation {
+        self.domain_except(|_| false)
+    }
+
+    /// [`Database::domain`] over every relation whose name `skip`
+    /// rejects.
+    pub fn domain_except(&self, skip: impl Fn(&str) -> bool) -> Relation {
         let mut dom = Relation::intermediate(1);
-        for r in self.relations.values() {
+        for r in self.relations.values().filter(|r| !skip(r.name())) {
             for t in r.iter() {
                 for v in t.values() {
                     let _ = dom.insert(Tuple::new(vec![v.clone()]));
@@ -277,6 +282,10 @@ mod tests {
         let dom = db.domain();
         assert_eq!(dom.len(), 3); // a, b, 1
         assert!(dom.contains(&tuple![1]));
+        db.create_relation("q", Schema::anonymous(1)).unwrap();
+        db.insert("q", tuple![7]).unwrap();
+        assert_eq!(db.domain().len(), 4);
+        assert_eq!(db.domain_except(|name| name == "q"), dom);
     }
 
     #[test]

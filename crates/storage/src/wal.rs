@@ -67,7 +67,8 @@ pub enum WalOp {
         /// The removed tuple.
         tuple: Tuple,
     },
-    /// `Database::replace_relation` — the full new contents.
+    /// `Database::replace_relation` — the full new contents. No longer
+    /// written; directories that hold one still replay it.
     Replace {
         /// Relation name.
         relation: String,

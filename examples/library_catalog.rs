@@ -95,16 +95,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Domain closure (§2.1) ------------------------------------------
-    engine.refresh_domain_view()?;
     // "which database values are not book titles?" — pure negation, only
-    // answerable under the Domain Closure Assumption.
+    // answerable under the Domain Closure Assumption. The domain is the
+    // values of the snapshot's base relations, computed on first use.
     let r = engine
         .run(&Request::text("!(exists g. book(x,g))").with_domain_closure())?
         .result;
     println!(
         "\nvalues that are not book titles (domain closure): {} of {}",
         r.len(),
-        engine.snapshot().relation("dom")?.len()
+        engine.snapshot().domain().len()
     );
 
     // --- Persistence ----------------------------------------------------

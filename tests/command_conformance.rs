@@ -109,7 +109,15 @@ const SCRIPT: &[(&str, Expect)] = &[
         ".view db_student attends(s, \"db\")",
         Body("view `db_student` defined"),
     ),
-    (".views", Body("db_student(s) ≡ attends(s,\"db\")\n")),
+    (
+        ".views",
+        Body("virtual db_student(s) ≡ attends(s,\"db\")\n"),
+    ),
+    // One namespace: a view may not take a relation's name, a relation
+    // may not take a view's, and neither may take `dom`.
+    (".view student attends(s, \"db\")", Error("error")),
+    (".relation db_student(name)", Error("error")),
+    (".relation dom(value)", Error("error")),
     (
         "db_student(x)",
         Body("(ann)\n(c,d)\n2 answers (improved; reads=2 comparisons=2)"),
@@ -152,6 +160,19 @@ const SCRIPT: &[(&str, Expect)] = &[
         Body("(2)\n(3)\n(4)\n3 answers (improved; reads=6 comparisons=6)"),
     ),
     ("exists x. path(x, 4) & !edge(x, 4)", Body("true")),
+    (
+        "with recursive idle(s) as (student(s) & !(exists l. attends(s, l))) in idle(x)",
+        Body("(bob)\n1 answer (improved; reads=1 comparisons=0)"),
+    ),
+    // Every kind of view, each with its kind, in name order.
+    (
+        ".views",
+        Body(
+            "virtual db_student(s) ≡ attends(s,\"db\")\n\
+             materialized idle(s) ≡ student(s) ∧ ¬(∃l attends(s,l))\n\
+             recursive path(x, y) ≡ edge(x,y) ∨ (∃z (edge(x,z) ∧ path(z,y)))\n",
+        ),
+    ),
     (
         "with recursive path(x,y) as (edge(x,y)) in path(1, y)",
         Error("error"),

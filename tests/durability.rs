@@ -10,7 +10,7 @@
 //! registry is global, and read `GQ_CHAOS_SEED` so CI can sweep seeds.
 
 use gq_core::{EngineError, ExecConfig, QueryEngine, ViewError};
-use gq_storage::{tuple, Database, DurableDatabase, Schema, StorageError, Tuple};
+use gq_storage::{tuple, Database, DurableDatabase, Relation, Schema, StorageError, Tuple};
 use std::path::PathBuf;
 
 /// A fresh, empty scratch directory under the system temp dir.
@@ -278,31 +278,34 @@ fn recovered_database_answers_identically_across_threads() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A bulk write (`dom`'s refresh logs one record for many tuples)
-/// followed by a checkpoint leaves a snapshot whose tuple count exceeds
-/// its epoch. The reload must take the snapshot's epoch as written, or
-/// the first post-checkpoint WAL record replays as a regression and the
-/// committed insert is unreachable.
+/// A bulk write (one `AddRelation` record for many tuples) followed by a
+/// checkpoint leaves a snapshot whose tuple count exceeds its epoch. The
+/// reload must take the snapshot's epoch as written, or the first
+/// post-checkpoint WAL record replays as a regression and the committed
+/// insert is unreachable. The engine has no bulk write, so the storage
+/// layer makes it.
 #[test]
 fn a_bulk_write_before_a_checkpoint_still_reopens() {
     let dir = fresh_dir("bulk_checkpoint");
     let epoch = {
-        let (e, _) = QueryEngine::open_durable(&dir).unwrap();
-        e.create_relation("p", Schema::new(vec!["a"]).unwrap())
+        let (mut d, _) = DurableDatabase::open(&dir).unwrap();
+        d.create_relation("p", Schema::new(vec!["a"]).unwrap())
             .unwrap();
         for v in 1..=3i64 {
-            e.insert("p", tuple![v]).unwrap();
+            d.insert("p", tuple![v]).unwrap();
         }
-        e.refresh_domain_view().unwrap();
-        e.checkpoint().unwrap();
-        e.insert("p", tuple![4i64]).unwrap();
-        e.snapshot().epoch()
+        let bulk = (10..16i64).map(|v| tuple![v]);
+        d.add_relation(Relation::with_tuples("s", Schema::new(vec!["a"]).unwrap(), bulk).unwrap())
+            .unwrap();
+        d.checkpoint().unwrap();
+        d.insert("p", tuple![4i64]).unwrap();
+        d.epoch()
     };
     let (e, rec) = QueryEngine::open_durable(&dir).unwrap();
     assert_eq!(rec.wal_records_replayed, 1, "stats: {rec}");
     assert_eq!(rec.recovered_epoch, epoch);
     assert_eq!(e.query("p(x)").unwrap().len(), 4);
-    assert_eq!(e.query("dom(x)").unwrap().len(), 3);
+    assert_eq!(e.query("s(x)").unwrap().len(), 6);
     std::fs::remove_dir_all(&dir).ok();
 }
 

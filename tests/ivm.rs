@@ -54,6 +54,18 @@ fn answers(e: &QueryEngine, q: &str) -> Vec<Tuple> {
     out
 }
 
+/// `(name, columns, kind)` of every definition, in name order.
+fn described(e: &QueryEngine) -> Vec<(String, Vec<String>, &'static str)> {
+    e.snapshot()
+        .views()
+        .into_iter()
+        .map(|v| {
+            let columns = v.params.iter().map(|p| p.name().to_string()).collect();
+            (v.name, columns, v.kind.name())
+        })
+        .collect()
+}
+
 /// splitmix64 — deterministic mutation sequences without a rand crate.
 struct Rng(u64);
 
@@ -134,7 +146,7 @@ fn duplicate_and_unknown_names_are_rejected() {
         e.define_materialized_view("mv2", "nosuch(x)"),
         Err(EngineError::View(ViewError::UnknownRelation { .. }))
     ));
-    assert_eq!(e.materialized_views().len(), 1);
+    assert_eq!(described(&e).len(), 1);
 }
 
 /// The incremental-maintenance property: the same random mutation
@@ -345,10 +357,9 @@ fn transitive_closure_is_maintained_incrementally() {
     edges.retain(|&p| p != (4, 5));
     assert_eq!(answers(&e, "path(x,y)"), closure(&edges), "after removal");
 
-    // The registry reports the group as recursive.
-    let described = e.materialized_views();
-    assert!(described.iter().any(|(n, cols, recursive)| {
-        n == "path" && cols == &["x".to_string(), "y".to_string()] && *recursive
+    // The snapshot reports the group as recursive.
+    assert!(described(&e).iter().any(|(n, cols, kind)| {
+        n == "path" && cols == &["x".to_string(), "y".to_string()] && *kind == "recursive"
     }));
     // Fixpoint rounds were journaled.
     let events = e.journal().events();
@@ -368,8 +379,8 @@ fn a_materialized_view_may_name_itself() {
     e.define_materialized_view("reach", "r(x,y) | (exists z. r(x,z) & reach(z,y))")
         .unwrap();
     assert_eq!(
-        e.materialized_views(),
-        [("reach".into(), vec!["x".into(), "y".into()], true)]
+        described(&e),
+        [("reach".into(), vec!["x".into(), "y".into()], "recursive")]
     );
     assert_eq!(answers(&e, "reach(x,y)").len(), 15);
     e.insert("r", tuple![5, 6]).unwrap();
@@ -394,8 +405,8 @@ fn mutual_recursion_forms_one_group() {
          in odd(x,y)",
     ))
     .unwrap();
-    let described = e.materialized_views();
-    assert!(described.iter().all(|(_, _, recursive)| *recursive));
+    let described = described(&e);
+    assert!(described.iter().all(|(_, _, kind)| *kind == "recursive"));
     assert_eq!(described.len(), 2);
     // odd: pairs at odd distance along the chain 0→1→2→3→4.
     let mut want = Vec::new();
@@ -431,7 +442,7 @@ fn recursion_through_negation_is_rejected() {
     );
     // Nothing half-registered: the name is free again and the engine is
     // fully usable.
-    assert!(e.materialized_views().is_empty());
+    assert!(described(&e).is_empty());
     assert!(e.query("w(x)").is_err());
     e.insert("p", tuple![1]).unwrap();
     assert_eq!(e.query("p(x)").unwrap().len(), 1);
@@ -469,7 +480,7 @@ fn runaway_fixpoint_trips_governor_instead_of_hanging() {
         }
         // The failed definition left nothing behind; with the budget lifted
         // the same program succeeds.
-        assert!(e.materialized_views().is_empty());
+        assert!(described(&e).is_empty());
         e.set_limits(QueryLimits::UNLIMITED);
         let n = e.run(&Request::program(PATH)).unwrap().result.len();
         assert_eq!(n, (121 * 120) / 2);
